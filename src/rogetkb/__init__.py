@@ -41,6 +41,7 @@ from .model import (
     CrossReference,
     Entry,
     Head,
+    HeadTally,
     Paragraph,
     PartOfSpeech,
     RogetClass,

@@ -29,6 +29,7 @@ from .lexnet import (
 from .model import (
     Address,
     AddressError,
+    HeadTally,
     Paragraph,
     PartOfSpeech,
     SemicolonGroup,
@@ -101,6 +102,26 @@ def _head_name_key(name: str, use_stripped: bool) -> str:
     return normalize(_strip_head_gloss(name) if use_stripped else name)
 
 
+def _pct(part: int, whole: int) -> float:
+    return part / whole if whole else 0.0
+
+
+def _coverage_row(
+    class_num: Optional[int], sections: int, heads: list[tuple[bool, HeadTally]]
+) -> CoverageRow:
+    """Sum the tallies of ``heads``, each paired with whether its name is
+    common, into one table row."""
+    paragraphs = sum(t.paragraphs for _, t in heads)
+    strings = sum(t.entries for _, t in heads)
+    return CoverageRow(
+        class_num=class_num, sections=sections, heads=len(heads),
+        paragraphs=paragraphs, groups=sum(t.groups for _, t in heads), strings=strings,
+        pct_common_heads=_pct(sum(name_in for name_in, _ in heads), len(heads)),
+        pct_common_keywords=_pct(sum(t.keyword_hits for _, t in heads), paragraphs),
+        pct_common_strings=_pct(sum(t.entry_hits for _, t in heads), strings),
+    )
+
+
 def class_coverage(
     kb: ThesaurusKB,
     common: frozenset[str],
@@ -114,52 +135,15 @@ def class_coverage(
     pct_common_heads = heads whose name (optionally gloss-stripped at the
     first ":") is common / heads.
     """
-    rows = []
-    sums = {"heads_in": 0, "kw_in": 0, "str_in": 0}
-
-    def pct(part: int, whole: int) -> float:
-        return part / whole if whole else 0.0
-
-    for cls in kb.classes:
-        sections = len(cls.sections)
-        heads = paragraphs = groups = strings = 0
-        heads_in = kw_in = str_in = 0
-        for sec in cls.sections:
-            heads += len(sec.heads)
-            for head in sec.heads:
-                if _head_name_key(head.name, strip_gloss) in common:
-                    heads_in += 1
-                paragraphs += len(head.paragraphs)
-                for para in head.paragraphs:
-                    if para.keyword in common:
-                        kw_in += 1
-                    groups += len(para.groups)
-                    for group in para.groups:
-                        strings += len(group.entries)
-                        str_in += sum(1 for e in group.entries if e.text in common)
-        rows.append(CoverageRow(
-            class_num=cls.number, sections=sections, heads=heads,
-            paragraphs=paragraphs, groups=groups, strings=strings,
-            pct_common_heads=pct(heads_in, heads),
-            pct_common_keywords=pct(kw_in, paragraphs),
-            pct_common_strings=pct(str_in, strings),
-        ))
-        sums["heads_in"] += heads_in
-        sums["kw_in"] += kw_in
-        sums["str_in"] += str_in
-
-    total = CoverageRow(
-        class_num=None,
-        sections=sum(r.sections for r in rows),
-        heads=sum(r.heads for r in rows),
-        paragraphs=sum(r.paragraphs for r in rows),
-        groups=sum(r.groups for r in rows),
-        strings=sum(r.strings for r in rows),
-        pct_common_heads=pct(sums["heads_in"], sum(r.heads for r in rows)),
-        pct_common_keywords=pct(sums["kw_in"], sum(r.paragraphs for r in rows)),
-        pct_common_strings=pct(sums["str_in"], sum(r.strings for r in rows)),
+    per_class: dict[int, list[tuple[bool, HeadTally]]] = {cls.number: [] for cls in kb.classes}
+    for cls, head, tally in kb.tally_heads(common):
+        per_class[cls.number].append((_head_name_key(head.name, strip_gloss) in common, tally))
+    rows = tuple(
+        _coverage_row(cls.number, len(cls.sections), per_class[cls.number]) for cls in kb.classes
     )
-    return ClassCoverage(rows=tuple(rows), total=total)
+    every_head = [head for heads in per_class.values() for head in heads]
+    total = _coverage_row(None, sum(r.sections for r in rows), every_head)
+    return ClassCoverage(rows=rows, total=total)
 
 
 def head_coverage(
@@ -173,42 +157,25 @@ def head_coverage(
     ascending head number. head_name_in_lex tests the name against the
     resource's lemmas (not the intersection)."""
     lemmas = res.all_lemmas()
-    out = []
-    for _, _, head in kb.walk_heads():
-        paragraphs = len(head.paragraphs)
-        groups = strings = str_in = kw_in = 0
-        for para in head.paragraphs:
-            if para.keyword in common:
-                kw_in += 1
-            groups += len(para.groups)
-            for group in para.groups:
-                strings += len(group.entries)
-                str_in += sum(1 for e in group.entries if e.text in common)
-        out.append(HeadCoverage(
-            head_num=head.number,
-            head_name=head.name,
-            head_name_in_lex=_head_name_key(head.name, strip_gloss) in lemmas,
-            paragraphs=paragraphs,
-            groups=groups,
-            strings=strings,
-            pct_common_strings=str_in / strings if strings else 0.0,
-            pct_common_keywords=kw_in / paragraphs if paragraphs else 0.0,
-        ))
+    out = [
+        HeadCoverage(
+            head.number, head.name, _head_name_key(head.name, strip_gloss) in lemmas,
+            tally.paragraphs, tally.groups, tally.entries,
+            _pct(tally.entry_hits, tally.entries), _pct(tally.keyword_hits, tally.paragraphs),
+        )
+        for _, head, tally in kb.tally_heads(common)
+    ]
     return tuple(sorted(out, key=lambda r: (-r.pct_common_strings, r.head_num)))
 
 
 def pos_distribution(kb: ThesaurusKB) -> dict[PartOfSpeech, float]:
     """Fraction of entry occurrences per part of speech; all five tags are
     present, zeros included. Sums to 1 for a non-empty KB."""
-    counts = {pos: 0 for pos in PartOfSpeech}
-    total = 0
-    for _, para in kb.walk_paragraphs():
-        n = sum(len(group.entries) for group in para.groups)
-        counts[para.pos] += n
-        total += n
-    if total == 0:
-        return {pos: 0.0 for pos in PartOfSpeech}
-    return {pos: count / total for pos, count in counts.items()}
+    counts = [0] * len(PartOfSpeech)
+    for _, _, tally in kb.tally_heads():
+        counts = [a + b for a, b in zip(counts, tally.pos_entries)]
+    total = sum(counts)
+    return {pos: _pct(count, total) for pos, count in zip(PartOfSpeech, counts)}
 
 
 # -- relation labelling -------------------------------------------------------

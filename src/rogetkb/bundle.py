@@ -12,13 +12,13 @@ import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Union
+from typing import Any, Optional, Union
 
 from .aligner import class_coverage, common_strings, pos_distribution
 from .index import LexicalIndex, build_index
-from .lexnet import SynsetResource, load_resource
+from .lexnet import LexiconError, SynsetResource, load_resource
 from .model import ThesaurusKB
-from .parser import ParseDiagnostic, parse_source
+from .parser import ParseDiagnostic, parse_source, serialize_kb
 
 __all__ = ["BuildMeta", "KBBundle", "BundleError", "write_bundle", "load_bundle", "structured_document"]
 
@@ -56,7 +56,6 @@ def write_bundle(
     diagnostics: tuple[ParseDiagnostic, ...] = (),
     lex_text: Optional[str] = None,
 ) -> BuildMeta:
-    source = kb.canonical_source() if kb.classes else ""
     meta = BuildMeta(
         source_checksum=kb.source_checksum,
         lex_checksum=_sha256(lex_text) if lex_text is not None else None,
@@ -71,7 +70,7 @@ def write_bundle(
             "lexChecksum": meta.lex_checksum,
             "diagnostics": {"errors": meta.errors, "warnings": meta.warnings},
         },
-        "source": source,
+        "source": serialize_kb(kb),
         "lexicon": lex_text,
     }
     Path(path).write_text(
@@ -80,10 +79,18 @@ def write_bundle(
     return meta
 
 
+def _field(document: dict, key: str, kind: Union[type, tuple], default: Any, path: object) -> Any:
+    """``document[key]`` (``default`` when absent), which must be a ``kind``."""
+    value = document.get(key, default)
+    if not isinstance(value, kind):
+        raise BundleError(f"bundle {path} has a malformed {key!r} field")
+    return value
+
+
 def load_bundle(path: Union[str, Path]) -> KBBundle:
     try:
         raw = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise BundleError(f"cannot read bundle {path}: {exc}") from exc
     try:
         document = json.loads(raw)
@@ -93,32 +100,35 @@ def load_bundle(path: Union[str, Path]) -> KBBundle:
         raise BundleError(f"{path} is not a knowledge-base bundle")
     if document.get("version") != _VERSION:
         raise BundleError(f"unsupported bundle version {document.get('version')!r}")
+    meta_doc = _field(document, "meta", dict, {}, path)
+    diag = _field(meta_doc, "diagnostics", dict, {}, path)
+    lex_text = _field(document, "lexicon", (str, type(None)), None, path)
 
-    result = parse_source(document.get("source", ""))
+    result = parse_source(_field(document, "source", str, "", path))
     if result.kb is None:
         raise BundleError(f"bundle {path} contains an unparseable source document")
     kb = result.kb
 
-    meta_doc = document.get("meta", {})
     recorded = meta_doc.get("sourceChecksum")
     if recorded != kb.source_checksum:
         raise BundleError(f"bundle {path} failed its source checksum")
 
-    lex_text = document.get("lexicon")
     resource = None
     lex_checksum = None
     if lex_text is not None:
         lex_checksum = _sha256(lex_text)
         if meta_doc.get("lexChecksum") != lex_checksum:
             raise BundleError(f"bundle {path} failed its lexicon checksum")
-        resource = load_resource(lex_text)
+        try:
+            resource = load_resource(lex_text)
+        except LexiconError as exc:
+            raise BundleError(f"bundle {path} carries a malformed lexicon: {exc}") from exc
 
-    diag = meta_doc.get("diagnostics", {})
     meta = BuildMeta(
         source_checksum=kb.source_checksum,
         lex_checksum=lex_checksum,
-        errors=int(diag.get("errors", 0)),
-        warnings=int(diag.get("warnings", 0)),
+        errors=_field(diag, "errors", int, 0, path),
+        warnings=_field(diag, "warnings", int, 0, path),
     )
     return KBBundle(kb=kb, index=build_index(kb), resource=resource, meta=meta)
 

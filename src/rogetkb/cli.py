@@ -42,7 +42,7 @@ _KB_OPTION = click.option(
 def _read_text(path: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         click.echo(f"error: cannot read {path}: {exc}", err=True)
         sys.exit(EXIT_IO)
 
@@ -136,7 +136,7 @@ def sim(word_a: str, word_b: str, kb_path: str) -> None:
 @main.command()
 @click.argument("mode", type=click.Choice(["class", "head", "pos"]))
 @_KB_OPTION
-@click.option("--top", type=int, default=None, help="truncate head mode to the first K rows")
+@click.option("--top", type=click.IntRange(min=0), help="truncate head mode to the first K rows")
 @click.option("--strip-gloss", "strip", is_flag=True,
               help="match head names with the ':' gloss removed")
 def stats(mode: str, kb_path: str, top: Optional[int], strip: bool) -> None:
@@ -152,47 +152,35 @@ def stats(mode: str, kb_path: str, top: Optional[int], strip: bool) -> None:
         for pos in PartOfSpeech:
             click.echo(f"{pos.value}\t{shares[pos]:.4f}")
     elif mode == "class":
-        if bundle.resource is None:
-            click.echo("classNum\tsections\theads\tparagraphs\tsemicolonGroups\tstrings")
-            report = bundle.kb.count_nodes()
-            for rec in report.per_class:
-                click.echo(f"{rec.class_num}\t{rec.sections}\t{rec.heads}\t"
-                           f"{rec.paragraphs}\t{rec.groups}\t{rec.entries}")
-            t = report.total
-            click.echo(f"total\t{t.sections}\t{t.heads}\t{t.paragraphs}\t{t.groups}\t{t.entries}")
-        else:
-            common = common_strings(bundle.index, bundle.resource)
-            report = class_coverage(bundle.kb, common, strip_gloss=strip)
-            click.echo("classNum\tsections\theads\tparagraphs\tsemicolonGroups\tstrings\t"
-                       "pctCommonHeads\tpctCommonKeywords\tpctCommonStrings")
-            for row in report.rows + (report.total,):
-                label_cell = "total" if row.class_num is None else str(row.class_num)
-                click.echo(
-                    f"{label_cell}\t{row.sections}\t{row.heads}\t{row.paragraphs}\t"
-                    f"{row.groups}\t{row.strings}\t{row.pct_common_heads:.2f}\t"
-                    f"{row.pct_common_keywords:.2f}\t{row.pct_common_strings:.2f}"
-                )
+        with_lex = bundle.resource is not None
+        common = common_strings(bundle.index, bundle.resource) if with_lex else frozenset()
+        report = class_coverage(bundle.kb, common, strip_gloss=strip)
+        click.echo("classNum\tsections\theads\tparagraphs\tsemicolonGroups\tstrings"
+                   + ("\tpctCommonHeads\tpctCommonKeywords\tpctCommonStrings" if with_lex else ""))
+        for row in report.rows + (report.total,):
+            label_cell = "total" if row.class_num is None else str(row.class_num)
+            line = (f"{label_cell}\t{row.sections}\t{row.heads}\t{row.paragraphs}\t"
+                    f"{row.groups}\t{row.strings}")
+            if with_lex:
+                line += (f"\t{row.pct_common_heads:.2f}\t{row.pct_common_keywords:.2f}"
+                         f"\t{row.pct_common_strings:.2f}")
+            click.echo(line)
+    elif bundle.resource is None:
+        click.echo("headNum\theadName\tparagraphs\tsemicolonGroups\tstrings")
+        for _, head, tally in list(bundle.kb.tally_heads())[:top]:
+            click.echo(f"{head.number}\t{head.name}\t{tally.paragraphs}\t"
+                       f"{tally.groups}\t{tally.entries}")
     else:
-        if bundle.resource is None:
-            click.echo("headNum\theadName\tparagraphs\tsemicolonGroups\tstrings")
-            rows = []
-            for _, _, head in bundle.kb.walk_heads():
-                groups = sum(len(p.groups) for p in head.paragraphs)
-                strings = sum(len(g.entries) for p in head.paragraphs for g in p.groups)
-                rows.append((head.number, head.name, len(head.paragraphs), groups, strings))
-            for row in rows[:top]:
-                click.echo("\t".join(str(cell) for cell in row))
-        else:
-            common = common_strings(bundle.index, bundle.resource)
-            click.echo("headNum\theadName\theadNameInLex\tparagraphs\tsemicolonGroups\t"
-                       "strings\tpctCommonStrings\tpctCommonKeywords")
-            for row in head_coverage(bundle.kb, bundle.resource, common, strip_gloss=strip)[:top]:
-                in_lex = "yes" if row.head_name_in_lex else "no"
-                click.echo(
-                    f"{row.head_num}\t{row.head_name}\t{in_lex}\t{row.paragraphs}\t"
-                    f"{row.groups}\t{row.strings}\t{row.pct_common_strings:.2f}\t"
-                    f"{row.pct_common_keywords:.2f}"
-                )
+        common = common_strings(bundle.index, bundle.resource)
+        click.echo("headNum\theadName\theadNameInLex\tparagraphs\tsemicolonGroups\t"
+                   "strings\tpctCommonStrings\tpctCommonKeywords")
+        for row in head_coverage(bundle.kb, bundle.resource, common, strip_gloss=strip)[:top]:
+            in_lex = "yes" if row.head_name_in_lex else "no"
+            click.echo(
+                f"{row.head_num}\t{row.head_name}\t{in_lex}\t{row.paragraphs}\t"
+                f"{row.groups}\t{row.strings}\t{row.pct_common_strings:.2f}\t"
+                f"{row.pct_common_keywords:.2f}"
+            )
 
 
 def _label_name(label: Optional[RelationType]) -> str:
@@ -248,10 +236,10 @@ def label(head_num: int, pos: str, para_idx: int, kb_path: str,
         click.echo(f"error: head {head_num} not found", err=True)
         sys.exit(EXIT_MISSING)
     pos_tag = PartOfSpeech.parse(pos)
-    target = Address(
-        head_addr.class_num, head_addr.section_num, head_num, pos_tag, para_idx
-    )
     try:
+        target = Address(
+            head_addr.class_num, head_addr.section_num, head_num, pos_tag, para_idx
+        )
         result = label_paragraph(
             bundle.kb, bundle.resource, target,
             LabelConfig(match_cross_refs=not no_xref),

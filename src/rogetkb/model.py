@@ -17,7 +17,7 @@ import enum
 import hashlib
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Optional, Union
+from typing import Iterator, NamedTuple, Optional, Union
 
 __all__ = [
     "PartOfSpeech",
@@ -34,6 +34,7 @@ __all__ = [
     "Node",
     "CountRecord",
     "CountReport",
+    "HeadTally",
     "SG_LEVEL",
     "ENTRY_LEVEL",
     "MAX_GROUP_DISTANCE",
@@ -77,6 +78,7 @@ _POS_DISPLAY = {
 }
 
 POS_ORDER = tuple(PartOfSpeech)
+_POS_RANK = {pos: rank for rank, pos in enumerate(POS_ORDER)}
 
 
 @dataclass(frozen=True)
@@ -321,6 +323,20 @@ class CountReport:
     total: CountRecord
 
 
+class HeadTally(NamedTuple):
+    """Node counts of one head. ``keyword_hits`` and ``entry_hits`` count
+    the paragraph keywords and entry occurrences found in the tallied
+    string set; ``pos_entries`` holds entry occurrences per part of speech,
+    in ``PartOfSpeech`` order."""
+
+    paragraphs: int
+    groups: int
+    entries: int
+    keyword_hits: int
+    entry_hits: int
+    pos_entries: tuple[int, ...]
+
+
 @dataclass(frozen=True)
 class ThesaurusKB:
     """A fully built knowledge base. Classes are in ascending number order."""
@@ -438,26 +454,38 @@ class ThesaurusKB:
                     sg_addr.pos, sg_addr.para_idx, sg_addr.sg_idx, entry_idx,
                 ), entry
 
+    def tally_heads(
+        self, strings: frozenset[str] = frozenset()
+    ) -> Iterator[tuple[RogetClass, Head, HeadTally]]:
+        """Yield every head with its :class:`HeadTally`, in taxonomy order.
+        Every count and coverage table is built from this one walk; with no
+        ``strings`` the hit counts are 0 and no entry is looked at."""
+        for cls, _, head in self.walk_heads():
+            groups = entries = keyword_hits = entry_hits = 0
+            pos_entries = [0] * len(POS_ORDER)
+            for para in head.paragraphs:
+                para_entries = 0
+                for group in para.groups:
+                    para_entries += len(group.entries)
+                groups += len(para.groups)
+                entries += para_entries
+                pos_entries[_POS_RANK[para.pos]] += para_entries
+                if strings:
+                    keyword_hits += para.keyword in strings
+                    entry_hits += sum([e.text in strings for g in para.groups for e in g.entries])
+            yield cls, head, HeadTally(
+                len(head.paragraphs), groups, entries,
+                keyword_hits, entry_hits, tuple(pos_entries),
+            )
+
     def count_nodes(self) -> CountReport:
-        rows = []
-        for cls in self.classes:
-            sections = len(cls.sections)
-            heads = paragraphs = groups = entries = 0
-            for sec in cls.sections:
-                heads += len(sec.heads)
-                for head in sec.heads:
-                    paragraphs += len(head.paragraphs)
-                    for para in head.paragraphs:
-                        groups += len(para.groups)
-                        for group in para.groups:
-                            entries += len(group.entries)
-            rows.append(CountRecord(cls.number, sections, heads, paragraphs, groups, entries))
-        total = CountRecord(
-            None,
-            sum(r.sections for r in rows),
-            sum(r.heads for r in rows),
-            sum(r.paragraphs for r in rows),
-            sum(r.groups for r in rows),
-            sum(r.entries for r in rows),
-        )
-        return CountReport(per_class=tuple(rows), total=total)
+        per_class = {cls.number: [len(cls.sections), 0, 0, 0, 0] for cls in self.classes}
+        for cls, _, tally in self.tally_heads():
+            row = per_class[cls.number]
+            row[1] += 1
+            row[2] += tally.paragraphs
+            row[3] += tally.groups
+            row[4] += tally.entries
+        rows = tuple(CountRecord(num, *row) for num, row in per_class.items())
+        total = CountRecord(None, *(sum(row[i] for row in per_class.values()) for i in range(5)))
+        return CountReport(per_class=rows, total=total)

@@ -9,7 +9,9 @@ Grammar, one construct per line unless noted:
                           the keyword is the first entry, never restated
     entry lines           entries separated by ","; a semicolon group is
                           terminated by ";" and may span lines; an entry may
-                          carry cross-references written "@<headnum> <keyword>"
+                          carry cross-references written "@<headnum> <keyword>";
+                          a group may not start with "#" or "//" (its
+                          canonical line would read as a directive or comment)
     // comment            ignored, as are blank lines
 
 A line break also separates entries, so an individual entry never spans
@@ -229,6 +231,8 @@ def _feed_entry_line(text: str, line: int, builder: _Builder) -> None:
                     continue
                 entry_text, refs, bad = _parse_entry_token(token, line, builder)
                 if entry_text:
+                    if not builder.entries and entry_text.startswith(("#", "//")):
+                        builder.error(line, f"semicolon group cannot start with {entry_text!r}")
                     builder.entries.append(Entry(entry_text, tuple(refs)))
                 elif refs:
                     if builder.entries:

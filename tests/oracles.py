@@ -3,11 +3,13 @@
 The BFS oracle materializes the taxonomy as an explicit node/edge graph
 and measures shortest paths by search, sharing no code with the arithmetic
 distance. The token counter recounts entries straight off the source text.
+The table recount rebuilds every count and coverage figure from the
+addresses the walks yield, without the nested tree loops the tables use.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 
 from rogetkb.model import Address, ThesaurusKB
 
@@ -77,3 +79,59 @@ def count_entry_tokens(source: str) -> int:
                 if token and not token.startswith("@"):
                     count += 1
     return count
+
+
+def recount_tables(
+    kb: ThesaurusKB, common: frozenset[str], lemmas: frozenset[str], *, strip_gloss: bool
+) -> tuple[dict, dict, Counter]:
+    """Per-head, per-class and per-POS tallies recounted from the addresses
+    of ``walk_paragraphs`` and ``walk_entries``.
+
+    Returns ``(heads, classes, pos)``. ``heads`` maps a head number to its
+    class, name, whether the (optionally gloss-stripped) name is in
+    ``lemmas`` or ``common``, and its paragraph, group, entry, common-keyword
+    and common-entry counts. ``classes`` maps a class number to the same
+    counts summed, plus its section and head counts. ``pos`` counts entry
+    occurrences per part of speech. Every container of a parsed KB is
+    non-empty, so distinct addresses count the sections, heads and groups.
+    """
+    def name_key(name: str) -> str:
+        if strip_gloss:
+            name = name.split(":", 1)[0]
+        return " ".join(name.split()).lower()
+
+    heads: dict[int, dict] = {}
+    for addr, para in kb.walk_paragraphs():
+        if addr.head_num not in heads:
+            name = kb.resolve(Address(addr.class_num, addr.section_num, addr.head_num)).name
+            heads[addr.head_num] = {
+                "class": addr.class_num, "section": addr.section_num, "name": name,
+                "in_lex": name_key(name) in lemmas, "in_common": name_key(name) in common,
+                "paragraphs": 0, "groups": set(), "strings": 0, "kw_in": 0, "str_in": 0,
+            }
+        heads[addr.head_num]["paragraphs"] += 1
+        heads[addr.head_num]["kw_in"] += para.keyword in common
+    pos: Counter = Counter()
+    for addr, entry in kb.walk_entries():
+        row = heads[addr.head_num]
+        row["strings"] += 1
+        row["str_in"] += entry.text in common
+        row["groups"].add(addr.group_prefix())
+        pos[addr.pos] += 1
+    for row in heads.values():
+        row["groups"] = len(row["groups"])
+
+    classes: dict[int, dict] = {}
+    for row in heads.values():
+        cls = classes.setdefault(row["class"], {
+            "sections": set(), "heads": 0, "heads_in": 0, "paragraphs": 0,
+            "groups": 0, "strings": 0, "kw_in": 0, "str_in": 0,
+        })
+        cls["sections"].add(row["section"])
+        cls["heads"] += 1
+        cls["heads_in"] += row["in_common"]
+        for key in ("paragraphs", "groups", "strings", "kw_in", "str_in"):
+            cls[key] += row[key]
+    for cls in classes.values():
+        cls["sections"] = len(cls["sections"])
+    return heads, classes, pos

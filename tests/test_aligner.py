@@ -1,8 +1,14 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
+from corpusgen import WORDS, generate
+from oracles import recount_tables
 from rogetkb.aligner import (
+    CoverageRow,
+    HeadCoverage,
     LabelConfig,
     class_coverage,
     common_strings,
@@ -14,7 +20,7 @@ from rogetkb.aligner import (
 )
 from rogetkb.index import build_index
 from rogetkb.lexnet import RelationType, build_mini_net, load_resource
-from rogetkb.model import Address, AddressError, PartOfSpeech
+from rogetkb.model import Address, AddressError, CountRecord, PartOfSpeech
 from rogetkb.parser import parse_source
 
 PARA_42 = Address.parse("1.3.42:N:0")
@@ -146,6 +152,72 @@ class TestPosDistribution:
 
         dist = pos_distribution(ThesaurusKB(()))
         assert all(v == 0.0 for v in dist.values())
+
+
+def _named_heads(text: str, rng: random.Random) -> str:
+    """Give every head a dictionary word as its name, half of them with a
+    ``:`` gloss, so head-name matching has something to find."""
+    lines = []
+    for line in text.splitlines():
+        if line.startswith("#HEAD "):
+            number = line.split()[1]
+            name = rng.choice(WORDS).capitalize()
+            if rng.random() < 0.5:
+                name += f": {rng.choice(WORDS)}"
+            line = f"#HEAD {number} {name}"
+        lines.append(line)
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("seed", [3, 31, 314, 3141, 31415])
+@pytest.mark.parametrize("strip", [False, True])
+def test_tables_against_address_recount(seed, strip):
+    rng = random.Random(seed)
+    kb = parse_source(_named_heads(generate(seed, n_classes=4).text, rng)).kb
+    words = sorted({w.lower() for w in WORDS})
+    common = frozenset(rng.sample(words, rng.randint(0, len(words))))
+    lemma_words = rng.sample(words, rng.randint(1, len(words)))
+    res = load_resource("".join(f"SYN s{i}.n.1 N {w}\n" for i, w in enumerate(lemma_words)))
+    heads, classes, pos = recount_tables(kb, common, res.all_lemmas(), strip_gloss=strip)
+
+    def pct(part: int, whole: int) -> float:
+        return part / whole if whole else 0.0
+
+    expected_heads = sorted(
+        (
+            HeadCoverage(
+                head_num=num, head_name=row["name"], head_name_in_lex=row["in_lex"],
+                paragraphs=row["paragraphs"], groups=row["groups"], strings=row["strings"],
+                pct_common_strings=pct(row["str_in"], row["strings"]),
+                pct_common_keywords=pct(row["kw_in"], row["paragraphs"]),
+            )
+            for num, row in heads.items()
+        ),
+        key=lambda r: (-r.pct_common_strings, r.head_num),
+    )
+    assert list(head_coverage(kb, res, common, strip_gloss=strip)) == expected_heads
+
+    cov = class_coverage(kb, common, strip_gloss=strip)
+    assert [r.class_num for r in cov.rows] == sorted(classes)
+    for row in cov.rows:
+        want = classes[row.class_num]
+        assert row == CoverageRow(
+            class_num=row.class_num, sections=want["sections"], heads=want["heads"],
+            paragraphs=want["paragraphs"], groups=want["groups"], strings=want["strings"],
+            pct_common_heads=pct(want["heads_in"], want["heads"]),
+            pct_common_keywords=pct(want["kw_in"], want["paragraphs"]),
+            pct_common_strings=pct(want["str_in"], want["strings"]),
+        )
+    whole = {key: sum(c[key] for c in classes.values()) for key in next(iter(classes.values()))}
+    assert cov.total.pct_common_heads == pct(whole["heads_in"], whole["heads"])
+    assert cov.total.pct_common_keywords == pct(whole["kw_in"], whole["paragraphs"])
+    assert cov.total.pct_common_strings == pct(whole["str_in"], whole["strings"])
+
+    assert kb.count_nodes().per_class == tuple(
+        CountRecord(num, c["sections"], c["heads"], c["paragraphs"], c["groups"], c["strings"])
+        for num, c in sorted(classes.items())
+    )
+    assert pos_distribution(kb) == {p: pos[p] / whole["strings"] for p in PartOfSpeech}
 
 
 class TestLabelParagraph:

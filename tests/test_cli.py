@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -104,6 +105,57 @@ class TestBuild:
         tampered.write_text(json.dumps(doc), encoding="utf-8")
         result = invoke("lookup", "toll", "--kb", str(tampered), expect=2)
         assert "checksum" in result.stderr
+
+
+    def test_group_opening_with_directive_or_comment_exits_1(self, workdir):
+        bad = workdir / "hash_group.roget"
+        bad.write_text(
+            "#CLASS 1 C\n#SECTION 1 S\n#HEAD 1 H\n#PARA N\nx; #z;\n", encoding="utf-8"
+        )
+        out = workdir / "hash_group.kb"
+        result = invoke("build", str(bad), "--out", str(out), expect=1)
+        assert "5:error: semicolon group cannot start with '#z'" in result.stderr
+        assert not out.exists()
+
+    def test_non_utf8_source_exits_2(self, workdir):
+        bad = workdir / "latin1.roget"
+        bad.write_bytes("#CLASS 1 Caf\u00e9\n".encode("latin-1"))
+        result = invoke("build", str(bad), "--out", str(workdir / "z.kb"), expect=2)
+        assert "cannot read" in result.stderr
+
+
+def _set_lexicon(doc: dict, text: str) -> None:
+    doc["lexicon"] = text
+    doc["meta"]["lexChecksum"] = hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+MALFORMED_BUNDLES = {
+    "source-not-string": lambda doc: doc.update(source=42),
+    "lexicon-not-string": lambda doc: doc.update(lexicon=["SYN a.n.1 N a"]),
+    "meta-not-dict": lambda doc: doc.update(meta="sha"),
+    "diagnostics-not-dict": lambda doc: doc["meta"].update(diagnostics=[0, 10]),
+    "errors-not-integer": lambda doc: doc["meta"]["diagnostics"].update(errors="none"),
+    "warnings-not-integer": lambda doc: doc["meta"]["diagnostics"].update(warnings=1.5),
+    "lexicon-malformed-checksum-matches": lambda doc: _set_lexicon(doc, "BOGUS record\n"),
+}
+
+
+@pytest.mark.parametrize("mutate", MALFORMED_BUNDLES.values(), ids=MALFORMED_BUNDLES.keys())
+def test_malformed_bundle_exits_2(workdir, b42, mutate):
+    doc = json.loads(Path(b42).read_text(encoding="utf-8"))
+    mutate(doc)
+    bad = workdir / "malformed.kb"
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    result = invoke("stats", "class", "--kb", str(bad), expect=2)
+    assert result.stderr.startswith("error: ")
+    assert result.stdout == ""
+
+
+def test_non_utf8_bundle_exits_2(workdir):
+    bad = workdir / "latin1.kb"
+    bad.write_bytes('{"format": "rogetkb-bundle", "source": "caf\u00e9"}'.encode("latin-1"))
+    result = invoke("stats", "class", "--kb", str(bad), expect=2)
+    assert result.stderr.startswith("error: cannot read bundle")
 
 
 class TestLookup:
@@ -215,6 +267,20 @@ class TestStats:
         assert lines[1].startswith("1\tExistence\t")
         assert lines[2].startswith("2\tNonexistence\t")
 
+    @pytest.mark.parametrize("bundle, header", [
+        ("b2", "headNum\theadName\tparagraphs\tsemicolonGroups\tstrings\n"),
+        ("b42", "headNum\theadName\theadNameInLex\tparagraphs\tsemicolonGroups\t"
+                "strings\tpctCommonStrings\tpctCommonKeywords\n"),
+    ])
+    def test_head_top_zero_prints_only_header(self, bundle, header, request):
+        result = invoke("stats", "head", "--kb", request.getfixturevalue(bundle), "--top", "0")
+        assert result.stdout == header
+
+    def test_head_negative_top_is_a_usage_error(self, b2):
+        result = invoke("stats", "head", "--kb", b2, "--top", "-1", expect=2)
+        assert "Invalid value for '--top'" in result.stderr
+        assert result.stdout == ""
+
 
 LABEL_HYPONYM_LINE = (
     "Hyponym: deduction, depreciation, cut @37 diminution; "
@@ -283,6 +349,11 @@ class TestLabel:
     def test_missing_paragraph_exits_3(self, b42):
         result = invoke("label", "42", "VB", "--kb", b42, expect=3)
         assert result.stderr.startswith("error: paragraph VB:0 not found")
+
+    def test_negative_paragraph_index_exits_3(self, b42):
+        result = invoke("label", "--kb", b42, "42", "N", "--", "-1", expect=3)
+        assert result.stderr == "error: bad paragraph component -1\n"
+        assert result.stdout == ""
 
     def test_pos_argument_case_insensitive(self, b42):
         assert (

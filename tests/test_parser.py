@@ -198,6 +198,12 @@ class TestErrors:
             doc("@37 diminution, cut;")
         )
 
+    @pytest.mark.parametrize("line, entry", [("x; #z;", "#z"), ("x;//b;", "//b")])
+    def test_group_cannot_open_with_directive_or_comment(self, line, entry):
+        # the canonical form starts each group on its own line, where this
+        # entry would re-read as a directive or a comment
+        assert f"semicolon group cannot start with {entry!r}" in errors_of(doc(line))
+
     def test_kb_is_none_iff_errors(self):
         bad = parse_source(doc("@1;"))
         assert bad.kb is None and bad.errors
@@ -286,6 +292,11 @@ class TestRoundTrip:
     def test_canonical_is_fixed_point(self, kb2):
         once = serialize_kb(kb2)
         assert serialize_kb(parse_ok(once)) == once
+
+    @pytest.mark.parametrize("line", ["x, #z;", "x, //b;", "x; y, #z, //b;"])
+    def test_directive_or_comment_text_after_group_start_round_trips(self, line):
+        kb = parse_ok(doc(line))
+        assert parse_ok(serialize_kb(kb)) == kb
 
     def test_empty_kb_serializes_empty(self):
         from rogetkb.model import ThesaurusKB
