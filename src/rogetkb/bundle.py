@@ -56,8 +56,10 @@ def write_bundle(
     diagnostics: tuple[ParseDiagnostic, ...] = (),
     lex_text: Optional[str] = None,
 ) -> BuildMeta:
+    source = serialize_kb(kb)
     meta = BuildMeta(
-        source_checksum=kb.source_checksum,
+        # the empty KB is stored as "" but, like any KB, checksums its canonical text
+        source_checksum=_sha256(source or kb.canonical_source()),
         lex_checksum=_sha256(lex_text) if lex_text is not None else None,
         errors=sum(1 for d in diagnostics if d.severity == "error"),
         warnings=sum(1 for d in diagnostics if d.severity == "warning"),
@@ -70,7 +72,7 @@ def write_bundle(
             "lexChecksum": meta.lex_checksum,
             "diagnostics": {"errors": meta.errors, "warnings": meta.warnings},
         },
-        "source": serialize_kb(kb),
+        "source": source,
         "lexicon": lex_text,
     }
     Path(path).write_text(

@@ -157,11 +157,16 @@ class SynsetResource:
         found = (self.synsets[i] for i in self.lemma_index.get(normalize(lemma), ()))
         return tuple(s for s in found if pos is None or s.pos is pos)
 
-    def all_lemmas(self) -> frozenset[str]:
+    @cached_property
+    def _all_lemmas(self) -> frozenset[str]:
         out: set[str] = set()
         for synset in self.synsets.values():
             out.update(synset.lemmas)
         return frozenset(out)
+
+    def all_lemmas(self) -> frozenset[str]:
+        """Every lemma of every synset, built once per resource."""
+        return self._all_lemmas
 
 
 def load_resource(text: str) -> SynsetResource:
@@ -187,9 +192,7 @@ def load_resource(text: str) -> SynsetResource:
                 pos = PartOfSpeech.parse(pos_tok)
             except ValueError as exc:
                 raise LexiconError(line_no, str(exc)) from None
-            lemmas = tuple(dict.fromkeys(
-                normalize(l) for l in lemma_field.split(";") if normalize(l)
-            ))
+            lemmas = tuple(dict.fromkeys(filter(None, map(normalize, lemma_field.split(";")))))
             if not lemmas:
                 raise LexiconError(line_no, f"synset {syn_id} has no lemmas")
             gloss = gloss.strip()

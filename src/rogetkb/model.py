@@ -36,14 +36,12 @@ __all__ = [
     "CountReport",
     "HeadTally",
     "SG_LEVEL",
-    "ENTRY_LEVEL",
     "MAX_GROUP_DISTANCE",
 ]
 
 # Tree depth constants: root=0, class=1, section=2, head=3, POS group=4,
 # paragraph=5, semicolon group=6, entry=7.
 SG_LEVEL = 6
-ENTRY_LEVEL = 7
 MAX_GROUP_DISTANCE = 2 * SG_LEVEL
 
 
@@ -172,9 +170,6 @@ class AddressError(ValueError):
     """An address component is malformed or does not exist in the tree."""
 
 
-_LEVEL_BY_DEPTH = {1: "class", 2: "section", 3: "head", 5: "paragraph", 6: "group", 7: "entry"}
-
-
 @dataclass(frozen=True)
 class Address:
     """Progressive path into the tree.
@@ -237,7 +232,7 @@ class Address:
         def num(value: Optional[int]) -> int:
             return -1 if value is None else value
 
-        pos_rank = -1 if self.pos is None else POS_ORDER.index(self.pos)
+        pos_rank = -1 if self.pos is None else _POS_RANK[self.pos]
         return (
             self.class_num, num(self.section_num), num(self.head_num),
             pos_rank, num(self.para_idx), num(self.sg_idx), num(self.entry_idx),

@@ -2,11 +2,12 @@
 
 Grammar, one construct per line unless noted:
 
-    #CLASS <n> <name>     begins a class (n in 1..8, ascending)
-    #SECTION <n> <name>   begins a section in the current class (ascending)
-    #HEAD <n> <name>      begins a head (numbers ascend across the file)
-    #PARA <POS>           begins a paragraph; POS in {N, ADJ, VB, ADV, INT};
-                          the keyword is the first entry, never restated
+    #CLASS <n> <name>     begins a class
+    #SECTION <n> <name>   begins a section in the current class
+    #HEAD <n> <name>      begins a head in the current section
+    #PARA <POS>           begins a paragraph in the current head; POS in
+                          {N, ADJ, VB, ADV, INT}; the keyword is the first
+                          entry, never restated
     entry lines           entries separated by ","; a semicolon group is
                           terminated by ";" and may span lines; an entry may
                           carry cross-references written "@<headnum> <keyword>";
@@ -15,15 +16,20 @@ Grammar, one construct per line unless noted:
     // comment            ignored, as are blank lines
 
 A line break also separates entries, so an individual entry never spans
-lines. Diagnostics are collected rather than raised; a knowledge base is
-returned only when no error-severity diagnostic was produced.
+lines. A directive closes whatever is open at its own level or deeper.
+Class numbers lie in 1..8 and ascend; section numbers ascend within their
+class; head numbers are positive and ascend across the file. No construct
+may be empty: a class needs a section, a section a head, a head a
+paragraph, a paragraph a semicolon group. Diagnostics are collected rather
+than raised; a knowledge base is returned only when no error-severity
+diagnostic was produced.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .model import (
     CrossReference,
@@ -84,12 +90,31 @@ def parse_cross_ref(token: str) -> Optional[CrossReference]:
         return None
     body = token[1:].strip()
     num_part, _, keyword = body.partition(" ")
-    if not num_part.isdigit() or int(num_part) <= 0:
+    if not num_part.isdecimal() or int(num_part) <= 0:
         raise ValueError(f"bad cross-reference head number {num_part!r}")
     keyword = normalize(keyword)
     if not keyword:
         raise ValueError("cross-reference is missing its keyword")
     return CrossReference(int(num_part), keyword)
+
+
+# Depths of the open constructs. A directive opens one a level below its
+# parent, closing whatever was open at its own depth or deeper.
+_CLASS, _SECTION, _HEAD, _PARA = range(4)
+_DIRECTIVES = {"#CLASS": _CLASS, "#SECTION": _SECTION, "#HEAD": _HEAD, "#PARA": _PARA}
+_LEVELS = ("class", "section", "head", "paragraph")
+_NODES = (RogetClass, Section, Head, Paragraph)
+_CHILDREN = ("sections", "heads", "paragraphs")
+
+
+class _Open(NamedTuple):
+    """A construct whose closing line is still to come: the fields of its
+    node other than the children, the line of its directive, and the
+    children finished so far."""
+
+    fields: tuple
+    line: int
+    children: list
 
 
 class _Builder:
@@ -98,16 +123,9 @@ class _Builder:
     def __init__(self) -> None:
         self.diagnostics: list[ParseDiagnostic] = []
         self.classes: list[RogetClass] = []
-        # open constructs, flushed bottom-up on every boundary
-        self.cls: Optional[tuple[int, str]] = None
-        self.sections: list[Section] = []
-        self.sec: Optional[tuple[int, str]] = None
-        self.heads: list[Head] = []
-        self.head: Optional[tuple[int, str, int]] = None  # number, name, line
-        self.paragraphs: list[Paragraph] = []
-        self.para: Optional[tuple[PartOfSpeech, int]] = None  # pos, line
-        self.groups: list[SemicolonGroup] = []
+        self.open: list[_Open] = []  # outermost first, so the index is the depth
         self.entries: list[Entry] = []  # current, unterminated group
+        self.last_class_num = 0
         self.last_head_num = 0
         self.declared_heads: set[int] = set()
         self.ref_sites: list[tuple[int, int]] = []  # (line, referenced head)
@@ -118,74 +136,66 @@ class _Builder:
     def warn(self, line: int, message: str) -> None:
         self.diagnostics.append(ParseDiagnostic(line, "warning", message))
 
-    # -- flushes, innermost first --------------------------------------------
-
     def flush_group(self, line: int, *, implicit: bool) -> None:
         if self.entries:
             if implicit:
                 self.warn(line, "semicolon group not terminated by ';'")
-            self.groups.append(SemicolonGroup(tuple(self.entries)))
+            self.open[-1].children.append(SemicolonGroup(tuple(self.entries)))
             self.entries = []
 
-    def flush_paragraph(self, line: int) -> None:
+    def close(self, depth: int, line: int) -> None:
+        """Close every construct open at ``depth`` or deeper, innermost
+        first, keeping each one that has children. An empty class or section
+        is reported at ``line``, an empty head or paragraph at its own."""
         self.flush_group(line, implicit=True)
-        if self.para is None:
+        while len(self.open) > depth:
+            node = self.open.pop()
+            level = len(self.open)
+            if node.children:
+                parent = self.open[-1].children if self.open else self.classes
+                parent.append(_NODES[level](*node.fields, tuple(node.children)))
+            elif level == _PARA:
+                self.error(node.line, "paragraph has no semicolon groups")
+            else:
+                where = node.line if level == _HEAD else line
+                self.error(where, f"{_LEVELS[level]} {node.fields[0]} has no {_CHILDREN[level]}")
+
+    def begin(self, depth: int, rest: str, line: int) -> None:
+        """Open the construct a directive at ``depth`` begins, unless its
+        payload or its number is rejected. Classes and heads ascend across
+        the file, past the last one opened; sections ascend within their
+        class, past the last one kept."""
+        if depth == _PARA:
+            try:
+                self.open.append(_Open((PartOfSpeech.parse(rest),), line, []))
+            except ValueError as exc:
+                self.error(line, str(exc))
             return
-        pos, para_line = self.para
-        if self.groups:
-            self.paragraphs.append(Paragraph(pos, tuple(self.groups)))
+        if depth == _CLASS:
+            floor = self.last_class_num
+        elif depth == _SECTION:
+            kept = self.open[-1].children
+            floor = kept[-1].number if kept else -1
         else:
-            self.error(para_line, "paragraph has no semicolon groups")
-        self.para = None
-        self.groups = []
-
-    def flush_head(self, line: int) -> None:
-        self.flush_paragraph(line)
-        if self.head is None:
-            return
-        number, name, head_line = self.head
-        if self.paragraphs:
-            self.heads.append(Head(number, name, tuple(self.paragraphs)))
+            floor = self.last_head_num
+        num_part, _, name = rest.partition(" ")
+        name = " ".join(name.split())
+        number = int(num_part) if num_part.isdecimal() else -1
+        if number < 0:
+            self.error(line, f"{_LEVELS[depth]} number {num_part!r} is not a positive integer")
+        elif not name:
+            self.error(line, f"{_LEVELS[depth]} has no name")
+        elif depth == _CLASS and not 1 <= number <= 8:
+            self.error(line, f"class number {number} outside 1..8")
+        elif number <= floor:
+            self.error(line, f"{_LEVELS[depth]} number {number} not ascending")
         else:
-            self.error(head_line, f"head {number} has no paragraphs")
-        self.head = None
-        self.paragraphs = []
-
-    def flush_section(self, line: int) -> None:
-        self.flush_head(line)
-        if self.sec is None:
-            return
-        number, name = self.sec
-        if self.heads:
-            self.sections.append(Section(number, name, tuple(self.heads)))
-        else:
-            self.error(line, f"section {number} has no heads")
-        self.sec = None
-        self.heads = []
-
-    def flush_class(self, line: int) -> None:
-        self.flush_section(line)
-        if self.cls is None:
-            return
-        number, name = self.cls
-        if self.sections:
-            self.classes.append(RogetClass(number, name, tuple(self.sections)))
-        else:
-            self.error(line, f"class {number} has no sections")
-        self.cls = None
-        self.sections = []
-
-
-def _split_directive(rest: str, line: int, builder: _Builder, what: str) -> Optional[tuple[int, str]]:
-    num_part, _, name = rest.partition(" ")
-    name = " ".join(name.split())
-    if not num_part.isdigit():
-        builder.error(line, f"{what} number {num_part!r} is not a positive integer")
-        return None
-    if not name:
-        builder.error(line, f"{what} has no name")
-        return None
-    return int(num_part), name
+            self.open.append(_Open((number, name), line, []))
+            if depth == _CLASS:
+                self.last_class_num = number
+            elif depth == _HEAD:
+                self.last_head_num = number
+                self.declared_heads.add(number)
 
 
 def _parse_entry_token(token: str, line: int, builder: _Builder) -> tuple[str, list[CrossReference], bool]:
@@ -216,7 +226,7 @@ def _parse_entry_token(token: str, line: int, builder: _Builder) -> tuple[str, l
 
 
 def _feed_entry_line(text: str, line: int, builder: _Builder) -> None:
-    if builder.para is None:
+    if len(builder.open) <= _PARA:
         builder.error(line, "semicolon group outside paragraph")
         return
     segments = text.split(";")
@@ -253,71 +263,26 @@ def parse_source(text: str) -> ParseResult:
     """Parse a whole source document. Never raises on bad input; every
     problem becomes a diagnostic and ``kb`` is None when any is an error."""
     builder = _Builder()
-    last_class_num = 0
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("//"):
             continue
-        if line.startswith("#"):
-            directive, _, rest = line.partition(" ")
-            rest = rest.strip()
-            if directive == "#CLASS":
-                builder.flush_class(line_no)
-                parsed = _split_directive(rest, line_no, builder, "class")
-                if parsed:
-                    number, name = parsed
-                    if not 1 <= number <= 8:
-                        builder.error(line_no, f"class number {number} outside 1..8")
-                    elif number <= last_class_num:
-                        builder.error(line_no, f"class number {number} not ascending")
-                    else:
-                        last_class_num = number
-                        builder.cls = (number, name)
-            elif directive == "#SECTION":
-                if builder.cls is None:
-                    builder.error(line_no, "section outside class")
-                    continue
-                builder.flush_section(line_no)
-                parsed = _split_directive(rest, line_no, builder, "section")
-                if parsed:
-                    number, name = parsed
-                    if builder.sections and number <= builder.sections[-1].number:
-                        builder.error(line_no, f"section number {number} not ascending")
-                    else:
-                        builder.sec = (number, name)
-            elif directive == "#HEAD":
-                if builder.sec is None:
-                    builder.error(line_no, "head outside section")
-                    continue
-                builder.flush_head(line_no)
-                parsed = _split_directive(rest, line_no, builder, "head")
-                if parsed:
-                    number, name = parsed
-                    if number <= builder.last_head_num:
-                        builder.error(line_no, f"head number {number} not ascending")
-                    else:
-                        builder.last_head_num = number
-                        builder.declared_heads.add(number)
-                        builder.head = (number, name, line_no)
-            elif directive == "#PARA":
-                if builder.head is None:
-                    builder.error(line_no, "paragraph outside head")
-                    continue
-                builder.flush_paragraph(line_no)
-                try:
-                    pos = PartOfSpeech.parse(rest)
-                except ValueError as exc:
-                    builder.error(line_no, str(exc))
-                    continue
-                builder.para = (pos, line_no)
-            else:
-                builder.error(line_no, f"unknown directive {directive!r}")
-        else:
+        if not line.startswith("#"):
             _feed_entry_line(line, line_no, builder)
+            continue
+        directive, _, rest = line.partition(" ")
+        depth = _DIRECTIVES.get(directive)
+        if depth is None:
+            builder.error(line_no, f"unknown directive {directive!r}")
+        elif len(builder.open) < depth:
+            builder.error(line_no, f"{_LEVELS[depth]} outside {_LEVELS[depth - 1]}")
+        else:
+            builder.close(depth, line_no)
+            builder.begin(depth, rest.strip(), line_no)
 
     last_line = text.count("\n") + 1 if text else 1
-    builder.flush_class(last_line)
+    builder.close(_CLASS, last_line)
 
     # dangling cross-references are warnings: fixtures are sparse subsets of
     # the full head space by design

@@ -117,6 +117,14 @@ class TestBuild:
         assert "5:error: semicolon group cannot start with '#z'" in result.stderr
         assert not out.exists()
 
+    def test_non_decimal_digit_number_exits_1(self, workdir):
+        bad = workdir / "superscript.roget"
+        bad.write_text("#CLASS \u00b2 C\n", encoding="utf-8")
+        out = workdir / "superscript.kb"
+        result = invoke("build", str(bad), "--out", str(out), expect=1)
+        assert "1:error: class number '\u00b2' is not a positive integer" in result.stderr
+        assert not out.exists()
+
     def test_non_utf8_source_exits_2(self, workdir):
         bad = workdir / "latin1.roget"
         bad.write_bytes("#CLASS 1 Caf\u00e9\n".encode("latin-1"))

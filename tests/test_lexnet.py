@@ -122,6 +122,7 @@ class TestQueries:
     def test_all_lemmas(self, res_dec):
         lemmas = res_dec.all_lemmas()
         assert {"decrement", "natural process", "leak", "growth"} <= lemmas
+        assert res_dec.all_lemmas() is lemmas  # built once per resource
 
 
 class TestMiniNet:

@@ -190,6 +190,13 @@ class TestErrors:
             doc("cut @abc diminution;")
         )
 
+    def test_non_decimal_digits_are_not_numbers(self):
+        # "\u00b2" (superscript two) is a digit to str.isdigit but no number to int
+        assert errors_of("#CLASS \u00b2 C\n") == ["class number '\u00b2' is not a positive integer"]
+        assert errors_of(doc("cut @\u00b2 diminution;")) == [
+            "bad cross-reference head number '\u00b2'"
+        ]
+
     def test_ref_without_keyword(self):
         assert "cross-reference is missing its keyword" in errors_of(doc("cut @37;"))
 
@@ -257,6 +264,170 @@ def test_diagnostic_lines_point_into_input():
     for diag in result.diagnostics:
         assert 1 <= diag.line <= n_lines
         assert re.fullmatch(r"\d+:(error|warning): .+", str(diag))
+
+
+def diagnostics_of(*lines: str) -> list[str]:
+    return [str(d) for d in parse_source("\n".join(lines)).diagnostics]
+
+
+PARA_1 = ("#CLASS 1 C", "#SECTION 1 S", "#HEAD 1 H", "#PARA N", "x;")
+
+
+class TestConstructEdges:
+    """Full diagnostics, line numbers included, for how directives open and
+    close the class/section/head/paragraph levels."""
+
+    def test_first_section_of_a_class_may_be_zero(self):
+        # the parser allows it, though Address rejects section 0 (an open gap)
+        kb = parse_ok("#CLASS 1 C\n#SECTION 0 S\n#HEAD 1 H\n#PARA N\nx;\n#SECTION 1 T\n"
+                      "#HEAD 2 I\n#PARA N\ny;\n")
+        assert parse_source(serialize_kb(kb)).diagnostics == ()
+        assert [sec.number for sec in kb.classes[0].sections] == [0, 1]
+
+    def test_empty_class_and_section_cite_the_closing_directive(self):
+        assert diagnostics_of(
+            "#CLASS 1 C", "#SECTION 1 S", "// note", "#CLASS 2 D", *PARA_1[1:]
+        ) == ["4:error: section 1 has no heads", "4:error: class 1 has no sections"]
+
+    def test_empty_class_and_section_cite_the_last_line(self):
+        # the line after a final newline counts as the last line
+        assert diagnostics_of("#CLASS 1 C", "#SECTION 1 S") == [
+            "2:error: section 1 has no heads", "2:error: class 1 has no sections",
+        ]
+        assert diagnostics_of("#CLASS 1 C", "#SECTION 1 S", "") == [
+            "3:error: section 1 has no heads", "3:error: class 1 has no sections",
+        ]
+
+    def test_empty_head_and_paragraph_cite_their_own_directive(self):
+        assert diagnostics_of(
+            "#CLASS 1 C", "#SECTION 1 S", "#HEAD 1 H", "#HEAD 2 I", "#PARA N", "#PARA VB", "x;"
+        ) == ["3:error: head 1 has no paragraphs", "5:error: paragraph has no semicolon groups"]
+
+    def test_levels_close_innermost_first_at_the_end(self):
+        assert diagnostics_of("#CLASS 1 C", "#SECTION 1 S", "#HEAD 1 H", "#PARA N", "", "", "") == [
+            "4:error: paragraph has no semicolon groups",
+            "3:error: head 1 has no paragraphs",
+            "7:error: section 1 has no heads",
+            "7:error: class 1 has no sections",
+        ]
+
+    def test_unknown_directive_closes_nothing(self):
+        text = "\n".join(PARA_1[:-1] + ("x", "#FOO bar", "y;"))
+        result = parse_source(text)
+        assert [str(d) for d in result.diagnostics] == ["6:error: unknown directive '#FOO'"]
+        # the open group carried on across the unknown directive
+        assert parse_source(text.replace("#FOO bar\n", "")).diagnostics == ()
+
+    @pytest.mark.parametrize("rejected, deeper, expected", [
+        ("#CLASS 9 Nine", "#SECTION 1 T",
+         ["6:error: class number 9 outside 1..8", "7:error: section outside class"]),
+        ("#CLASS 1 Again", "#SECTION 1 T",
+         ["6:error: class number 1 not ascending", "7:error: section outside class"]),
+        ("#CLASS 2", "#SECTION 1 T",
+         ["6:error: class has no name", "7:error: section outside class"]),
+        ("#SECTION 1 Again", "#HEAD 2 I",
+         ["6:error: section number 1 not ascending", "7:error: head outside section"]),
+        ("#SECTION x S", "#HEAD 2 I",
+         ["6:error: section number 'x' is not a positive integer",
+          "7:error: head outside section"]),
+        ("#HEAD 1 Again", "#PARA N",
+         ["6:error: head number 1 not ascending", "7:error: paragraph outside head"]),
+        ("#HEAD 2", "#PARA N",
+         ["6:error: head has no name", "7:error: paragraph outside head"]),
+        ("#PARA XYZ", "y;",
+         ["6:error: unknown part of speech 'XYZ'",
+          "7:error: semicolon group outside paragraph"]),
+    ])
+    def test_rejected_directive_closes_its_level_and_opens_nothing(self, rejected, deeper, expected):
+        # the construct before the rejected directive is complete and kept
+        assert diagnostics_of(*PARA_1, rejected, deeper) == expected
+
+    def test_sections_ascend_against_the_last_kept_section(self):
+        assert diagnostics_of("#CLASS 1 C", "#SECTION 2 Empty", *PARA_1[1:]) == [
+            "3:error: section 2 has no heads",
+        ]
+        assert diagnostics_of(*PARA_1, "#SECTION 2 Empty", "#SECTION 1 Again") == [
+            "7:error: section 2 has no heads",
+            "7:error: section number 1 not ascending",
+        ]
+
+    def test_classes_and_heads_ascend_against_the_last_opened(self):
+        assert diagnostics_of("#CLASS 2 Empty", *PARA_1) == [
+            "2:error: class 2 has no sections",
+            "2:error: class number 1 not ascending",
+            "3:error: section outside class",
+            "4:error: head outside section",
+            "5:error: paragraph outside head",
+            "6:error: semicolon group outside paragraph",
+        ]
+        assert diagnostics_of(*PARA_1[:2], "#HEAD 2 Empty", *PARA_1[2:]) == [
+            "3:error: head 2 has no paragraphs",
+            "4:error: head number 1 not ascending",
+            "5:error: paragraph outside head",
+            "6:error: semicolon group outside paragraph",
+            "6:error: section 1 has no heads",
+            "6:error: class 1 has no sections",
+        ]
+
+
+# str.splitlines breaks a line at each of these; an entry token never holds one
+_LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+_IN_LINE = st.text(
+    st.characters(codec="utf-8", exclude_characters=_LINE_BREAKS), max_size=8
+)
+# "\u00b2" is a digit to str.isdigit but no number to int
+_NUMBERS = st.sampled_from(["0", "1", "8", "9", "\u00b2", "x", ""])
+_DIRECTIVE = st.one_of(
+    st.builds(
+        "{} {} {}".format,
+        st.sampled_from(["#CLASS", "#SECTION", "#HEAD"]),
+        _NUMBERS,
+        st.sampled_from(["", "Name", "Two  Words"]),
+    ),
+    st.builds("#PARA {}".format, st.sampled_from(["N", "adj", "VB", "ADV", "INT", "XYZ", ""])),
+    st.sampled_from(["#FOO", "#", "#FOO 1 Name"]),
+)
+_TEXT = st.one_of(_IN_LINE, st.sampled_from(["word", "Two  Words", "#z", "//c", " "]))
+_REF = st.builds("@{} {}".format, st.one_of(st.just("42"), _NUMBERS), _TEXT)
+_TOKEN = st.one_of(
+    _TEXT, st.builds(lambda text, refs: " ".join([text, *refs]), _TEXT, st.lists(_REF, max_size=2))
+)
+_ENTRY_LINE = st.builds(
+    lambda tokens, seps, tail: "".join(t + s for t, s in zip(tokens, seps)) + tail,
+    st.lists(_TOKEN, min_size=1, max_size=4),
+    st.lists(st.sampled_from([",", ";", ", ,", ";;", " ; "]), min_size=4, max_size=4),
+    st.sampled_from(["", ";", ","]),
+)
+_SOUP_LINE = st.one_of(
+    _DIRECTIVE, _ENTRY_LINE, _ENTRY_LINE, st.builds("//{}".format, _IN_LINE), st.just("")
+)
+_SKELETON = ["#CLASS 1 C", "#SECTION 0 S", "#HEAD 1 H", "#PARA N"]
+
+
+@st.composite
+def line_soups(draw) -> str:
+    """Either any mix of directives with good and bad payloads, entry lines
+    of arbitrary token text, comments and blank lines, or a well-formed
+    opening followed by entry lines, comments and blank lines only."""
+    if draw(st.booleans()):
+        lines = draw(st.lists(_SOUP_LINE, max_size=24))
+    else:
+        body = st.one_of(_ENTRY_LINE, st.builds("//{}".format, _IN_LINE), st.just(""))
+        lines = _SKELETON + draw(st.lists(body, max_size=6))
+    text = draw(st.sampled_from(["\n", "\r\n"])).join(lines)
+    return text + draw(st.sampled_from(["", "\n"]))
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(text=line_soups())
+def test_any_line_soup_parses_to_a_consistent_result(text):
+    result = parse_source(text)  # never raises
+    assert (result.kb is None) == any(d.severity == "error" for d in result.diagnostics)
+    # the line after a final line break counts, as it does in an editor
+    last_line = max(1, text.count("\n") + 1)
+    assert all(1 <= d.line <= last_line for d in result.diagnostics)
+    if result.kb is not None:
+        assert parse_source(serialize_kb(result.kb)).kb == result.kb
 
 
 class TestParseCrossRef:
