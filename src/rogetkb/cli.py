@@ -8,6 +8,7 @@ inputs. All I/O is UTF-8.
 
 from __future__ import annotations
 
+import gc
 import sys
 from pathlib import Path
 from typing import Optional
@@ -56,8 +57,16 @@ def _load(kb_path: str) -> KBBundle:
 
 
 @click.group()
-def main() -> None:
+@click.pass_context
+def main(ctx: click.Context) -> None:
     """Roget-structured thesaurus knowledge base."""
+    # A command loads millions of acyclic, immutable objects and frees none
+    # of them, so the cyclic collector's full passes over them find nothing.
+    # It is switched off for the command only: an in-process caller gets
+    # its own setting back when the context closes, on success or exit.
+    if gc.isenabled():
+        gc.disable()
+        ctx.call_on_close(gc.enable)
 
 
 @main.command()

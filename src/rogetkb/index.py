@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import Address, ThesaurusKB
+from .model import POS_ORDER, Address, ThesaurusKB
 from .text import normalize
 
 __all__ = ["LexicalIndex", "build_index"]
@@ -33,13 +33,21 @@ class LexicalIndex:
 
 
 def build_index(kb: ThesaurusKB) -> LexicalIndex:
+    """One walk in taxonomy order: per head, parts of speech in canonical
+    order, then each one's paragraphs, groups and entries. Numbers ascend
+    at every level of a :class:`ThesaurusKB`, so each posting list comes out
+    in ``Address.sort_key`` order and needs no sort."""
     table: dict[str, list[Address]] = {}
     total = 0
-    for address, entry in kb.walk_entries():
-        total += 1
-        table.setdefault(entry.text, []).append(address)
-    entries = {
-        text: tuple(sorted(addresses, key=Address.sort_key))
-        for text, addresses in table.items()
-    }
+    entry_address = Address._trusted
+    for cls, sec, head in kb.walk_heads():
+        for pos in POS_ORDER:
+            for para_idx, para in enumerate(head.pos_paragraphs(pos)):
+                for sg_idx, group in enumerate(para.groups):
+                    total += len(group.entries)
+                    for entry_idx, entry in enumerate(group.entries):
+                        table.setdefault(entry.text, []).append(entry_address(
+                            cls.number, sec.number, head.number, pos, para_idx, sg_idx, entry_idx,
+                        ))
+    entries = {text: tuple(addresses) for text, addresses in table.items()}
     return LexicalIndex(entries=entries, total_occurrences=total)

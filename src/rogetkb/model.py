@@ -211,6 +211,27 @@ class Address:
             if not isinstance(value, int) or value < minimum:
                 raise AddressError(f"bad {name} component {value!r}")
 
+    @classmethod
+    def _trusted(
+        cls, class_num: int, section_num: int, head_num: int, pos: PartOfSpeech,
+        para_idx: int, sg_idx: int, entry_idx: int,
+    ) -> "Address":
+        """An entry address built without ``__post_init__``'s checks. Callers
+        pass the components of an entry of a parsed tree, which already
+        guarantees them: class, section and head numbers positive, indexes
+        from ``enumerate``. Fields are set in declaration order, as
+        ``__init__`` sets them, so the instance shares its attribute layout."""
+        address = object.__new__(cls)
+        setattr_ = object.__setattr__
+        setattr_(address, "class_num", class_num)
+        setattr_(address, "section_num", section_num)
+        setattr_(address, "head_num", head_num)
+        setattr_(address, "pos", pos)
+        setattr_(address, "para_idx", para_idx)
+        setattr_(address, "sg_idx", sg_idx)
+        setattr_(address, "entry_idx", entry_idx)
+        return address
+
     @property
     def level(self) -> int:
         """Tree depth of the node this address names (class=1 ... entry=7)."""
@@ -334,7 +355,10 @@ class HeadTally(NamedTuple):
 
 @dataclass(frozen=True)
 class ThesaurusKB:
-    """A fully built knowledge base. Classes are in ascending number order."""
+    """A fully built knowledge base. Numbers ascend at every level: classes
+    in the KB, sections in their class, heads across the KB. The parser
+    guarantees it, and :func:`rogetkb.index.build_index` relies on it to
+    emit postings in taxonomy order without sorting."""
 
     classes: tuple[RogetClass, ...]
 

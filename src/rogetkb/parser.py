@@ -17,12 +17,12 @@ Grammar, one construct per line unless noted:
 
 A line break also separates entries, so an individual entry never spans
 lines. A directive closes whatever is open at its own level or deeper.
-Class numbers lie in 1..8 and ascend; section numbers ascend within their
-class; head numbers are positive and ascend across the file. No construct
-may be empty: a class needs a section, a section a head, a head a
-paragraph, a paragraph a semicolon group. Diagnostics are collected rather
-than raised; a knowledge base is returned only when no error-severity
-diagnostic was produced.
+Class numbers lie in 1..8 and ascend; section numbers are positive and
+ascend within their class; head numbers are positive and ascend across the
+file. No construct may be empty: a class needs a section, a section a head,
+a head a paragraph, a paragraph a semicolon group. Diagnostics are
+collected rather than raised; a knowledge base is returned only when no
+error-severity diagnostic was produced.
 """
 
 from __future__ import annotations
@@ -164,7 +164,7 @@ class _Builder:
         """Open the construct a directive at ``depth`` begins, unless its
         payload or its number is rejected. Classes and heads ascend across
         the file, past the last one opened; sections ascend within their
-        class, past the last one kept."""
+        class from 1, past the last one kept."""
         if depth == _PARA:
             try:
                 self.open.append(_Open((PartOfSpeech.parse(rest),), line, []))
@@ -175,7 +175,7 @@ class _Builder:
             floor = self.last_class_num
         elif depth == _SECTION:
             kept = self.open[-1].children
-            floor = kept[-1].number if kept else -1
+            floor = kept[-1].number if kept else 0
         else:
             floor = self.last_head_num
         num_part, _, name = rest.partition(" ")
@@ -264,7 +264,8 @@ def parse_source(text: str) -> ParseResult:
     problem becomes a diagnostic and ``kb`` is None when any is an error."""
     builder = _Builder()
 
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    lines = text.splitlines()
+    for line_no, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("//"):
             continue
@@ -281,7 +282,10 @@ def parse_source(text: str) -> ParseResult:
             builder.close(depth, line_no)
             builder.begin(depth, rest.strip(), line_no)
 
-    last_line = text.count("\n") + 1 if text else 1
+    # the line after a final line break counts, as it does in an editor;
+    # lines break where splitlines breaks them, "\r" and "\r\n" included
+    ends_with_break = text[-1:].splitlines() == [""]
+    last_line = max(1, len(lines) + ends_with_break)
     builder.close(_CLASS, last_line)
 
     # dangling cross-references are warnings: fixtures are sparse subsets of

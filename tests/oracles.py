@@ -5,12 +5,15 @@ and measures shortest paths by search, sharing no code with the arithmetic
 distance. The token counter recounts entries straight off the source text.
 The table recount rebuilds every count and coverage figure from the
 addresses the walks yield, without the nested tree loops the tables use.
+The reference index collects validated addresses in walk order and sorts
+each posting list, where ``build_index`` relies on the walk's order.
 """
 
 from __future__ import annotations
 
 from collections import Counter, deque
 
+from rogetkb.index import LexicalIndex
 from rogetkb.model import Address, ThesaurusKB
 
 
@@ -135,3 +138,18 @@ def recount_tables(
     for cls in classes.values():
         cls["sections"] = len(cls["sections"])
     return heads, classes, pos
+
+
+def reference_index(kb: ThesaurusKB) -> LexicalIndex:
+    """The index built from ``walk_entries``' validated addresses, each
+    posting list sorted by ``Address.sort_key``."""
+    table: dict[str, list[Address]] = {}
+    total = 0
+    for address, entry in kb.walk_entries():
+        total += 1
+        table.setdefault(entry.text, []).append(address)
+    entries = {
+        text: tuple(sorted(addresses, key=Address.sort_key))
+        for text, addresses in table.items()
+    }
+    return LexicalIndex(entries=entries, total_occurrences=total)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 from pathlib import Path
@@ -7,6 +8,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from rogetkb.bundle import load_bundle
 from rogetkb.cli import main
 from rogetkb.fixtures import fixture_text
 
@@ -123,6 +125,16 @@ class TestBuild:
         out = workdir / "superscript.kb"
         result = invoke("build", str(bad), "--out", str(out), expect=1)
         assert "1:error: class number '\u00b2' is not a positive integer" in result.stderr
+        assert not out.exists()
+
+    def test_section_numbered_zero_exits_1(self, workdir):
+        bad = workdir / "section0.roget"
+        bad.write_text(
+            "#CLASS 1 C\n#SECTION 0 S\n#HEAD 1 H\n#PARA N\nx;\n", encoding="utf-8"
+        )
+        out = workdir / "section0.kb"
+        result = invoke("build", str(bad), "--out", str(out), expect=1)
+        assert "2:error: section number 0 not ascending" in result.stderr
         assert not out.exists()
 
     def test_non_utf8_source_exits_2(self, workdir):
@@ -438,3 +450,45 @@ class TestExport:
             "--out", "/nonexistent-dir/out.roget", expect=2,
         )
         assert "cannot write" in result.stderr
+
+
+class TestCollectorScope:
+    """A command runs with the cyclic collector off and hands the caller's
+    setting back, however it ends."""
+
+    @pytest.fixture(params=["success", "exit_3", "usage_error"])
+    def command(self, request, b2):
+        return {
+            "success": (["lookup", "void", "--kb", b2], 0),
+            "exit_3": (["sim", "void", "zeppelin", "--kb", b2], 3),
+            "usage_error": (["stats", "bogus", "--kb", b2], 2),
+        }[request.param]
+
+    def test_enabled_collector_is_enabled_again(self, command):
+        argv, code = command
+        assert gc.isenabled()
+        result = CliRunner().invoke(main, argv)
+        assert result.exit_code == code, result.output
+        assert gc.isenabled()
+
+    def test_disabled_collector_stays_disabled(self, command):
+        argv, code = command
+        gc.disable()
+        try:
+            result = CliRunner().invoke(main, argv)
+            assert result.exit_code == code, result.output
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+
+    def test_collector_is_off_while_a_command_runs(self, b2, monkeypatch):
+        seen = []
+
+        def spy(path):
+            seen.append(gc.isenabled())
+            return load_bundle(path)
+
+        monkeypatch.setattr("rogetkb.cli.load_bundle", spy)
+        invoke("lookup", "void", "--kb", b2)
+        assert seen == [False]
+        assert gc.isenabled()

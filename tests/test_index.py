@@ -1,12 +1,15 @@
 from __future__ import annotations
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from corpusgen import generate
+from oracles import reference_index
 from rogetkb.index import build_index
 from rogetkb.model import Address
 from rogetkb.parser import parse_source
+from test_parser import line_soups
 
 
 class TestLookup:
@@ -90,3 +93,49 @@ def test_large_corpus_completeness():
         assert len(addrs) == corpus.occurrences[text]
         for addr in addrs:
             assert kb.resolve(addr).text == text
+
+
+def assert_matches_reference(kb):
+    """``build_index`` against the sorting oracle: equal postings in equal
+    order, and every posting indistinguishable from a validated address."""
+    idx, ref = build_index(kb), reference_index(kb)
+    assert idx.entries == ref.entries
+    assert idx.total_occurrences == ref.total_occurrences
+    assert idx.unique_count == ref.unique_count
+    for addresses in idx.entries.values():
+        for addr in addresses:
+            validated = Address(
+                addr.class_num, addr.section_num, addr.head_num, addr.pos,
+                addr.para_idx, addr.sg_idx, addr.entry_idx,
+            )
+            assert addr == validated
+            assert hash(addr) == hash(validated)
+            assert str(addr) == str(validated)
+
+
+class TestAgainstReference:
+    def test_fixtures(self, kb42, kb2):
+        assert_matches_reference(kb42)
+        assert_matches_reference(kb2)
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 42, 2024])
+    def test_generated(self, seed):
+        assert_matches_reference(parse_source(generate(seed).text).kb)
+
+    def test_pos_groups_out_of_canonical_order(self):
+        # paragraphs are stored in source order; postings follow POS order
+        source = ("#CLASS 1 C\n#SECTION 1 S\n#HEAD 1 H\n#PARA VB\nx;\n#PARA N\ny, x;\n"
+                  "#PARA VB\nx;\n")
+        kb = parse_source(source).kb
+        assert [str(a) for a in build_index(kb).lookup("x")] == [
+            "1.1.1:N:0:0:1", "1.1.1:VB:0:0:0", "1.1.1:VB:1:0:0",
+        ]
+        assert_matches_reference(kb)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(text=line_soups())
+def test_every_line_soup_kb_matches_reference(text):
+    kb = parse_source(text).kb
+    if kb is not None:
+        assert_matches_reference(kb)

@@ -277,12 +277,15 @@ class TestConstructEdges:
     """Full diagnostics, line numbers included, for how directives open and
     close the class/section/head/paragraph levels."""
 
-    def test_first_section_of_a_class_may_be_zero(self):
-        # the parser allows it, though Address rejects section 0 (an open gap)
-        kb = parse_ok("#CLASS 1 C\n#SECTION 0 S\n#HEAD 1 H\n#PARA N\nx;\n#SECTION 1 T\n"
-                      "#HEAD 2 I\n#PARA N\ny;\n")
-        assert parse_source(serialize_kb(kb)).diagnostics == ()
-        assert [sec.number for sec in kb.classes[0].sections] == [0, 1]
+    def test_first_section_of_a_class_may_not_be_zero(self):
+        # section numbers are positive, as Address requires
+        assert diagnostics_of("#CLASS 1 C", "#SECTION 0 S", *PARA_1[2:]) == [
+            "2:error: section number 0 not ascending",
+            "3:error: head outside section",
+            "4:error: paragraph outside head",
+            "5:error: semicolon group outside paragraph",
+            "5:error: class 1 has no sections",
+        ]
 
     def test_empty_class_and_section_cite_the_closing_directive(self):
         assert diagnostics_of(
@@ -297,6 +300,12 @@ class TestConstructEdges:
         assert diagnostics_of("#CLASS 1 C", "#SECTION 1 S", "") == [
             "3:error: section 1 has no heads", "3:error: class 1 has no sections",
         ]
+
+    def test_carriage_return_line_ends_number_the_last_line_alike(self):
+        assert diagnostics_of(
+            "#CLASS 1 C\r#SECTION 1 S\r#HEAD 1 H\r#PARA N\r\r\r#CLASS 2 D"
+        )[-1] == "7:error: class 2 has no sections"
+        assert diagnostics_of("#CLASS 1 C\r#SECTION 1 S\r")[-1] == "3:error: class 1 has no sections"
 
     def test_empty_head_and_paragraph_cite_their_own_directive(self):
         assert diagnostics_of(
@@ -401,7 +410,7 @@ _ENTRY_LINE = st.builds(
 _SOUP_LINE = st.one_of(
     _DIRECTIVE, _ENTRY_LINE, _ENTRY_LINE, st.builds("//{}".format, _IN_LINE), st.just("")
 )
-_SKELETON = ["#CLASS 1 C", "#SECTION 0 S", "#HEAD 1 H", "#PARA N"]
+_SKELETON = ["#CLASS 1 C", "#SECTION 1 S", "#HEAD 1 H", "#PARA N"]
 
 
 @st.composite
@@ -414,7 +423,7 @@ def line_soups(draw) -> str:
     else:
         body = st.one_of(_ENTRY_LINE, st.builds("//{}".format, _IN_LINE), st.just(""))
         lines = _SKELETON + draw(st.lists(body, max_size=6))
-    text = draw(st.sampled_from(["\n", "\r\n"])).join(lines)
+    text = draw(st.sampled_from(["\n", "\r\n", "\r"])).join(lines)
     return text + draw(st.sampled_from(["", "\n"]))
 
 
@@ -423,8 +432,9 @@ def line_soups(draw) -> str:
 def test_any_line_soup_parses_to_a_consistent_result(text):
     result = parse_source(text)  # never raises
     assert (result.kb is None) == any(d.severity == "error" for d in result.diagnostics)
-    # the line after a final line break counts, as it does in an editor
-    last_line = max(1, text.count("\n") + 1)
+    # the line after a final line break counts, as it does in an editor:
+    # a character appended to the text starts it
+    last_line = len((text + "x").splitlines())
     assert all(1 <= d.line <= last_line for d in result.diagnostics)
     if result.kb is not None:
         assert parse_source(serialize_kb(result.kb)).kb == result.kb
