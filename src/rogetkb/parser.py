@@ -16,18 +16,22 @@ Grammar, one construct per line unless noted:
     // comment            ignored, as are blank lines
 
 A line break also separates entries, so an individual entry never spans
-lines. A directive closes whatever is open at its own level or deeper.
+lines. A comma token's entry text runs up to its first "@", and each "@"
+starts one cross-reference reaching to the next "@" or the token's end. A
+token holding only cross-references attaches them to the entry before it;
+an empty token, or one of only "@"s and whitespace, is skipped with a
+warning. A directive closes whatever is open at its own level or deeper.
 Class numbers lie in 1..8 and ascend; section numbers are positive and
 ascend within their class; head numbers are positive and ascend across the
-file. No construct may be empty: a class needs a section, a section a head,
-a head a paragraph, a paragraph a semicolon group. Diagnostics are
-collected rather than raised; a knowledge base is returned only when no
-error-severity diagnostic was produced.
+file; a number of 0 is "not a positive integer", as is one not written in
+decimal digits. No construct may be empty: a class needs a section, a
+section a head, a head a paragraph, a paragraph a semicolon group.
+Diagnostics are collected rather than raised; a knowledge base is returned
+only when no error-severity diagnostic was produced.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -52,8 +56,6 @@ __all__ = [
     "serialize_kb",
     "full_corpus_problems",
 ]
-
-_CROSS_REF = re.compile(r"@(\S+)\s*")
 
 
 @dataclass(frozen=True)
@@ -180,12 +182,12 @@ class _Builder:
             floor = self.last_head_num
         num_part, _, name = rest.partition(" ")
         name = " ".join(name.split())
-        number = int(num_part) if num_part.isdecimal() else -1
-        if number < 0:
+        number = int(num_part) if num_part.isdecimal() else 0
+        if number < 1:
             self.error(line, f"{_LEVELS[depth]} number {num_part!r} is not a positive integer")
         elif not name:
             self.error(line, f"{_LEVELS[depth]} has no name")
-        elif depth == _CLASS and not 1 <= number <= 8:
+        elif depth == _CLASS and number > 8:
             self.error(line, f"class number {number} outside 1..8")
         elif number <= floor:
             self.error(line, f"{_LEVELS[depth]} number {number} not ascending")
@@ -198,33 +200,6 @@ class _Builder:
                 self.declared_heads.add(number)
 
 
-def _parse_entry_token(token: str, line: int, builder: _Builder) -> tuple[str, list[CrossReference], bool]:
-    """Split one comma-delimited token into entry text and its refs.
-    A token may carry several ``@n kw`` annotations; text may be empty,
-    which attaches the refs to the preceding entry. The third value flags
-    that a malformed ref was already reported."""
-    at = token.find("@")
-    if at < 0:
-        return normalize(token), [], False
-    text = normalize(token[:at])
-    refs: list[CrossReference] = []
-    bad = False
-    # each "@" starts one ref reaching to the next "@" or the token's end
-    for part in token[at:].split("@"):
-        if not part.strip():
-            continue
-        try:
-            ref = parse_cross_ref("@" + part)
-        except ValueError as exc:
-            builder.error(line, str(exc))
-            bad = True
-            continue
-        if ref is not None:
-            refs.append(ref)
-            builder.ref_sites.append((line, ref.head_num))
-    return text, refs, bad
-
-
 def _feed_entry_line(text: str, line: int, builder: _Builder) -> None:
     if len(builder.open) <= _PARA:
         builder.error(line, "semicolon group outside paragraph")
@@ -235,11 +210,23 @@ def _feed_entry_line(text: str, line: int, builder: _Builder) -> None:
         segment = segment.strip()
         if segment:
             for token in segment.split(","):
-                token = token.strip()
-                if not token:
-                    builder.warn(line, "empty entry skipped")
-                    continue
-                entry_text, refs, bad = _parse_entry_token(token, line, builder)
+                # the entry text runs up to the first "@"; each "@" starts one
+                # ref reaching to the next "@" or the token's end
+                raw_text, at, ref_text = token.partition("@")
+                entry_text = normalize(raw_text)
+                refs: list[CrossReference] = []
+                bad = False
+                for part in ref_text.split("@") if at else ():
+                    if not part.strip():
+                        continue
+                    try:
+                        ref = parse_cross_ref("@" + part)
+                    except ValueError as exc:
+                        builder.error(line, str(exc))
+                        bad = True
+                        continue
+                    refs.append(ref)
+                    builder.ref_sites.append((line, ref.head_num))
                 if entry_text:
                     if not builder.entries and entry_text.startswith(("#", "//")):
                         builder.error(line, f"semicolon group cannot start with {entry_text!r}")

@@ -1,0 +1,56 @@
+"""Hypothesis strategy for source documents of arbitrary line soup.
+
+Shared by the parser's consistency property, the index oracle property,
+the bundle round-trip property and the CLI fuzz test.
+"""
+
+from __future__ import annotations
+
+from hypothesis import strategies as st
+
+# str.splitlines breaks a line at each of these; an entry token never holds one
+_LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+_IN_LINE = st.text(
+    st.characters(codec="utf-8", exclude_characters=_LINE_BREAKS), max_size=8
+)
+# "\u00b2" is a digit to str.isdigit but no number to int
+_NUMBERS = st.sampled_from(["0", "1", "8", "9", "\u00b2", "x", ""])
+_DIRECTIVE = st.one_of(
+    st.builds(
+        "{} {} {}".format,
+        st.sampled_from(["#CLASS", "#SECTION", "#HEAD"]),
+        _NUMBERS,
+        st.sampled_from(["", "Name", "Two  Words"]),
+    ),
+    st.builds("#PARA {}".format, st.sampled_from(["N", "adj", "VB", "ADV", "INT", "XYZ", ""])),
+    st.sampled_from(["#FOO", "#", "#FOO 1 Name"]),
+)
+_TEXT = st.one_of(_IN_LINE, st.sampled_from(["word", "Two  Words", "#z", "//c", " "]))
+_REF = st.builds("@{} {}".format, st.one_of(st.just("42"), _NUMBERS), _TEXT)
+_TOKEN = st.one_of(
+    _TEXT, st.builds(lambda text, refs: " ".join([text, *refs]), _TEXT, st.lists(_REF, max_size=2))
+)
+_ENTRY_LINE = st.builds(
+    lambda tokens, seps, tail: "".join(t + s for t, s in zip(tokens, seps)) + tail,
+    st.lists(_TOKEN, min_size=1, max_size=4),
+    st.lists(st.sampled_from([",", ";", ", ,", ";;", " ; "]), min_size=4, max_size=4),
+    st.sampled_from(["", ";", ","]),
+)
+_SOUP_LINE = st.one_of(
+    _DIRECTIVE, _ENTRY_LINE, _ENTRY_LINE, st.builds("//{}".format, _IN_LINE), st.just("")
+)
+_SKELETON = ["#CLASS 1 C", "#SECTION 1 S", "#HEAD 1 H", "#PARA N"]
+
+
+@st.composite
+def line_soups(draw) -> str:
+    """Either any mix of directives with good and bad payloads, entry lines
+    of arbitrary token text, comments and blank lines, or a well-formed
+    opening followed by entry lines, comments and blank lines only."""
+    if draw(st.booleans()):
+        lines = draw(st.lists(_SOUP_LINE, max_size=24))
+    else:
+        body = st.one_of(_ENTRY_LINE, st.builds("//{}".format, _IN_LINE), st.just(""))
+        lines = _SKELETON + draw(st.lists(body, max_size=6))
+    text = draw(st.sampled_from(["\n", "\r\n", "\r"])).join(lines)
+    return text + draw(st.sampled_from(["", "\n"]))

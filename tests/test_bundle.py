@@ -3,8 +3,15 @@ from __future__ import annotations
 import hashlib
 import json
 
+import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
 from rogetkb.bundle import load_bundle, write_bundle
+from rogetkb.fixtures import fixture_text
 from rogetkb.model import ThesaurusKB
+from rogetkb.parser import parse_source
+from soups import line_soups
 
 
 def test_write_renders_the_canonical_text_once(tmp_path, monkeypatch, kb2):
@@ -27,3 +34,21 @@ def test_empty_kb_stores_no_text_but_checksums_its_canonical_text(tmp_path):
     assert meta.source_checksum == hashlib.sha256(b"\n").hexdigest()
     assert doc["meta"]["sourceChecksum"] == meta.source_checksum
     assert load_bundle(tmp_path / "empty.kb").kb == ThesaurusKB(())
+
+
+@pytest.fixture(scope="module")
+def bundle_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("bundles") / "soup.kb"
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(text=line_soups(), with_lex=st.booleans())
+def test_every_bundle_build_writes_loads_to_an_equal_kb(bundle_path, text, with_lex):
+    result = parse_source(text)
+    assume(result.kb is not None)
+    lex_text = fixture_text("decrement.lex") if with_lex else None
+    write_bundle(bundle_path, result.kb, result.diagnostics, lex_text)
+    loaded = load_bundle(bundle_path)
+    assert loaded.kb == result.kb
+    assert (loaded.resource is None) == (lex_text is None)
+    assert (loaded.meta.errors, loaded.meta.warnings) == (0, len(result.warnings))

@@ -7,10 +7,13 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from rogetkb.bundle import load_bundle
 from rogetkb.cli import main
 from rogetkb.fixtures import fixture_text
+from soups import line_soups
 
 runner = CliRunner()
 
@@ -134,7 +137,7 @@ class TestBuild:
         )
         out = workdir / "section0.kb"
         result = invoke("build", str(bad), "--out", str(out), expect=1)
-        assert "2:error: section number 0 not ascending" in result.stderr
+        assert "2:error: section number '0' is not a positive integer" in result.stderr
         assert not out.exists()
 
     def test_non_utf8_source_exits_2(self, workdir):
@@ -142,6 +145,13 @@ class TestBuild:
         bad.write_bytes("#CLASS 1 Caf\u00e9\n".encode("latin-1"))
         result = invoke("build", str(bad), "--out", str(workdir / "z.kb"), expect=2)
         assert "cannot read" in result.stderr
+
+    def test_out_in_missing_directory_exits_2(self, workdir):
+        out = workdir / "absent-dir" / "out.kb"
+        result = invoke("build", str(workdir / "two_class.roget"), "--out", str(out), expect=2)
+        assert result.stderr.splitlines()[-1].startswith(f"error: cannot write {out}")
+        assert result.stdout == ""
+        assert not out.parent.exists()
 
 
 def _set_lexicon(doc: dict, text: str) -> None:
@@ -157,6 +167,10 @@ MALFORMED_BUNDLES = {
     "errors-not-integer": lambda doc: doc["meta"]["diagnostics"].update(errors="none"),
     "warnings-not-integer": lambda doc: doc["meta"]["diagnostics"].update(warnings=1.5),
     "lexicon-malformed-checksum-matches": lambda doc: _set_lexicon(doc, "BOGUS record\n"),
+    "wrong-format": lambda doc: doc.update(format="rogetkb-structured"),
+    "unsupported-version": lambda doc: doc.update(version=99),
+    "unparseable-source": lambda doc: doc.update(source="#BOGUS\n"),
+    "lexicon-checksum-mismatch": lambda doc: doc.update(lexicon=doc["lexicon"] + "\n"),
 }
 
 
@@ -176,6 +190,13 @@ def test_non_utf8_bundle_exits_2(workdir):
     bad.write_bytes('{"format": "rogetkb-bundle", "source": "caf\u00e9"}'.encode("latin-1"))
     result = invoke("stats", "class", "--kb", str(bad), expect=2)
     assert result.stderr.startswith("error: cannot read bundle")
+
+
+def test_non_json_bundle_exits_2(workdir):
+    bad = workdir / "not_json.kb"
+    bad.write_text("#CLASS 1 C\n", encoding="utf-8")
+    result = invoke("stats", "class", "--kb", str(bad), expect=2)
+    assert result.stderr.startswith(f"error: bundle {bad} is not valid JSON")
 
 
 class TestLookup:
@@ -492,3 +513,77 @@ class TestCollectorScope:
         invoke("lookup", "void", "--kb", b2)
         assert seen == [False]
         assert gc.isenabled()
+
+
+_WORDS = st.one_of(
+    st.sampled_from(["toll", "void", "Decrement", "rake-off", "cut", "zeppelin", "", "-x"]),
+    st.text(max_size=6),
+)
+_NUMBERS = st.one_of(
+    st.sampled_from(["42", "1", "0", "-1"]), st.integers(-3, 1000).map(str), st.text(max_size=3)
+)
+_POS_TAGS = st.one_of(st.sampled_from(["N", "adj", "VB", "ADV", "int", "XYZ"]), st.text(max_size=3))
+_INDEXES = st.lists(st.one_of(st.integers(-3, 3).map(str), st.text(max_size=2)), max_size=1)
+
+
+def _flags(*names: str):
+    return st.lists(st.sampled_from(names), unique=True)
+
+
+def _mutated(draw, blob: bytes) -> bytes:
+    """``blob`` as it is, cut at a random byte, or with one byte flipped."""
+    how = draw(st.sampled_from(["keep", "cut", "flip"]))
+    if how == "keep" or not blob:
+        return blob
+    at = draw(st.integers(0, len(blob) - 1))
+    if how == "cut":
+        return blob[:at]
+    return blob[:at] + bytes([blob[at] ^ draw(st.integers(1, 255))]) + blob[at + 1:]
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_any_call_exits_with_a_table_code(workdir, b42, b42_bare, b2, data):
+    """Every subcommand, with drawn arguments, on fixture bundles and on
+    bundles and sources cut or flipped at a random byte, ends with an exit
+    code from the table (0-4) and never with an uncaught exception."""
+    draw = data.draw
+    kb = workdir / "fuzz.kb"
+    out = workdir / "fuzz.out"
+    command = draw(st.sampled_from(["build", "lookup", "sim", "stats", "label", "export"]))
+    if command == "build":
+        source = draw(st.one_of(
+            st.sampled_from([fixture_text("head42.roget"), fixture_text("two_class.roget")]),
+            line_soups(),
+        ))
+        (workdir / "fuzz.roget").write_bytes(_mutated(draw, source.encode("utf-8")))
+        options = ["--out", str(out)]
+        if draw(st.booleans()):
+            lex = _mutated(draw, fixture_text("decrement.lex").encode("utf-8"))
+            (workdir / "fuzz.lex").write_bytes(lex)
+            options += ["--lex", str(workdir / "fuzz.lex")]
+        args = [str(workdir / "fuzz.roget")]
+    else:
+        bundle = Path(draw(st.sampled_from([b42, b42_bare, b2]))).read_bytes()
+        kb.write_bytes(_mutated(draw, bundle))
+        options = ["--kb", str(kb)]
+        if command == "lookup":
+            args = [draw(_WORDS)]
+        elif command == "sim":
+            args = [draw(_WORDS), draw(_WORDS)]
+        elif command == "stats":
+            args = [draw(st.sampled_from(["class", "head", "pos", "bogus"]))]
+            options += draw(_flags("--strip-gloss"))
+            if draw(st.booleans()):
+                options += ["--top", draw(_NUMBERS)]
+        elif command == "label":
+            args = [draw(_NUMBERS), draw(_POS_TAGS), *draw(_INDEXES)]
+            options += draw(_flags("--evidence", "--no-xref-match"))
+        else:
+            args = [draw(st.sampled_from(["canonical", "structured", "bogus"]))]
+            options += ["--out", str(out), *draw(_flags("--strip-gloss"))]
+    result = runner.invoke(main, [command, *options, "--", *args])
+    assert result.exception is None or isinstance(result.exception, SystemExit), (
+        result.exc_info
+    )
+    assert result.exit_code in {0, 1, 2, 3, 4}, result.output

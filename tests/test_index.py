@@ -9,7 +9,7 @@ from oracles import reference_index
 from rogetkb.index import build_index
 from rogetkb.model import Address
 from rogetkb.parser import parse_source
-from test_parser import line_soups
+from soups import line_soups
 
 
 class TestLookup:

@@ -154,6 +154,17 @@ class TestMiniNet:
         assert "decrement.n.2" in coord2
         assert len(coord2) == 15
 
+    def test_explicit_coordinate_edge_is_appended(self):
+        res = load_resource(
+            "SYN a.n.1 N a\nSYN b.n.1 N b\nSYN c.n.1 N c\nSYN d.n.1 N d\n"
+            "REL hypernym a.n.1 b.n.1\nREL hypernym c.n.1 b.n.1\n"
+            "REL coordinate a.n.1 d.n.1\n"
+        )
+        net = build_mini_net(res, "a", PartOfSpeech.NOUN, [RelationType.COORDINATE])
+        assert [s.id for s in net.senses[0].via(RelationType.COORDINATE)] == [
+            "b.n.1", "a.n.1", "c.n.1", "d.n.1",
+        ]
+
     def test_sense_two_hyponyms(self, res_dec):
         net = build_mini_net(res_dec, "decrement", PartOfSpeech.NOUN)
         assert [s.id for s in net.senses[1].via(RelationType.HYPONYM)] == [

@@ -11,6 +11,7 @@ from rogetkb.model import (
     Paragraph,
     PartOfSpeech,
     RogetClass,
+    Section,
     SemicolonGroup,
     ThesaurusKB,
 )
@@ -103,6 +104,9 @@ class TestAddress:
             Address.parse("")
         with pytest.raises(AddressError):
             Address.parse("1.2.3.4")
+        for text in ("1.x", "1.3:N:0", "1.3.42:N:x"):
+            with pytest.raises(AddressError):
+                Address.parse(text)
 
     def test_sort_key_orders_pos_canonically(self):
         n1 = Address.parse("1.1.1:N:1:0")
@@ -128,6 +132,11 @@ class TestResolve:
         assert isinstance(cls, RogetClass)
         assert cls.name == "Abstract Relations"
 
+    def test_section_node(self, kb42):
+        sec = kb42.resolve(Address(1, 3))
+        assert isinstance(sec, Section)
+        assert [head.number for head in sec.heads] == [42]
+
     def test_group_index_past_end(self, kb42):
         with pytest.raises(AddressError, match="group"):
             kb42.resolve(Address(1, 3, 42, PartOfSpeech.NOUN, 0, 99))
@@ -141,6 +150,8 @@ class TestResolve:
             kb42.resolve(Address(1, 3, 43))
         with pytest.raises(AddressError, match="paragraph"):
             kb42.resolve(Address(1, 3, 42, PartOfSpeech.VERB, 0))
+        with pytest.raises(AddressError, match="entry 99"):
+            kb42.resolve(Address(1, 3, 42, PartOfSpeech.NOUN, 0, 0, 99))
 
     def test_round_trip_every_node(self, kb2):
         for addr, group in kb2.walk_groups():

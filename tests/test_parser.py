@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from corpusgen import generate
 from oracles import count_entry_tokens
+from soups import line_soups
 from rogetkb.model import CrossReference, PartOfSpeech
 from rogetkb.parser import (
     full_corpus_problems,
@@ -189,6 +190,10 @@ class TestErrors:
         assert "bad cross-reference head number 'abc'" in errors_of(
             doc("cut @abc diminution;")
         )
+        # a token of only a bad ref is reported once, not also as an empty entry
+        assert [str(d) for d in parse_source(doc("cut, @abc diminution;")).diagnostics] == [
+            "5:error: bad cross-reference head number 'abc'"
+        ]
 
     def test_non_decimal_digits_are_not_numbers(self):
         # "\u00b2" (superscript two) is a digit to str.isdigit but no number to int
@@ -237,10 +242,12 @@ class TestWarnings:
         assert kb.count_nodes().total.groups == 2
 
     def test_empty_entry_skipped(self):
-        msgs = self.warnings_of(doc("a, , b;"))
-        assert msgs == ["empty entry skipped"]
-        kb = parse_ok(doc("a, , b;"))
-        assert kb.count_nodes().total.entries == 2
+        # a lone "@" starts no cross-reference and leaves no entry text
+        for line in ("a, , b;", "a, @, b;"):
+            msgs = self.warnings_of(doc(line))
+            assert msgs == ["empty entry skipped"]
+            kb = parse_ok(doc(line))
+            assert kb.count_nodes().total.entries == 2
 
     def test_empty_group_skipped(self):
         msgs = self.warnings_of(doc("a; ; b;"))
@@ -280,11 +287,28 @@ class TestConstructEdges:
     def test_first_section_of_a_class_may_not_be_zero(self):
         # section numbers are positive, as Address requires
         assert diagnostics_of("#CLASS 1 C", "#SECTION 0 S", *PARA_1[2:]) == [
-            "2:error: section number 0 not ascending",
+            "2:error: section number '0' is not a positive integer",
             "3:error: head outside section",
             "4:error: paragraph outside head",
             "5:error: semicolon group outside paragraph",
             "5:error: class 1 has no sections",
+        ]
+
+    def test_first_head_and_class_may_not_be_zero(self):
+        # zero breaks "positive" at every level, not "ascending" or "1..8"
+        assert diagnostics_of(*PARA_1[:2], "#HEAD 0 H", *PARA_1[3:]) == [
+            "3:error: head number '0' is not a positive integer",
+            "4:error: paragraph outside head",
+            "5:error: semicolon group outside paragraph",
+            "5:error: section 1 has no heads",
+            "5:error: class 1 has no sections",
+        ]
+        assert diagnostics_of("#CLASS 0 C", *PARA_1[1:]) == [
+            "1:error: class number '0' is not a positive integer",
+            "2:error: section outside class",
+            "3:error: head outside section",
+            "4:error: paragraph outside head",
+            "5:error: semicolon group outside paragraph",
         ]
 
     def test_empty_class_and_section_cite_the_closing_directive(self):
@@ -377,54 +401,6 @@ class TestConstructEdges:
             "6:error: section 1 has no heads",
             "6:error: class 1 has no sections",
         ]
-
-
-# str.splitlines breaks a line at each of these; an entry token never holds one
-_LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
-_IN_LINE = st.text(
-    st.characters(codec="utf-8", exclude_characters=_LINE_BREAKS), max_size=8
-)
-# "\u00b2" is a digit to str.isdigit but no number to int
-_NUMBERS = st.sampled_from(["0", "1", "8", "9", "\u00b2", "x", ""])
-_DIRECTIVE = st.one_of(
-    st.builds(
-        "{} {} {}".format,
-        st.sampled_from(["#CLASS", "#SECTION", "#HEAD"]),
-        _NUMBERS,
-        st.sampled_from(["", "Name", "Two  Words"]),
-    ),
-    st.builds("#PARA {}".format, st.sampled_from(["N", "adj", "VB", "ADV", "INT", "XYZ", ""])),
-    st.sampled_from(["#FOO", "#", "#FOO 1 Name"]),
-)
-_TEXT = st.one_of(_IN_LINE, st.sampled_from(["word", "Two  Words", "#z", "//c", " "]))
-_REF = st.builds("@{} {}".format, st.one_of(st.just("42"), _NUMBERS), _TEXT)
-_TOKEN = st.one_of(
-    _TEXT, st.builds(lambda text, refs: " ".join([text, *refs]), _TEXT, st.lists(_REF, max_size=2))
-)
-_ENTRY_LINE = st.builds(
-    lambda tokens, seps, tail: "".join(t + s for t, s in zip(tokens, seps)) + tail,
-    st.lists(_TOKEN, min_size=1, max_size=4),
-    st.lists(st.sampled_from([",", ";", ", ,", ";;", " ; "]), min_size=4, max_size=4),
-    st.sampled_from(["", ";", ","]),
-)
-_SOUP_LINE = st.one_of(
-    _DIRECTIVE, _ENTRY_LINE, _ENTRY_LINE, st.builds("//{}".format, _IN_LINE), st.just("")
-)
-_SKELETON = ["#CLASS 1 C", "#SECTION 1 S", "#HEAD 1 H", "#PARA N"]
-
-
-@st.composite
-def line_soups(draw) -> str:
-    """Either any mix of directives with good and bad payloads, entry lines
-    of arbitrary token text, comments and blank lines, or a well-formed
-    opening followed by entry lines, comments and blank lines only."""
-    if draw(st.booleans()):
-        lines = draw(st.lists(_SOUP_LINE, max_size=24))
-    else:
-        body = st.one_of(_ENTRY_LINE, st.builds("//{}".format, _IN_LINE), st.just(""))
-        lines = _SKELETON + draw(st.lists(body, max_size=6))
-    text = draw(st.sampled_from(["\n", "\r\n", "\r"])).join(lines)
-    return text + draw(st.sampled_from(["", "\n"]))
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
