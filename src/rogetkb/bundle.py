@@ -1,9 +1,10 @@
 """Bundle persistence: one JSON file carrying the canonical source text,
 the optional lexicon text, and integrity checksums.
 
-Nothing opaque is stored: the knowledge base and index are rebuilt from the
-embedded canonical text on load, and the recorded checksum is verified
-against the rebuilt value. Output is byte-deterministic (no timestamps).
+Nothing opaque is stored. A load parses the embedded source text and checks
+both recorded checksums against sha256 of the stored texts, byte for byte;
+the index and the lexicon are built from them on first use. Output is
+byte-deterministic (no timestamps).
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Any, Optional, Union
 
@@ -38,16 +40,44 @@ class BuildMeta:
     warnings: int
 
 
-@dataclass(frozen=True)
 class KBBundle:
-    kb: ThesaurusKB
-    index: LexicalIndex
-    resource: Optional[SynsetResource]
-    meta: BuildMeta
+    """A loaded bundle: the parsed knowledge base and its checked metadata.
+    The index and the lexicon are built on first access, so a command pays
+    only for the layers it reads."""
+
+    def __init__(
+        self, kb: ThesaurusKB, meta: BuildMeta, lex_text: Optional[str], path: str
+    ) -> None:
+        self.kb = kb
+        self.meta = meta
+        self._lex_text = lex_text
+        self._path = path
+
+    @cached_property
+    def index(self) -> LexicalIndex:
+        return build_index(self.kb)
+
+    @cached_property
+    def resource(self) -> Optional[SynsetResource]:
+        """The embedded lexicon, or None; raises BundleError when it is malformed."""
+        if self._lex_text is None:
+            return None
+        try:
+            resource = load_resource(self._lex_text)
+        except LexiconError as exc:
+            raise BundleError(f"bundle {self._path} carries a malformed lexicon: {exc}") from exc
+        self._lex_text = None  # cached from here on; the text need not live through the command
+        return resource
 
 
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _source_checksum(source: str) -> str:
+    """Checksum of a stored source text. The empty KB is stored as "" but,
+    like any KB, checksums its canonical text: a single line break."""
+    return _sha256(source or "\n")
 
 
 def write_bundle(
@@ -58,8 +88,7 @@ def write_bundle(
 ) -> BuildMeta:
     source = serialize_kb(kb)
     meta = BuildMeta(
-        # the empty KB is stored as "" but, like any KB, checksums its canonical text
-        source_checksum=_sha256(source or kb.canonical_source()),
+        source_checksum=_source_checksum(source),
         lex_checksum=_sha256(lex_text) if lex_text is not None else None,
         errors=sum(1 for d in diagnostics if d.severity == "error"),
         warnings=sum(1 for d in diagnostics if d.severity == "warning"),
@@ -106,33 +135,28 @@ def load_bundle(path: Union[str, Path]) -> KBBundle:
     diag = _field(meta_doc, "diagnostics", dict, {}, path)
     lex_text = _field(document, "lexicon", (str, type(None)), None, path)
 
-    result = parse_source(_field(document, "source", str, "", path))
+    source = _field(document, "source", str, "", path)
+    result = parse_source(source)
     if result.kb is None:
         raise BundleError(f"bundle {path} contains an unparseable source document")
-    kb = result.kb
 
-    recorded = meta_doc.get("sourceChecksum")
-    if recorded != kb.source_checksum:
+    source_checksum = _source_checksum(source)
+    if meta_doc.get("sourceChecksum") != source_checksum:
         raise BundleError(f"bundle {path} failed its source checksum")
 
-    resource = None
     lex_checksum = None
     if lex_text is not None:
         lex_checksum = _sha256(lex_text)
         if meta_doc.get("lexChecksum") != lex_checksum:
             raise BundleError(f"bundle {path} failed its lexicon checksum")
-        try:
-            resource = load_resource(lex_text)
-        except LexiconError as exc:
-            raise BundleError(f"bundle {path} carries a malformed lexicon: {exc}") from exc
 
     meta = BuildMeta(
-        source_checksum=kb.source_checksum,
+        source_checksum=source_checksum,
         lex_checksum=lex_checksum,
         errors=_field(diag, "errors", int, 0, path),
         warnings=_field(diag, "warnings", int, 0, path),
     )
-    return KBBundle(kb=kb, index=build_index(kb), resource=resource, meta=meta)
+    return KBBundle(kb=result.kb, meta=meta, lex_text=lex_text, path=str(path))
 
 
 def structured_document(bundle: KBBundle, *, strip_gloss: bool = False) -> str:
@@ -213,7 +237,7 @@ def structured_document(bundle: KBBundle, *, strip_gloss: bool = False) -> str:
     document = {
         "format": "rogetkb-structured",
         "version": _VERSION,
-        "sourceChecksum": kb.source_checksum,
+        "sourceChecksum": bundle.meta.source_checksum,
         "counts": {
             "classes": len(kb.classes),
             "sections": counts.sections,

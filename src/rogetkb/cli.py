@@ -48,9 +48,14 @@ def _read_text(path: str) -> str:
         sys.exit(EXIT_IO)
 
 
-def _load(kb_path: str) -> KBBundle:
+def _load(kb_path: str, *, lexicon: bool = False) -> KBBundle:
+    """Load the bundle. With ``lexicon``, also build its lexicon now, so that
+    a malformed one exits before the command prints or writes anything."""
     try:
-        return load_bundle(kb_path)
+        bundle = load_bundle(kb_path)
+        if lexicon:
+            bundle.resource
+        return bundle
     except BundleError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_IO)
@@ -154,7 +159,7 @@ def stats(mode: str, kb_path: str, top: Optional[int], strip: bool) -> None:
     Coverage percentage columns appear when the bundle carries a synset
     resource; otherwise the tables are counts-only.
     """
-    bundle = _load(kb_path)
+    bundle = _load(kb_path, lexicon=mode != "pos")
     if mode == "pos":
         click.echo("pos\tfraction")
         shares = pos_distribution(bundle.kb)
@@ -236,7 +241,7 @@ def label(head_num: int, pos: str, para_idx: int, kb_path: str,
           show_evidence: bool, no_xref: bool) -> None:
     """Label the semicolon groups of one paragraph against the keyword's
     mini-net and print the paragraph regrouped by relation."""
-    bundle = _load(kb_path)
+    bundle = _load(kb_path, lexicon=True)
     if bundle.resource is None:
         click.echo("error: bundle has no synset resource (rebuild with --lex)", err=True)
         sys.exit(EXIT_CAPABILITY)
@@ -270,7 +275,7 @@ def export(fmt: str, kb_path: str, out_path: str, strip: bool) -> None:
     """Write the bundle back out: FORMAT is ``canonical`` (the source
     grammar, re-parseable) or ``structured`` (JSON with taxonomy, index
     statistics, and coverage)."""
-    bundle = _load(kb_path)
+    bundle = _load(kb_path, lexicon=fmt == "structured")
     if fmt == "canonical":
         text = serialize_kb(bundle.kb)
     else:

@@ -36,21 +36,59 @@ _ENTRY_LINE = st.builds(
     st.lists(st.sampled_from([",", ";", ", ,", ";;", " ; "]), min_size=4, max_size=4),
     st.sampled_from(["", ";", ","]),
 )
-_SOUP_LINE = st.one_of(
-    _DIRECTIVE, _ENTRY_LINE, _ENTRY_LINE, st.builds("//{}".format, _IN_LINE), st.just("")
-)
+_COMMENT = st.builds("//{}".format, _IN_LINE)
+_SOUP_LINE = st.one_of(_DIRECTIVE, _ENTRY_LINE, _ENTRY_LINE, _COMMENT, st.just(""))
 _SKELETON = ["#CLASS 1 C", "#SECTION 1 S", "#HEAD 1 H", "#PARA N"]
+_BODY = st.one_of(_ENTRY_LINE, _COMMENT, st.just(""))
+
+# entries that never open a group with "#" or "//" and refs that always parse
+_WORD = st.sampled_from(["word", "Two  Words", "x-y", "caf\u00e9", "a#b", " spaced "])
+_GOOD_ENTRY = st.builds(
+    lambda text, refs: " ".join([text, *refs]),
+    _WORD,
+    st.lists(st.builds("@{} {}".format, st.sampled_from(["1", "2", "42"]), _WORD), max_size=2),
+)
+_GOOD_GROUP_LINE = st.builds(
+    lambda entries, end: ", ".join(entries) + end,
+    st.lists(_GOOD_ENTRY, min_size=1, max_size=3),
+    st.sampled_from([";", ";", "; ;", ","]),
+)
+_GOOD_BODY = st.one_of(_GOOD_GROUP_LINE, _COMMENT, st.just(""))
+
+
+@st.composite
+def _well_formed(draw) -> list[str]:
+    """Ascending classes, sections and heads, each holding at least one
+    child, down to paragraphs that open with a whole group."""
+    lines = []
+    head = 0
+    for cls in sorted(draw(st.sets(st.integers(1, 8), min_size=1, max_size=2))):
+        lines.append(f"#CLASS {cls} Class {cls}")
+        for section in range(1, draw(st.integers(1, 2)) + 1):
+            lines.append(f"#SECTION {section} S")
+            for _ in range(draw(st.integers(1, 2))):
+                head += draw(st.integers(1, 3))
+                lines.append(f"#HEAD {head} H")
+                for pos in draw(st.lists(st.sampled_from(["N", "adj", "VB", "ADV", "INT"]),
+                                         min_size=1, max_size=2)):
+                    lines.append(f"#PARA {pos}")
+                    lines.append(draw(_GOOD_GROUP_LINE))
+                    lines += draw(st.lists(_GOOD_BODY, max_size=2))
+    return lines
 
 
 @st.composite
 def line_soups(draw) -> str:
-    """Either any mix of directives with good and bad payloads, entry lines
-    of arbitrary token text, comments and blank lines, or a well-formed
-    opening followed by entry lines, comments and blank lines only."""
-    if draw(st.booleans()):
+    """One of: any mix of directives with good and bad payloads, entry lines
+    of arbitrary token text, comments and blank lines; a well-formed opening
+    followed by entry lines, comments and blank lines only; or a well-formed
+    document, which parses to a knowledge base (with warnings at most)."""
+    kind = draw(st.sampled_from(["soup", "opening", "document"]))
+    if kind == "soup":
         lines = draw(st.lists(_SOUP_LINE, max_size=24))
+    elif kind == "opening":
+        lines = _SKELETON + draw(st.lists(_BODY, max_size=6))
     else:
-        body = st.one_of(_ENTRY_LINE, st.builds("//{}".format, _IN_LINE), st.just(""))
-        lines = _SKELETON + draw(st.lists(body, max_size=6))
+        lines = draw(_well_formed())
     text = draw(st.sampled_from(["\n", "\r\n", "\r"])).join(lines)
     return text + draw(st.sampled_from(["", "\n"]))

@@ -2,12 +2,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from rogetkb.bundle import load_bundle, write_bundle
+from rogetkb.bundle import BundleError, load_bundle, write_bundle
 from rogetkb.fixtures import fixture_text
 from rogetkb.model import ThesaurusKB
 from rogetkb.parser import parse_source
@@ -34,6 +35,29 @@ def test_empty_kb_stores_no_text_but_checksums_its_canonical_text(tmp_path):
     assert meta.source_checksum == hashlib.sha256(b"\n").hexdigest()
     assert doc["meta"]["sourceChecksum"] == meta.source_checksum
     assert load_bundle(tmp_path / "empty.kb").kb == ThesaurusKB(())
+
+
+def test_load_checks_the_stored_text_without_rendering_it(tmp_path, monkeypatch, kb2):
+    written = write_bundle(tmp_path / "two.kb", kb2, lex_text=fixture_text("decrement.lex"))
+
+    def render(self):
+        raise AssertionError("load_bundle must not render the canonical text")
+
+    monkeypatch.setattr(ThesaurusKB, "canonical_source", render)
+    loaded = load_bundle(tmp_path / "two.kb")
+    assert loaded.kb == kb2
+    assert loaded.meta == written
+
+
+def test_malformed_lexicon_raises_on_first_access(tmp_path, kb2):
+    path = tmp_path / "bogus.kb"
+    write_bundle(path, kb2, lex_text="BOGUS record\n")
+    bundle = load_bundle(path)
+    assert bundle.index.lookup("void")
+    message = "^" + re.escape(f"bundle {path} carries a malformed lexicon: ")
+    for _ in range(2):  # a failed build is not cached
+        with pytest.raises(BundleError, match=message):
+            bundle.resource
 
 
 @pytest.fixture(scope="module")

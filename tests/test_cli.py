@@ -154,6 +154,15 @@ class TestBuild:
         assert not out.parent.exists()
 
 
+def _rewritten(workdir: Path, bundle: str, mutate) -> str:
+    """A copy of ``bundle`` whose document ``mutate`` has edited."""
+    doc = json.loads(Path(bundle).read_text(encoding="utf-8"))
+    mutate(doc)
+    path = workdir / "rewritten.kb"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
 def _set_lexicon(doc: dict, text: str) -> None:
     doc["lexicon"] = text
     doc["meta"]["lexChecksum"] = hashlib.sha256(text.encode("utf-8")).hexdigest()
@@ -176,11 +185,8 @@ MALFORMED_BUNDLES = {
 
 @pytest.mark.parametrize("mutate", MALFORMED_BUNDLES.values(), ids=MALFORMED_BUNDLES.keys())
 def test_malformed_bundle_exits_2(workdir, b42, mutate):
-    doc = json.loads(Path(b42).read_text(encoding="utf-8"))
-    mutate(doc)
-    bad = workdir / "malformed.kb"
-    bad.write_text(json.dumps(doc), encoding="utf-8")
-    result = invoke("stats", "class", "--kb", str(bad), expect=2)
+    bad = _rewritten(workdir, b42, mutate)
+    result = invoke("stats", "class", "--kb", bad, expect=2)
     assert result.stderr.startswith("error: ")
     assert result.stdout == ""
 
@@ -197,6 +203,103 @@ def test_non_json_bundle_exits_2(workdir):
     bad.write_text("#CLASS 1 C\n", encoding="utf-8")
     result = invoke("stats", "class", "--kb", str(bad), expect=2)
     assert result.stderr.startswith(f"error: bundle {bad} is not valid JSON")
+
+
+def _raise(*args):
+    raise AssertionError("this layer must not be built")
+
+
+# (arguments after the subcommand, with {kb} and {out} filled in)
+_LOOKUP = ("lookup", "decrement", "--kb", "{kb}")
+_SIM = ("sim", "decrement", "shrinkage", "--kb", "{kb}")
+_STATS_POS = ("stats", "pos", "--kb", "{kb}")
+_STATS_CLASS = ("stats", "class", "--kb", "{kb}")
+_STATS_HEAD = ("stats", "head", "--kb", "{kb}")
+_LABEL = ("label", "42", "N", "--kb", "{kb}")
+_EXPORT_CANONICAL = ("export", "canonical", "--kb", "{kb}", "--out", "{out}")
+_EXPORT_STRUCTURED = ("export", "structured", "--kb", "{kb}", "--out", "{out}")
+
+
+def _call(args: tuple, kb: str, out: Path, expect: int = 0):
+    return invoke(*(a.format(kb=kb, out=out) for a in args), expect=expect)
+
+
+class TestLazyLayers:
+    """A command builds the index and the lexicon only when it reads them."""
+
+    @pytest.mark.parametrize("args", [_LOOKUP, _SIM, _STATS_POS, _EXPORT_CANONICAL],
+                             ids=["lookup", "sim", "stats-pos", "export-canonical"])
+    def test_commands_that_never_read_the_lexicon(self, workdir, b42, monkeypatch, args):
+        monkeypatch.setattr("rogetkb.bundle.load_resource", _raise)
+        _call(args, b42, workdir / "lazy.out")
+
+    @pytest.mark.parametrize("args", [_LABEL, _STATS_POS, _EXPORT_CANONICAL],
+                             ids=["label", "stats-pos", "export-canonical"])
+    def test_commands_that_never_read_the_index(self, workdir, b42, monkeypatch, args):
+        monkeypatch.setattr("rogetkb.bundle.build_index", _raise)
+        _call(args, b42, workdir / "lazy.out")
+
+    @pytest.mark.parametrize("args", [_LOOKUP, _SIM, _STATS_POS, _STATS_CLASS, _STATS_HEAD,
+                                      _LABEL, _EXPORT_STRUCTURED],
+                             ids=["lookup", "sim", "stats-pos", "stats-class", "stats-head",
+                                  "label", "export-structured"])
+    def test_only_export_canonical_renders_the_canonical_text(
+        self, workdir, b42, monkeypatch, args
+    ):
+        monkeypatch.setattr("rogetkb.model.ThesaurusKB.canonical_source", _raise)
+        _call(args, b42, workdir / "lazy.out")
+
+
+class TestStoredTextChecksum:
+    """The source checksum covers the stored text byte for byte, not the
+    canonical text it parses to."""
+
+    def test_formatting_only_edit_refuses_to_load(self, workdir, b42):
+        def add_blank_line(doc):
+            doc["source"] = doc["source"].replace("\n", "\n\n", 1)
+
+        tampered = _rewritten(workdir, b42, add_blank_line)
+        result = invoke("lookup", "toll", "--kb", tampered, expect=2)
+        assert result.stderr == f"error: bundle {tampered} failed its source checksum\n"
+        assert result.stdout == ""
+
+    def test_non_canonical_source_with_its_own_checksum_loads(self, workdir, b42):
+        canonical = json.loads(Path(b42).read_text(encoding="utf-8"))["source"]
+
+        def reformat(doc):
+            doc["source"] = "// hand edited\n" + canonical.replace(", ", " ,  ")
+            doc["meta"]["sourceChecksum"] = hashlib.sha256(
+                doc["source"].encode("utf-8")
+            ).hexdigest()
+
+        edited = _rewritten(workdir, b42, reformat)
+        out = workdir / "edited.roget"
+        invoke("export", "canonical", "--kb", edited, "--out", str(out))
+        assert out.read_text(encoding="utf-8") == canonical
+        invoke("export", "structured", "--kb", edited, "--out", str(out))
+        recorded = json.loads(Path(edited).read_text(encoding="utf-8"))["meta"]["sourceChecksum"]
+        assert json.loads(out.read_text(encoding="utf-8"))["sourceChecksum"] == recorded
+        assert invoke("lookup", "toll", "--kb", edited).stdout == (
+            invoke("lookup", "toll", "--kb", b42).stdout
+        )
+
+    @pytest.mark.parametrize("args", [_LOOKUP, _SIM, _STATS_POS, _EXPORT_CANONICAL],
+                             ids=["lookup", "sim", "stats-pos", "export-canonical"])
+    def test_malformed_lexicon_is_not_read_without_need(self, workdir, b42, args):
+        bad = _rewritten(workdir, b42, lambda doc: _set_lexicon(doc, "BOGUS record\n"))
+        assert _call(args, bad, workdir / "bogus.out").stdout == (
+            _call(args, b42, workdir / "good.out").stdout
+        )
+
+    @pytest.mark.parametrize("args", [_LABEL, _STATS_CLASS, _STATS_HEAD, _EXPORT_STRUCTURED],
+                             ids=["label", "stats-class", "stats-head", "export-structured"])
+    def test_malformed_lexicon_exits_2_before_any_output(self, workdir, b42, args):
+        bad = _rewritten(workdir, b42, lambda doc: _set_lexicon(doc, "BOGUS record\n"))
+        out = workdir / "never-written.out"
+        result = _call(args, bad, out, expect=2)
+        assert result.stderr.startswith(f"error: bundle {bad} carries a malformed lexicon: ")
+        assert result.stdout == ""
+        assert not out.exists()
 
 
 class TestLookup:

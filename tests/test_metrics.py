@@ -206,6 +206,8 @@ class TestRankPairs:
             ("ghost", "void"),
         ]
         assert [r.distance for r in ranked] == [0, 2, 12, None]
+        assert [r.similarity for r in ranked[:3]] == pytest.approx([1.0, 10 / 12, 0.0])
+        assert ranked[3].similarity is None
 
     def test_stable_for_equal_distances(self, kb2, idx2):
         pairs = [("existence", "being"), ("blank", "void"), ("relation", "bearing")]

@@ -500,3 +500,12 @@ def test_full_corpus_problems_flag_small_fixtures(kb42):
     assert problems
     assert any("classes" in p for p in problems)
     assert any("990" in p for p in problems)
+
+
+def test_full_corpus_problems_flag_a_head_numbered_above_990():
+    kb = parse_ok("#CLASS 1 C\n#SECTION 1 S\n#HEAD 991 H\n#PARA N\nx;\n")
+    assert full_corpus_problems(kb) == [
+        "expected classes 1..8, found [1]",
+        "head numbers exceed 990 (max 991)",
+        "expected 990 heads, found 1",
+    ]
