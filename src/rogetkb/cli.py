@@ -121,10 +121,8 @@ def lookup(word: str, kb_path: str) -> None:
     """
     bundle = _load(kb_path)
     for addr in bundle.index.lookup(word):
-        head = bundle.kb.resolve(Address(addr.class_num, addr.section_num, addr.head_num))
-        para = bundle.kb.resolve(
-            Address(addr.class_num, addr.section_num, addr.head_num, addr.pos, addr.para_idx)
-        )
+        head = bundle.kb.resolve(Address(*addr[:3]))
+        para = bundle.kb.resolve(Address(*addr[:5]))
         click.echo(f"{addr}\t{head.name}\t{para.keyword}")
 
 

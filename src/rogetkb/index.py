@@ -39,14 +39,13 @@ def build_index(kb: ThesaurusKB) -> LexicalIndex:
     in ``Address.sort_key`` order and needs no sort."""
     table: dict[str, list[Address]] = {}
     total = 0
-    entry_address = Address._trusted
     for cls, sec, head in kb.walk_heads():
         for pos in POS_ORDER:
             for para_idx, para in enumerate(head.pos_paragraphs(pos)):
                 for sg_idx, group in enumerate(para.groups):
                     total += len(group.entries)
                     for entry_idx, entry in enumerate(group.entries):
-                        table.setdefault(entry.text, []).append(entry_address(
+                        table.setdefault(entry.text, []).append(Address(
                             cls.number, sec.number, head.number, pos, para_idx, sg_idx, entry_idx,
                         ))
     entries = {text: tuple(addresses) for text, addresses in table.items()}

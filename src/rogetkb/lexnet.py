@@ -129,28 +129,19 @@ class SynsetResource:
         return {lemma: tuple(ids) for lemma, ids in index.items()}
 
     @cached_property
-    def _outgoing(self) -> dict[tuple[str, RelationType], tuple[str, ...]]:
+    def _neighbour_ids(self) -> dict[tuple[str, RelationType], tuple[str, ...]]:
+        """Neighbour ids per ``(synset, relation)``. Each hypernym edge is
+        also filed in reverse as a hyponym edge."""
         table: dict[tuple[str, RelationType], list[str]] = {}
         for src, rel, dst in self.edges:
             table.setdefault((src, rel), []).append(dst)
-        return {key: tuple(dsts) for key, dsts in table.items()}
-
-    @cached_property
-    def _incoming_hypernym(self) -> dict[str, tuple[str, ...]]:
-        """Direct hyponyms of each synset, derived from hypernym edges."""
-        table: dict[str, list[str]] = {}
-        for src, rel, dst in self.edges:
             if rel is RelationType.HYPERNYM:
-                table.setdefault(dst, []).append(src)
-        return {key: tuple(srcs) for key, srcs in table.items()}
+                table.setdefault((dst, RelationType.HYPONYM), []).append(src)
+        return {key: tuple(ids) for key, ids in table.items()}
 
     def neighbours(self, synset_id: str, relation: RelationType) -> tuple[Synset, ...]:
-        """Synsets one ``relation`` edge away, in file order. Hyponyms are
-        read off the inverted hypernym edges."""
-        if relation is RelationType.HYPONYM:
-            ids = self._incoming_hypernym.get(synset_id, ())
-        else:
-            ids = self._outgoing.get((synset_id, relation), ())
+        """Synsets one ``relation`` edge away, in file order."""
+        ids = self._neighbour_ids.get((synset_id, relation), ())
         return tuple(self.synsets[i] for i in ids)
 
     def synsets_for(self, lemma: str, pos: Optional[PartOfSpeech] = None) -> tuple[Synset, ...]:

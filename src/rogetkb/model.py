@@ -5,18 +5,16 @@ head (3), part-of-speech group (4), paragraph (5), semicolon group (6),
 entry (7). Semicolon groups are the unit of word sense; entries are the
 strings inside them.
 
-Everything here is a frozen dataclass holding tuples, so a built knowledge
-base is hashable-by-content and safe to share. Canonical serialization
-(and therefore the content checksum) also lives here so that the model does
+Every node is a frozen dataclass holding tuples and every address an
+immutable tuple, so a built knowledge base is hashable-by-content and safe
+to share. Canonical serialization also lives here so that the model does
 not depend on the parser.
 """
 
 from __future__ import annotations
 
 import enum
-import hashlib
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterator, NamedTuple, Optional, Union
 
 __all__ = [
@@ -170,16 +168,9 @@ class AddressError(ValueError):
     """An address component is malformed or does not exist in the tree."""
 
 
-@dataclass(frozen=True)
-class Address:
-    """Progressive path into the tree.
-
-    A prefix of components may be given, in order: class, section, head,
-    (pos, para_idx) together, sg_idx, entry_idx. Rendered as
-    ``class.section.head:POS:para:sg:entry`` truncated at the last set
-    component, e.g. ``1.3.42:N:0:0:0`` for an entry or ``1.3`` for a
-    section.
-    """
+class _AddressFields(NamedTuple):
+    """The components of :class:`Address`, which adds the checks (a
+    NamedTuple cannot override ``__new__`` in its own body)."""
 
     class_num: int
     section_num: Optional[int] = None
@@ -189,63 +180,54 @@ class Address:
     sg_idx: Optional[int] = None
     entry_idx: Optional[int] = None
 
-    def __post_init__(self) -> None:
-        if (self.pos is None) != (self.para_idx is None):
-            raise AddressError("paragraph address needs both a part of speech and an index")
-        chain = [
-            ("class", self.class_num),
-            ("section", self.section_num),
-            ("head", self.head_num),
-            ("paragraph", self.para_idx),
-            ("group", self.sg_idx),
-            ("entry", self.entry_idx),
-        ]
-        seen_gap = False
-        for name, value in chain:
-            if value is None:
-                seen_gap = True
-                continue
-            if seen_gap:
-                raise AddressError(f"{name} component set without its parent levels")
-            minimum = 1 if name in ("class", "section", "head") else 0
-            if not isinstance(value, int) or value < minimum:
-                raise AddressError(f"bad {name} component {value!r}")
 
-    @classmethod
-    def _trusted(
-        cls, class_num: int, section_num: int, head_num: int, pos: PartOfSpeech,
-        para_idx: int, sg_idx: int, entry_idx: int,
+class Address(_AddressFields):
+    """Progressive path into the tree: an immutable tuple of seven
+    components, validated on every construction.
+
+    A prefix of components may be given, in order: class, section, head,
+    (pos, para_idx) together, sg_idx, entry_idx. Rendered as
+    ``class.section.head:POS:para:sg:entry`` truncated at the last set
+    component, e.g. ``1.3.42:N:0:0:0`` for an entry or ``1.3`` for a
+    section. The first ``n`` components (``n`` not 4) are those of the
+    level-``n`` ancestor. Addresses are ordered by :meth:`sort_key`, not by
+    ``<``.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls, class_num: int, section_num: Optional[int] = None,
+        head_num: Optional[int] = None, pos: Optional[PartOfSpeech] = None,
+        para_idx: Optional[int] = None, sg_idx: Optional[int] = None,
+        entry_idx: Optional[int] = None,
     ) -> "Address":
-        """An entry address built without ``__post_init__``'s checks. Callers
-        pass the components of an entry of a parsed tree, which already
-        guarantees them: class, section and head numbers positive, indexes
-        from ``enumerate``. Fields are set in declaration order, as
-        ``__init__`` sets them, so the instance shares its attribute layout."""
-        address = object.__new__(cls)
-        setattr_ = object.__setattr__
-        setattr_(address, "class_num", class_num)
-        setattr_(address, "section_num", section_num)
-        setattr_(address, "head_num", head_num)
-        setattr_(address, "pos", pos)
-        setattr_(address, "para_idx", para_idx)
-        setattr_(address, "sg_idx", sg_idx)
-        setattr_(address, "entry_idx", entry_idx)
-        return address
+        if (pos is None) != (para_idx is None):
+            raise AddressError("paragraph address needs both a part of speech and an index")
+        seen_gap = False
+        for name, value, minimum in (
+            ("class", class_num, 1), ("section", section_num, 1), ("head", head_num, 1),
+            ("paragraph", para_idx, 0), ("group", sg_idx, 0), ("entry", entry_idx, 0),
+        ):
+            if value is None and name != "class":
+                seen_gap = True
+            elif seen_gap:
+                raise AddressError(f"{name} component set without its parent levels")
+            elif type(value) is not int or value < minimum:
+                raise AddressError(f"bad {name} component {value!r}")
+        return tuple.__new__(
+            cls, (class_num, section_num, head_num, pos, para_idx, sg_idx, entry_idx)
+        )
+
+    # ``_replace`` builds through ``_make``, which would otherwise skip the checks.
+    _make = classmethod(lambda cls, components: cls(*components))
 
     @property
     def level(self) -> int:
-        """Tree depth of the node this address names (class=1 ... entry=7)."""
-        if self.entry_idx is not None:
-            return 7
-        if self.sg_idx is not None:
-            return 6
-        if self.para_idx is not None:
-            return 5
-        if self.head_num is not None:
-            return 3
-        if self.section_num is not None:
-            return 2
-        return 1
+        """Tree depth of the node this address names (class=1 ... entry=7).
+        It is the number of set components: a paragraph sets two, ``pos``
+        and ``para_idx``, for the part-of-speech level (4) and its own (5)."""
+        return len(self) - self.count(None)
 
     def sort_key(self) -> tuple:
         """Deterministic ordering key, usable across addresses of any depth.
@@ -263,10 +245,7 @@ class Address:
         """This address truncated to semicolon-group depth."""
         if self.sg_idx is None:
             raise AddressError(f"{self} does not reach semicolon-group depth")
-        return Address(
-            self.class_num, self.section_num, self.head_num,
-            self.pos, self.para_idx, self.sg_idx,
-        )
+        return Address(*self[:SG_LEVEL])
 
     def __str__(self) -> str:
         dotted = [str(self.class_num)]
@@ -379,12 +358,6 @@ class ThesaurusKB:
                             lines.append(f"{group.render()};")
         return "\n".join(lines) + "\n"
 
-    @cached_property
-    def source_checksum(self) -> str:
-        """sha256 of :meth:`canonical_source`; stable across formatting-only
-        differences in the original input."""
-        return hashlib.sha256(self.canonical_source().encode("utf-8")).hexdigest()
-
     # -- navigation ---------------------------------------------------------
 
     def class_by_number(self, number: int) -> Optional[RogetClass]:
@@ -460,18 +433,12 @@ class ThesaurusKB:
     def walk_groups(self) -> Iterator[tuple[Address, SemicolonGroup]]:
         for para_addr, para in self.walk_paragraphs():
             for sg_idx, group in enumerate(para.groups):
-                yield Address(
-                    para_addr.class_num, para_addr.section_num, para_addr.head_num,
-                    para_addr.pos, para_addr.para_idx, sg_idx,
-                ), group
+                yield Address(*para_addr[:5], sg_idx), group
 
     def walk_entries(self) -> Iterator[tuple[Address, Entry]]:
         for sg_addr, group in self.walk_groups():
             for entry_idx, entry in enumerate(group.entries):
-                yield Address(
-                    sg_addr.class_num, sg_addr.section_num, sg_addr.head_num,
-                    sg_addr.pos, sg_addr.para_idx, sg_addr.sg_idx, entry_idx,
-                ), entry
+                yield Address(*sg_addr[:SG_LEVEL], entry_idx), entry
 
     def tally_heads(
         self, strings: frozenset[str] = frozenset()

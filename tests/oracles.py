@@ -6,12 +6,15 @@ distance. The token counter recounts entries straight off the source text.
 The table recount rebuilds every count and coverage figure from the
 addresses the walks yield, without the nested tree loops the tables use.
 The reference index collects validated addresses in walk order and sorts
-each posting list, where ``build_index`` relies on the walk's order.
+each posting list, where ``build_index`` relies on the walk's order. The
+address rule is the check the original dataclass ``Address`` ran in
+``__post_init__``, kept verbatim.
 """
 
 from __future__ import annotations
 
 from collections import Counter, deque
+from typing import Optional
 
 from rogetkb.index import LexicalIndex
 from rogetkb.model import Address, ThesaurusKB
@@ -153,3 +156,33 @@ def reference_index(kb: ThesaurusKB) -> LexicalIndex:
         for text, addresses in table.items()
     }
     return LexicalIndex(entries=entries, total_occurrences=total)
+
+
+def address_rule(
+    class_num, section_num=None, head_num=None, pos=None, para_idx=None,
+    sg_idx=None, entry_idx=None,
+) -> Optional[str]:
+    """The ``AddressError`` message the original ``Address`` raised for these
+    components, or None where it accepted them. It let ``None`` through as a
+    class and ``bool`` (an ``int`` subclass) as any number."""
+    if (pos is None) != (para_idx is None):
+        return "paragraph address needs both a part of speech and an index"
+    chain = [
+        ("class", class_num),
+        ("section", section_num),
+        ("head", head_num),
+        ("paragraph", para_idx),
+        ("group", sg_idx),
+        ("entry", entry_idx),
+    ]
+    seen_gap = False
+    for name, value in chain:
+        if value is None:
+            seen_gap = True
+            continue
+        if seen_gap:
+            return f"{name} component set without its parent levels"
+        minimum = 1 if name in ("class", "section", "head") else 0
+        if not isinstance(value, int) or value < minimum:
+            return f"bad {name} component {value!r}"
+    return None

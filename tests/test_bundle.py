@@ -16,7 +16,7 @@ from soups import line_soups
 
 
 def test_write_renders_the_canonical_text_once(tmp_path, monkeypatch, kb2):
-    kb = ThesaurusKB(kb2.classes)  # a fresh KB with no cached checksum
+    kb = ThesaurusKB(kb2.classes)  # a fresh KB, equal to kb2
     calls = []
     render = ThesaurusKB.canonical_source
     monkeypatch.setattr(
@@ -24,7 +24,7 @@ def test_write_renders_the_canonical_text_once(tmp_path, monkeypatch, kb2):
     )
     meta = write_bundle(tmp_path / "two.kb", kb)
     assert len(calls) == 1
-    assert meta.source_checksum == kb2.source_checksum
+    assert meta.source_checksum == hashlib.sha256(render(kb2).encode("utf-8")).hexdigest()
     assert load_bundle(tmp_path / "two.kb").kb == kb2
 
 

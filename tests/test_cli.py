@@ -3,6 +3,9 @@ from __future__ import annotations
 import gc
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -690,3 +693,16 @@ def test_any_call_exits_with_a_table_code(workdir, b42, b42_bare, b2, data):
         result.exc_info
     )
     assert result.exit_code in {0, 1, 2, 3, 4}, result.output
+
+
+def test_module_entry_point_runs(tmp_path):
+    """``python -m rogetkb.cli`` reaches ``main`` through the module's
+    ``__main__`` guard, which the in-process runner never executes."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "rogetkb.cli", "--help"], cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "Roget-structured thesaurus knowledge base." in done.stdout

@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracles import address_rule
 from rogetkb.model import (
     Address,
     AddressError,
@@ -59,6 +63,14 @@ class TestPartOfSpeech:
         assert PartOfSpeech.INTERJECTION.display == "Int."
 
 
+# Component draws for the address checks: numbers around each minimum plus
+# values that are not numbers. No bools; ``None`` is a class value only in
+# the test of accepted numbers.
+_NUMBER_VALUES = st.none() | st.integers(-2, 3) | st.sampled_from([1.0, "1", "x"])
+_CLASS_VALUES = st.integers(-2, 3) | st.sampled_from([1.0, "1"])
+_POS_VALUES = st.none() | st.sampled_from(PartOfSpeech)
+
+
 class TestAddress:
     def test_str_and_parse_round_trip_all_depths(self):
         samples = [
@@ -107,6 +119,61 @@ class TestAddress:
         for text in ("1.x", "1.3:N:0", "1.3.42:N:x"):
             with pytest.raises(AddressError):
                 Address.parse(text)
+
+    def test_none_class_and_bool_components_rejected(self):
+        with pytest.raises(AddressError, match="^bad class component None$"):
+            Address(None)
+        with pytest.raises(AddressError, match="^bad class component True$"):
+            Address(True, True, True)
+        with pytest.raises(AddressError, match="^bad head component False$"):
+            Address(1, 3, False)
+        with pytest.raises(AddressError, match="^bad entry component True$"):
+            Address(1, 3, 42, PartOfSpeech.NOUN, 0, 0, True)
+
+    @given(
+        st.tuples(_CLASS_VALUES, *[_NUMBER_VALUES] * 2, _POS_VALUES, *[_NUMBER_VALUES] * 3)
+    )
+    def test_checks_match_the_original_rule(self, components):
+        expected = address_rule(*components)
+        try:
+            address = Address(*components)
+        except AddressError as exc:
+            assert str(exc) == expected
+        else:
+            assert expected is None
+            assert address == components
+
+    @given(st.tuples(
+        st.none() | st.booleans() | _CLASS_VALUES, *[st.booleans() | _NUMBER_VALUES] * 2,
+        _POS_VALUES, *[st.booleans() | _NUMBER_VALUES] * 3,
+    ))
+    def test_accepted_numbers_are_plain_ints(self, components):
+        try:
+            address = Address(*components)
+        except AddressError:
+            return
+        assert type(address.class_num) is int
+        numbers = address[1:3] + address[4:]
+        assert all(value is None or type(value) is int for value in numbers)
+
+    def test_replace_and_make_validate(self):
+        entry = Address.parse("1.3.42:N:0:4:2")
+        assert entry._replace(entry_idx=3) == Address.parse("1.3.42:N:0:4:3")
+        with pytest.raises(AddressError, match="bad group component -1"):
+            entry._replace(sg_idx=-1)
+        with pytest.raises(AddressError, match="paragraph address"):
+            entry._replace(pos=None)
+        with pytest.raises(AddressError, match="bad class component None"):
+            Address._make([None] * 7)
+
+    def test_pickle_and_deepcopy_round_trip(self):
+        for text in ("7", "1.3.42", "1.3.42:N:0:4:2"):
+            address = Address.parse(text)
+            for again in (pickle.loads(pickle.dumps(address)), copy.deepcopy(address)):
+                assert type(again) is Address
+                assert again == address
+                assert hash(again) == hash(address)
+                assert str(again) == text
 
     def test_sort_key_orders_pos_canonically(self):
         n1 = Address.parse("1.1.1:N:1:0")
@@ -218,7 +285,7 @@ def test_checksum_ignores_formatting(kb42):
     ).replace("// Single-head fixture", "// different comment")
     other = parse_source(reformatted).kb
     assert other == kb42
-    assert other.source_checksum == kb42.source_checksum
+    assert other.canonical_source() == kb42.canonical_source()
 
 
 def test_paragraph_positions_index_within_pos(kb2):
