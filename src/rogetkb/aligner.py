@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .index import LexicalIndex
 from .lexnet import (
     DEFAULT_RELATIONS,
     LABEL_PRECEDENCE,
@@ -93,9 +92,9 @@ class HeadCoverage:
     pct_common_keywords: float
 
 
-def common_strings(idx: LexicalIndex, res: SynsetResource) -> frozenset[str]:
+def common_strings(kb: ThesaurusKB, res: SynsetResource) -> frozenset[str]:
     """Normalized strings present in both resources."""
-    return idx.unique_strings() & res.all_lemmas()
+    return kb.entry_strings() & res.all_lemmas()
 
 
 def _head_name_key(name: str, use_stripped: bool) -> str:

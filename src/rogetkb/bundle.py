@@ -211,7 +211,7 @@ def structured_document(bundle: KBBundle, *, strip_gloss: bool = False) -> str:
 
     coverage = None
     if bundle.resource is not None:
-        common = common_strings(bundle.index, bundle.resource)
+        common = common_strings(kb, bundle.resource)
         report = class_coverage(kb, common, strip_gloss=strip_gloss)
 
         def row(r) -> dict:
@@ -247,8 +247,8 @@ def structured_document(bundle: KBBundle, *, strip_gloss: bool = False) -> str:
             "entries": counts.entries,
         },
         "index": {
-            "uniqueStrings": bundle.index.unique_count,
-            "totalOccurrences": bundle.index.total_occurrences,
+            "uniqueStrings": len(kb.entry_strings()),
+            "totalOccurrences": counts.entries,
         },
         "posDistribution": {
             pos.value: share for pos, share in pos_distribution(kb).items()

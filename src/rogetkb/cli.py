@@ -165,7 +165,7 @@ def stats(mode: str, kb_path: str, top: Optional[int], strip: bool) -> None:
             click.echo(f"{pos.value}\t{shares[pos]:.4f}")
     elif mode == "class":
         with_lex = bundle.resource is not None
-        common = common_strings(bundle.index, bundle.resource) if with_lex else frozenset()
+        common = common_strings(bundle.kb, bundle.resource) if with_lex else frozenset()
         report = class_coverage(bundle.kb, common, strip_gloss=strip)
         click.echo("classNum\tsections\theads\tparagraphs\tsemicolonGroups\tstrings"
                    + ("\tpctCommonHeads\tpctCommonKeywords\tpctCommonStrings" if with_lex else ""))
@@ -183,7 +183,7 @@ def stats(mode: str, kb_path: str, top: Optional[int], strip: bool) -> None:
             click.echo(f"{head.number}\t{head.name}\t{tally.paragraphs}\t"
                        f"{tally.groups}\t{tally.entries}")
     else:
-        common = common_strings(bundle.index, bundle.resource)
+        common = common_strings(bundle.kb, bundle.resource)
         click.echo("headNum\theadName\theadNameInLex\tparagraphs\tsemicolonGroups\t"
                    "strings\tpctCommonStrings\tpctCommonKeywords")
         for row in head_coverage(bundle.kb, bundle.resource, common, strip_gloss=strip)[:top]:

@@ -17,19 +17,11 @@ class LexicalIndex:
     POS in canonical order, paragraph, group, entry)."""
 
     entries: dict[str, tuple[Address, ...]]
-    total_occurrences: int
-
-    @property
-    def unique_count(self) -> int:
-        return len(self.entries)
 
     def lookup(self, query: str) -> tuple[Address, ...]:
         """All addresses whose entry text normalizes to the query; a miss is
         an empty tuple, never an error."""
         return self.entries.get(normalize(query), ())
-
-    def unique_strings(self) -> frozenset[str]:
-        return frozenset(self.entries)
 
 
 def build_index(kb: ThesaurusKB) -> LexicalIndex:
@@ -38,15 +30,12 @@ def build_index(kb: ThesaurusKB) -> LexicalIndex:
     at every level of a :class:`ThesaurusKB`, so each posting list comes out
     in ``Address.sort_key`` order and needs no sort."""
     table: dict[str, list[Address]] = {}
-    total = 0
     for cls, sec, head in kb.walk_heads():
         for pos in POS_ORDER:
             for para_idx, para in enumerate(head.pos_paragraphs(pos)):
                 for sg_idx, group in enumerate(para.groups):
-                    total += len(group.entries)
                     for entry_idx, entry in enumerate(group.entries):
                         table.setdefault(entry.text, []).append(Address(
                             cls.number, sec.number, head.number, pos, para_idx, sg_idx, entry_idx,
                         ))
-    entries = {text: tuple(addresses) for text, addresses in table.items()}
-    return LexicalIndex(entries=entries, total_occurrences=total)
+    return LexicalIndex({text: tuple(addresses) for text, addresses in table.items()})

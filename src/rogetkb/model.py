@@ -204,6 +204,8 @@ class Address(_AddressFields):
     ) -> "Address":
         if (pos is None) != (para_idx is None):
             raise AddressError("paragraph address needs both a part of speech and an index")
+        if pos is not None and type(pos) is not PartOfSpeech:
+            raise AddressError(f"bad part of speech component {pos!r}")
         seen_gap = False
         for name, value, minimum in (
             ("class", class_num, 1), ("section", section_num, 1), ("head", head_num, 1),
@@ -439,6 +441,11 @@ class ThesaurusKB:
         for sg_addr, group in self.walk_groups():
             for entry_idx, entry in enumerate(group.entries):
                 yield Address(*sg_addr[:SG_LEVEL], entry_idx), entry
+
+    def entry_strings(self) -> frozenset[str]:
+        """The distinct entry texts, from one walk."""
+        return frozenset(entry.text for _, _, head in self.walk_heads() for para in head.paragraphs
+                         for group in para.groups for entry in group.entries)
 
     def tally_heads(
         self, strings: frozenset[str] = frozenset()

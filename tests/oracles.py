@@ -147,15 +147,12 @@ def reference_index(kb: ThesaurusKB) -> LexicalIndex:
     """The index built from ``walk_entries``' validated addresses, each
     posting list sorted by ``Address.sort_key``."""
     table: dict[str, list[Address]] = {}
-    total = 0
     for address, entry in kb.walk_entries():
-        total += 1
         table.setdefault(entry.text, []).append(address)
-    entries = {
+    return LexicalIndex({
         text: tuple(sorted(addresses, key=Address.sort_key))
         for text, addresses in table.items()
-    }
-    return LexicalIndex(entries=entries, total_occurrences=total)
+    })
 
 
 def address_rule(

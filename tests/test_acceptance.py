@@ -210,9 +210,10 @@ def test_index_completeness(announce):
             if addr not in idx.lookup(entry.text):
                 problems.append(f"seed {seed}: {entry.text} missing {addr}")
                 break
-        if idx.total_occurrences != count_entry_tokens(corpus.text):
+        occurrences = sum(map(len, idx.entries.values()))
+        if occurrences != count_entry_tokens(corpus.text):
             problems.append(
-                f"seed {seed}: occurrences {idx.total_occurrences} != "
+                f"seed {seed}: occurrences {occurrences} != "
                 f"token count {count_entry_tokens(corpus.text)}"
             )
     check(announce, 6, "index completeness at scale", problems)

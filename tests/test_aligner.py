@@ -18,7 +18,6 @@ from rogetkb.aligner import (
     paragraph_strings,
     pos_distribution,
 )
-from rogetkb.index import build_index
 from rogetkb.lexnet import RelationType, build_mini_net, load_resource
 from rogetkb.model import Address, AddressError, CountRecord, PartOfSpeech
 from rogetkb.parser import parse_source
@@ -27,19 +26,19 @@ PARA_42 = Address.parse("1.3.42:N:0")
 
 
 class TestCommonStrings:
-    def test_head42_against_fixture_resource(self, idx42, res_dec):
-        assert common_strings(idx42, res_dec) == frozenset({
+    def test_head42_against_fixture_resource(self, kb42, res_dec):
+        assert common_strings(kb42, res_dec) == frozenset({
             "decrement", "shrinkage", "wastage", "slippage",
             "leak", "leakage", "escape",
         })
 
-    def test_disjoint_resources(self, idx2, res_dec):
-        assert common_strings(idx2, res_dec) == frozenset()
+    def test_disjoint_resources(self, kb2, res_dec):
+        assert common_strings(kb2, res_dec) == frozenset()
 
 
 class TestClassCoverage:
-    def test_head42_row(self, kb42, idx42, res_dec):
-        common = common_strings(idx42, res_dec)
+    def test_head42_row(self, kb42, res_dec):
+        common = common_strings(kb42, res_dec)
         cov = class_coverage(kb42, common)
         (row,) = cov.rows
         assert (row.class_num, row.sections, row.heads) == (1, 1, 1)
@@ -48,13 +47,13 @@ class TestClassCoverage:
         assert row.pct_common_keywords == 1.0  # "decrement" is shared
         assert row.pct_common_heads == 0.0  # full name carries the gloss
 
-    def test_strip_gloss_matches_head_name(self, kb42, idx42, res_dec):
-        common = common_strings(idx42, res_dec)
+    def test_strip_gloss_matches_head_name(self, kb42, res_dec):
+        common = common_strings(kb42, res_dec)
         cov = class_coverage(kb42, common, strip_gloss=True)
         assert cov.rows[0].pct_common_heads == 1.0
 
-    def test_totals_row_is_occurrence_weighted(self, kb2, idx2, res_dec):
-        common = common_strings(idx2, res_dec)
+    def test_totals_row_is_occurrence_weighted(self, kb2, res_dec):
+        common = common_strings(kb2, res_dec)
         cov = class_coverage(kb2, common)
         t = cov.total
         assert t.class_num is None
@@ -63,14 +62,14 @@ class TestClassCoverage:
         )
         assert t.pct_common_strings == 0.0
 
-    def test_against_brute_force_recount(self, kb2, idx2):
+    def test_against_brute_force_recount(self, kb2):
         # resource sharing some two_class strings, built for this test
         res = load_resource(
             "SYN v.n.1 N void;blank\n"
             "SYN s.n.1 N space\n"
             "SYN e.n.1 N existence\n"
         )
-        common = common_strings(idx2, res)
+        common = common_strings(kb2, res)
         cov = class_coverage(kb2, common)
         for row in cov.rows:
             cls = next(c for c in kb2.classes if c.number == row.class_num)
@@ -99,8 +98,8 @@ class TestClassCoverage:
 
 
 class TestHeadCoverage:
-    def test_head42_row(self, kb42, idx42, res_dec):
-        common = common_strings(idx42, res_dec)
+    def test_head42_row(self, kb42, res_dec):
+        common = common_strings(kb42, res_dec)
         (row,) = head_coverage(kb42, res_dec, common)
         assert row.head_num == 42
         assert row.head_name == "Decrement: thing deducted"
@@ -109,8 +108,8 @@ class TestHeadCoverage:
         assert row.pct_common_strings == pytest.approx(7 / 27)
         assert row.pct_common_keywords == 1.0
 
-    def test_strip_gloss_finds_name_in_lexicon(self, kb42, idx42, res_dec):
-        common = common_strings(idx42, res_dec)
+    def test_strip_gloss_finds_name_in_lexicon(self, kb42, res_dec):
+        common = common_strings(kb42, res_dec)
         (row,) = head_coverage(kb42, res_dec, common, strip_gloss=True)
         assert row.head_name_in_lex is True
 
@@ -122,13 +121,13 @@ class TestHeadCoverage:
             "#HEAD 3 Charlie\n#PARA N\ngamma;\n"
         )
         kb = parse_source(source).kb
-        common = common_strings(build_index(kb), res_dec)
+        common = common_strings(kb, res_dec)
         rows = head_coverage(kb, res_dec, common)
         assert [r.head_num for r in rows] == [2, 1, 3]
         assert rows[0].pct_common_strings == 1.0
 
-    def test_all_zero_ties_by_head_number(self, kb2, idx2, res_dec):
-        common = common_strings(idx2, res_dec)
+    def test_all_zero_ties_by_head_number(self, kb2, res_dec):
+        common = common_strings(kb2, res_dec)
         rows = head_coverage(kb2, res_dec, common)
         assert [r.head_num for r in rows] == [1, 2, 9, 183, 184]
 

@@ -236,8 +236,10 @@ class TestLazyLayers:
         monkeypatch.setattr("rogetkb.bundle.load_resource", _raise)
         _call(args, b42, workdir / "lazy.out")
 
-    @pytest.mark.parametrize("args", [_LABEL, _STATS_POS, _EXPORT_CANONICAL],
-                             ids=["label", "stats-pos", "export-canonical"])
+    @pytest.mark.parametrize("args", [_LABEL, _STATS_POS, _STATS_CLASS, _STATS_HEAD,
+                                      _EXPORT_CANONICAL, _EXPORT_STRUCTURED],
+                             ids=["label", "stats-pos", "stats-class", "stats-head",
+                                  "export-canonical", "export-structured"])
     def test_commands_that_never_read_the_index(self, workdir, b42, monkeypatch, args):
         monkeypatch.setattr("rogetkb.bundle.build_index", _raise)
         _call(args, b42, workdir / "lazy.out")

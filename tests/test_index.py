@@ -33,17 +33,24 @@ class TestLookup:
         assert got == ["1.1.2:N:0:1:1", "2.1.183:N:0:0:2", "2.1.183:N:0:1:1"]
 
 
+def occurrences(idx) -> int:
+    """Entry occurrences the index holds: the sum of its posting lengths."""
+    return sum(map(len, idx.entries.values()))
+
+
 class TestShape:
-    def test_head42_sizes(self, idx42):
-        assert idx42.total_occurrences == 27
-        assert idx42.unique_count == 27  # no duplicate strings in that head
+    def test_head42_sizes(self, kb42, idx42):
+        assert occurrences(idx42) == 27
+        # no duplicate strings in that head
+        assert len(idx42.entries) == len(kb42.entry_strings()) == 27
 
-    def test_two_class_sizes(self, idx2):
-        assert idx2.total_occurrences == 39
-        assert idx2.unique_count == 37  # "void" occurs three times
+    def test_two_class_sizes(self, kb2, idx2):
+        assert occurrences(idx2) == 39
+        # "void" occurs three times
+        assert len(idx2.entries) == len(kb2.entry_strings()) == 37
 
-    def test_unique_strings_matches_count(self, idx2):
-        assert len(idx2.unique_strings()) == idx2.unique_count
+    def test_unique_strings_matches_count(self, kb2, idx2):
+        assert kb2.entry_strings() == frozenset(idx2.entries)
 
 
 class TestAgainstKB:
@@ -70,7 +77,7 @@ def test_generated_occurrence_counts(seed):
     corpus = generate(seed, n_classes=2)
     kb = parse_source(corpus.text).kb
     idx = build_index(kb)
-    assert idx.total_occurrences == corpus.entries
+    assert occurrences(idx) == corpus.entries
     got = {text: len(addrs) for text, addrs in idx.entries.items()}
     assert got == dict(corpus.occurrences)
 
@@ -86,7 +93,7 @@ def test_large_corpus_completeness():
     assert corpus.entries >= 1000
     kb = parse_source(corpus.text).kb
     idx = build_index(kb)
-    assert idx.total_occurrences == corpus.entries
+    assert occurrences(idx) == corpus.entries
     for addr, entry in kb.walk_entries():
         assert addr in idx.lookup(entry.text)
     for text, addrs in idx.entries.items():
@@ -100,8 +107,8 @@ def assert_matches_reference(kb):
     order, and every posting indistinguishable from a validated address."""
     idx, ref = build_index(kb), reference_index(kb)
     assert idx.entries == ref.entries
-    assert idx.total_occurrences == ref.total_occurrences
-    assert idx.unique_count == ref.unique_count
+    assert occurrences(idx) == occurrences(ref)
+    assert len(idx.entries) == len(ref.entries) == len(kb.entry_strings())
     for addresses in idx.entries.values():
         for addr in addresses:
             validated = Address(
@@ -139,3 +146,14 @@ def test_every_line_soup_kb_matches_reference(text):
     kb = parse_source(text).kb
     if kb is not None:
         assert_matches_reference(kb)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(text=line_soups())
+def test_kb_strings_and_counts_agree_with_the_index(text):
+    """The KB's own string set and entry count, with the index as oracle."""
+    kb = parse_source(text).kb
+    if kb is not None:
+        idx = build_index(kb)
+        assert kb.entry_strings() == frozenset(idx.entries)
+        assert kb.count_nodes().total.entries == occurrences(idx)

@@ -103,6 +103,14 @@ class TestAddress:
         with pytest.raises(AddressError):
             Address(1, 3, 42, PartOfSpeech.NOUN, None)
 
+    def test_pos_must_be_a_part_of_speech(self):
+        # anything else would construct and then break ``str`` and ``sort_key``
+        for pos in ("N", "NOUN", 0, True):
+            with pytest.raises(AddressError, match="^bad part of speech component "):
+                Address(1, 3, 42, pos, 0)
+        with pytest.raises(AddressError, match="^bad part of speech component 'N'$"):
+            Address.parse("1.3.42:N:0:4:2")._replace(pos="N")
+
     def test_bad_components_rejected(self):
         with pytest.raises(AddressError):
             Address(0)
@@ -259,6 +267,15 @@ class TestCounts:
         report = ThesaurusKB(()).count_nodes()
         assert report.per_class == ()
         assert report.total.entries == 0
+
+
+class TestEntryStrings:
+    def test_fixtures(self, kb42, kb2):
+        for kb in (kb42, kb2):
+            assert kb.entry_strings() == {entry.text for _, entry in kb.walk_entries()}
+
+    def test_empty_kb(self):
+        assert ThesaurusKB(()).entry_strings() == frozenset()
 
 
 def test_keyword_is_first_entry(kb2, kb42):
