@@ -14,12 +14,13 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Any, Optional, Union
+from json.encoder import encode_basestring
+from typing import Any, Callable, Iterator, Optional, TextIO, Union
 
 from .aligner import class_coverage, common_strings, pos_distribution
 from .index import LexicalIndex, build_index
 from .lexnet import LexiconError, SynsetResource, load_resource
-from .model import ThesaurusKB
+from .model import RogetClass, Section, ThesaurusKB
 from .parser import ParseDiagnostic, parse_source, serialize_kb
 
 __all__ = ["BuildMeta", "KBBundle", "BundleError", "write_bundle", "load_bundle", "structured_document"]
@@ -118,6 +119,17 @@ def _field(document: dict, key: str, kind: Union[type, tuple], default: Any, pat
     return value
 
 
+def _verified(recorded: object, checksum: Callable[[str], str], text: str, what: str, path) -> str:
+    """``recorded``, which must equal ``checksum(text)``. A lone surrogate (a JSON
+    escape such as ``\\ud800``) has no UTF-8 form, so no checksum can match it."""
+    try:
+        if recorded == checksum(text):
+            return recorded
+    except UnicodeEncodeError:
+        pass
+    raise BundleError(f"bundle {path} failed its {what} checksum")
+
+
 def load_bundle(path: Union[str, Path]) -> KBBundle:
     try:
         raw = Path(path).read_text(encoding="utf-8")
@@ -140,74 +152,79 @@ def load_bundle(path: Union[str, Path]) -> KBBundle:
     if result.kb is None:
         raise BundleError(f"bundle {path} contains an unparseable source document")
 
-    source_checksum = _source_checksum(source)
-    if meta_doc.get("sourceChecksum") != source_checksum:
-        raise BundleError(f"bundle {path} failed its source checksum")
-
-    lex_checksum = None
-    if lex_text is not None:
-        lex_checksum = _sha256(lex_text)
-        if meta_doc.get("lexChecksum") != lex_checksum:
-            raise BundleError(f"bundle {path} failed its lexicon checksum")
-
     meta = BuildMeta(
-        source_checksum=source_checksum,
-        lex_checksum=lex_checksum,
+        source_checksum=_verified(
+            meta_doc.get("sourceChecksum"), _source_checksum, source, "source", path
+        ),
+        lex_checksum=None if lex_text is None else _verified(
+            meta_doc.get("lexChecksum"), _sha256, lex_text, "lexicon", path
+        ),
         errors=_field(diag, "errors", int, 0, path),
         warnings=_field(diag, "warnings", int, 0, path),
     )
     return KBBundle(kb=result.kb, meta=meta, lex_text=lex_text, path=str(path))
 
 
-def structured_document(bundle: KBBundle, *, strip_gloss: bool = False) -> str:
-    """Machine-readable export: full taxonomy, index statistics, and (when a
-    resource is present) coverage rows. Key order is fixed."""
+def _object(depth: int, *keys: str) -> str:
+    """A JSON object in ``json.dumps(indent=2)`` layout whose members sit
+    ``depth`` levels deep: a %-template with one ``%s`` per value."""
+    pad = "\n" + "  " * depth
+    return "{" + ",".join(f'{pad}"{key}": %s' for key in keys) + "\n" + "  " * (depth - 1) + "}"
+
+
+def _array(items: list[str], depth: int) -> str:
+    """Rendered ``items`` as a JSON array in that layout, ``depth`` levels deep."""
+    pad = "\n" + "  " * depth
+    return "[" + pad + ("," + pad).join(items) + "\n" + "  " * (depth - 1) + "]" if items else "[]"
+
+
+# a class is streamed section by section: its template is cut at the sections
+_CLASS_OPEN, _CLASS_CLOSE = _object(3, "number", "name", "sections").rsplit("%s", 1)
+_SECTION = _object(5, "number", "name", "heads")
+_HEAD = _object(7, "number", "name", "paragraphs")
+_PARAGRAPH = _object(9, "pos", "keyword", "semicolonGroups")
+_GROUP = _object(11, "entries")
+_ENTRY = _object(13, "text", "crossRefs")
+_REF = _object(15, "head", "keyword")
+_str, _int = encode_basestring, int.__repr__  # the encoders json.dumps uses
+
+
+def _section_chunk(sec: Section) -> str:
+    """One section of the taxonomy, rendered at its place in the document."""
+    return _SECTION % (_int(sec.number), _str(sec.name), _array([
+        _HEAD % (_int(head.number), _str(head.name), _array([
+            _PARAGRAPH % (_str(para.pos.value), _str(para.keyword), _array([
+                _GROUP % _array([
+                    _ENTRY % (_str(entry.text), _array([
+                        _REF % (_int(ref.head_num), _str(ref.keyword)) for ref in entry.cross_refs
+                    ], 14))
+                    for entry in group.entries
+                ], 12)
+                for group in para.groups
+            ], 10))
+            for para in head.paragraphs
+        ], 8))
+        for head in sec.heads
+    ], 6))
+
+
+def _taxonomy(classes: tuple[RogetClass, ...]) -> Iterator[str]:
+    """The taxonomy array in chunks of at most one section's text."""
+    for i, cls in enumerate(classes):
+        yield ("," if i else "[") + "\n    " + _CLASS_OPEN % (_int(cls.number), _str(cls.name))
+        for j, sec in enumerate(cls.sections):
+            yield ("," if j else "[") + "\n        " + _section_chunk(sec)
+        yield ("\n      ]" if cls.sections else "[]") + _CLASS_CLOSE
+    yield "\n  ]" if classes else "[]"
+
+
+def structured_document(bundle: KBBundle, out: TextIO, *, strip_gloss: bool = False) -> None:
+    """Write the machine-readable export to the text stream ``out``: full
+    taxonomy, index statistics, and (when a resource is present) coverage rows,
+    laid out as ``json.dumps(indent=2)`` lays them out, in fixed key order. The
+    taxonomy is streamed a section at a time, never the whole document at once."""
     kb = bundle.kb
     counts = kb.count_nodes().total
-
-    taxonomy = [
-        {
-            "number": cls.number,
-            "name": cls.name,
-            "sections": [
-                {
-                    "number": sec.number,
-                    "name": sec.name,
-                    "heads": [
-                        {
-                            "number": head.number,
-                            "name": head.name,
-                            "paragraphs": [
-                                {
-                                    "pos": para.pos.value,
-                                    "keyword": para.keyword,
-                                    "semicolonGroups": [
-                                        {
-                                            "entries": [
-                                                {
-                                                    "text": entry.text,
-                                                    "crossRefs": [
-                                                        {"head": ref.head_num, "keyword": ref.keyword}
-                                                        for ref in entry.cross_refs
-                                                    ],
-                                                }
-                                                for entry in group.entries
-                                            ]
-                                        }
-                                        for group in para.groups
-                                    ],
-                                }
-                                for para in head.paragraphs
-                            ],
-                        }
-                        for head in sec.heads
-                    ],
-                }
-                for sec in cls.sections
-            ],
-        }
-        for cls in kb.classes
-    ]
 
     coverage = None
     if bundle.resource is not None:
@@ -234,7 +251,7 @@ def structured_document(bundle: KBBundle, *, strip_gloss: bool = False) -> str:
             "total": row(report.total),
         }
 
-    document = {
+    header = {
         "format": "rogetkb-structured",
         "version": _VERSION,
         "sourceChecksum": bundle.meta.source_checksum,
@@ -253,7 +270,9 @@ def structured_document(bundle: KBBundle, *, strip_gloss: bool = False) -> str:
         "posDistribution": {
             pos.value: share for pos, share in pos_distribution(kb).items()
         },
-        "taxonomy": taxonomy,
-        "coverage": coverage,
     }
-    return json.dumps(document, indent=2, ensure_ascii=False) + "\n"
+    # the header without its closing "\n}", so the taxonomy joins it
+    out.write(json.dumps(header, indent=2, ensure_ascii=False)[:-2] + ',\n  "taxonomy": ')
+    out.writelines(_taxonomy(kb.classes))
+    nested = json.dumps(coverage, indent=2, ensure_ascii=False).replace("\n", "\n  ")
+    out.write(f',\n  "coverage": {nested}\n}}\n')

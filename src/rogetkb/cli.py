@@ -274,12 +274,12 @@ def export(fmt: str, kb_path: str, out_path: str, strip: bool) -> None:
     grammar, re-parseable) or ``structured`` (JSON with taxonomy, index
     statistics, and coverage)."""
     bundle = _load(kb_path, lexicon=fmt == "structured")
-    if fmt == "canonical":
-        text = serialize_kb(bundle.kb)
-    else:
-        text = structured_document(bundle, strip_gloss=strip)
     try:
-        Path(out_path).write_text(text, encoding="utf-8")
+        with open(out_path, "w", encoding="utf-8") as out:
+            if fmt == "canonical":
+                out.write(serialize_kb(bundle.kb))
+            else:
+                structured_document(bundle, out, strip_gloss=strip)
     except OSError as exc:
         click.echo(f"error: cannot write {out_path}: {exc}", err=True)
         sys.exit(EXIT_IO)

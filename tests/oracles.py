@@ -13,9 +13,12 @@ address rule is the check the original dataclass ``Address`` ran in
 
 from __future__ import annotations
 
+import json
 from collections import Counter, deque
 from typing import Optional
 
+from rogetkb.aligner import class_coverage, common_strings, pos_distribution
+from rogetkb.bundle import _VERSION, KBBundle
 from rogetkb.index import LexicalIndex
 from rogetkb.model import Address, ThesaurusKB
 
@@ -183,3 +186,105 @@ def address_rule(
         if not isinstance(value, int) or value < minimum:
             return f"bad {name} component {value!r}"
     return None
+
+
+def reference_structured_document(bundle: KBBundle, *, strip_gloss: bool = False) -> str:
+    """The structured export built as nested dicts and encoded whole by
+    ``json.dumps(indent=2)``, as ``structured_document`` did before it
+    streamed the document: full taxonomy, index statistics, and (when a
+    resource is present) coverage rows. Key order is fixed."""
+    kb = bundle.kb
+    counts = kb.count_nodes().total
+
+    taxonomy = [
+        {
+            "number": cls.number,
+            "name": cls.name,
+            "sections": [
+                {
+                    "number": sec.number,
+                    "name": sec.name,
+                    "heads": [
+                        {
+                            "number": head.number,
+                            "name": head.name,
+                            "paragraphs": [
+                                {
+                                    "pos": para.pos.value,
+                                    "keyword": para.keyword,
+                                    "semicolonGroups": [
+                                        {
+                                            "entries": [
+                                                {
+                                                    "text": entry.text,
+                                                    "crossRefs": [
+                                                        {"head": ref.head_num, "keyword": ref.keyword}
+                                                        for ref in entry.cross_refs
+                                                    ],
+                                                }
+                                                for entry in group.entries
+                                            ]
+                                        }
+                                        for group in para.groups
+                                    ],
+                                }
+                                for para in head.paragraphs
+                            ],
+                        }
+                        for head in sec.heads
+                    ],
+                }
+                for sec in cls.sections
+            ],
+        }
+        for cls in kb.classes
+    ]
+
+    coverage = None
+    if bundle.resource is not None:
+        common = common_strings(kb, bundle.resource)
+        report = class_coverage(kb, common, strip_gloss=strip_gloss)
+
+        def row(r) -> dict:
+            return {
+                "classNum": r.class_num,
+                "sections": r.sections,
+                "heads": r.heads,
+                "paragraphs": r.paragraphs,
+                "semicolonGroups": r.groups,
+                "strings": r.strings,
+                "pctCommonHeads": r.pct_common_heads,
+                "pctCommonKeywords": r.pct_common_keywords,
+                "pctCommonStrings": r.pct_common_strings,
+            }
+
+        coverage = {
+            "keywordDenominator": "paragraphs",
+            "commonStrings": len(common),
+            "classes": [row(r) for r in report.rows],
+            "total": row(report.total),
+        }
+
+    document = {
+        "format": "rogetkb-structured",
+        "version": _VERSION,
+        "sourceChecksum": bundle.meta.source_checksum,
+        "counts": {
+            "classes": len(kb.classes),
+            "sections": counts.sections,
+            "heads": counts.heads,
+            "paragraphs": counts.paragraphs,
+            "semicolonGroups": counts.groups,
+            "entries": counts.entries,
+        },
+        "index": {
+            "uniqueStrings": len(kb.entry_strings()),
+            "totalOccurrences": counts.entries,
+        },
+        "posDistribution": {
+            pos.value: share for pos, share in pos_distribution(kb).items()
+        },
+        "taxonomy": taxonomy,
+        "coverage": coverage,
+    }
+    return json.dumps(document, indent=2, ensure_ascii=False) + "\n"

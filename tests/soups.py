@@ -41,8 +41,13 @@ _SOUP_LINE = st.one_of(_DIRECTIVE, _ENTRY_LINE, _ENTRY_LINE, _COMMENT, st.just("
 _SKELETON = ["#CLASS 1 C", "#SECTION 1 S", "#HEAD 1 H", "#PARA N"]
 _BODY = st.one_of(_ENTRY_LINE, _COMMENT, st.just(""))
 
-# entries that never open a group with "#" or "//" and refs that always parse
-_WORD = st.sampled_from(["word", "Two  Words", "x-y", "caf\u00e9", "a#b", " spaced "])
+# entries that never open a group with "#" or "//" and refs that always parse;
+# some need JSON escapes (a quote, a backslash, control characters) and one is
+# a lemma of the decrement.lex fixture
+_WORD = st.sampled_from([
+    "word", "Two  Words", "x-y", "caf\u00e9", "a#b", " spaced ",
+    'say "so"', "back\\slash", "bell\x07\x1b", "decrement",
+])
 _GOOD_ENTRY = st.builds(
     lambda text, refs: " ".join([text, *refs]),
     _WORD,
@@ -68,7 +73,7 @@ def _well_formed(draw) -> list[str]:
             lines.append(f"#SECTION {section} S")
             for _ in range(draw(st.integers(1, 2))):
                 head += draw(st.integers(1, 3))
-                lines.append(f"#HEAD {head} H")
+                lines.append(f"#HEAD {head} {draw(_WORD)}")
                 for pos in draw(st.lists(st.sampled_from(["N", "adj", "VB", "ADV", "INT"]),
                                          min_size=1, max_size=2)):
                     lines.append(f"#PARA {pos}")

@@ -1,18 +1,27 @@
 from __future__ import annotations
 
 import hashlib
+import importlib
+import io
 import json
 import re
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from rogetkb.bundle import BundleError, load_bundle, write_bundle
+from rogetkb.bundle import (
+    BuildMeta, BundleError, KBBundle, load_bundle, structured_document, write_bundle,
+)
 from rogetkb.fixtures import fixture_text
-from rogetkb.model import ThesaurusKB
+from rogetkb.model import RogetClass, ThesaurusKB
 from rogetkb.parser import parse_source
+from oracles import reference_structured_document
 from soups import line_soups
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def test_write_renders_the_canonical_text_once(tmp_path, monkeypatch, kb2):
@@ -76,3 +85,66 @@ def test_every_bundle_build_writes_loads_to_an_equal_kb(bundle_path, text, with_
     assert loaded.kb == result.kb
     assert (loaded.resource is None) == (lex_text is None)
     assert (loaded.meta.errors, loaded.meta.warnings) == (0, len(result.warnings))
+
+
+@pytest.mark.parametrize("field", ["source", "lexicon"])
+def test_lone_surrogate_fails_the_checksum(tmp_path, kb2, field):
+    """A JSON escape such as "\\ud800" loads as a lone surrogate, which has
+    no UTF-8 form and so no sha256 that a recorded checksum could match."""
+    path = tmp_path / "two.kb"
+    write_bundle(path, kb2, lex_text=fixture_text("decrement.lex"))
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc[field] += "\ud800"
+    path.write_text(json.dumps(doc), encoding="utf-8")  # as the escape \ud800
+    message = f"^bundle {re.escape(str(path))} failed its {field} checksum$"
+    with pytest.raises(BundleError, match=message):
+        load_bundle(path)
+
+
+def _bundle(kb: ThesaurusKB, lex_text=None) -> KBBundle:
+    meta = BuildMeta(source_checksum="0" * 64, lex_checksum=None, errors=0, warnings=0)
+    return KBBundle(kb=kb, meta=meta, lex_text=lex_text, path="<memory>")
+
+
+def _assert_streams_the_reference(bundle: KBBundle, strip_gloss: bool) -> None:
+    out = io.StringIO()
+    assert structured_document(bundle, out, strip_gloss=strip_gloss) is None
+    assert out.getvalue() == reference_structured_document(bundle, strip_gloss=strip_gloss)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(text=line_soups(), with_lex=st.booleans(), strip_gloss=st.booleans())
+def test_structured_document_streams_the_reference_bytes(text, with_lex, strip_gloss):
+    kb = parse_source(text).kb
+    assume(kb is not None)
+    lex_text = fixture_text("decrement.lex") if with_lex else None
+    _assert_streams_the_reference(_bundle(kb, lex_text), strip_gloss)
+
+
+@pytest.mark.parametrize("with_lex", [False, True])
+@pytest.mark.parametrize("strip_gloss", [False, True])
+@pytest.mark.parametrize("kb", [
+    ThesaurusKB(()),
+    ThesaurusKB((RogetClass(1, "no sections", ()),)),
+], ids=["empty", "childless-class"])
+def test_structured_document_of_empty_levels(kb, with_lex, strip_gloss):
+    lex_text = fixture_text("decrement.lex") if with_lex else None
+    _assert_streams_the_reference(_bundle(kb, lex_text), strip_gloss)
+
+
+@pytest.fixture(scope="module")
+def perfbench_corpus():
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        return importlib.import_module("corpus")
+    finally:
+        sys.path.remove(str(PERFBENCH))
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_structured_document_of_a_generated_corpus(perfbench_corpus, seed):
+    corpus = perfbench_corpus.generate(seed, scale=0.02)
+    kb = parse_source(corpus.canonical).kb
+    for lex_text in (None, corpus.lexicon):
+        for strip_gloss in (False, True):
+            _assert_streams_the_reference(_bundle(kb, lex_text), strip_gloss)

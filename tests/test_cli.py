@@ -183,6 +183,9 @@ MALFORMED_BUNDLES = {
     "unsupported-version": lambda doc: doc.update(version=99),
     "unparseable-source": lambda doc: doc.update(source="#BOGUS\n"),
     "lexicon-checksum-mismatch": lambda doc: doc.update(lexicon=doc["lexicon"] + "\n"),
+    # json.dumps writes a lone surrogate as the escape \ud800
+    "source-lone-surrogate": lambda doc: doc.update(source=doc["source"] + "\ud800"),
+    "lexicon-lone-surrogate": lambda doc: doc.update(lexicon=doc["lexicon"] + "\udfff"),
 }
 
 
@@ -580,6 +583,24 @@ class TestExport:
         )
         assert "cannot write" in result.stderr
 
+    def test_structured_out_in_missing_directory_exits_2_before_rendering(
+        self, workdir, b42, monkeypatch
+    ):
+        monkeypatch.setattr("rogetkb.cli.structured_document", _raise)
+        out = workdir / "absent-dir" / "out.json"
+        result = invoke("export", "structured", "--kb", b42, "--out", str(out), expect=2)
+        assert result.stderr.startswith(f"error: cannot write {out}: ")
+        assert result.stdout == ""
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("fmt", ["canonical", "structured"])
+    def test_full_device_exits_2(self, b42, fmt):
+        result = invoke("export", fmt, "--kb", b42, "--out", "/dev/full", expect=2)
+        assert result.stderr == (
+            "error: cannot write /dev/full: [Errno 28] No space left on device\n"
+        )
+        assert result.stdout == ""
+
 
 class TestCollectorScope:
     """A command runs with the cyclic collector off and hands the caller's
@@ -639,13 +660,16 @@ def _flags(*names: str):
 
 
 def _mutated(draw, blob: bytes) -> bytes:
-    """``blob`` as it is, cut at a random byte, or with one byte flipped."""
-    how = draw(st.sampled_from(["keep", "cut", "flip"]))
+    """``blob`` as it is, cut at a random byte, with one byte flipped, or with
+    a lone-surrogate JSON escape inserted at a random byte."""
+    how = draw(st.sampled_from(["keep", "cut", "flip", "surrogate"]))
     if how == "keep" or not blob:
         return blob
     at = draw(st.integers(0, len(blob) - 1))
     if how == "cut":
         return blob[:at]
+    if how == "surrogate":
+        return blob[:at] + draw(st.sampled_from([b"\\ud800", b"\\udfff"])) + blob[at:]
     return blob[:at] + bytes([blob[at] ^ draw(st.integers(1, 255))]) + blob[at + 1:]
 
 
