@@ -7,7 +7,6 @@ from .aligner import (
     CoverageRow,
     Evidence,
     HeadCoverage,
-    LabelConfig,
     LabelledGroup,
     LabelledParagraph,
     class_coverage,

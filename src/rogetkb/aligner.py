@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .lexnet import (
-    DEFAULT_RELATIONS,
     LABEL_PRECEDENCE,
     MiniNet,
     RelationType,
@@ -43,7 +42,6 @@ __all__ = [
     "Evidence",
     "LabelledGroup",
     "LabelledParagraph",
-    "LabelConfig",
     "common_strings",
     "class_coverage",
     "head_coverage",
@@ -206,17 +204,6 @@ class LabelledParagraph:
     labelled: tuple[LabelledGroup, ...]
 
 
-@dataclass(frozen=True)
-class LabelConfig:
-    """relations None means the per-POS default set; precedence decides
-    which matching relation becomes the label; match_cross_refs lets
-    cross-reference keywords participate as group members."""
-
-    relations: Optional[frozenset[RelationType]] = None
-    precedence: tuple[RelationType, ...] = LABEL_PRECEDENCE
-    match_cross_refs: bool = True
-
-
 def group_strings(group: SemicolonGroup, *, include_cross_refs: bool = True) -> frozenset[str]:
     out = {entry.text for entry in group.entries}
     if include_cross_refs:
@@ -233,39 +220,37 @@ def paragraph_strings(para: Paragraph, *, include_cross_refs: bool = True) -> fr
     return out
 
 
-def _evidence_sort_key(cfg: LabelConfig):
-    def key(ev: Evidence) -> tuple:
-        return (ev.string, ev.synset_id, cfg.precedence.index(ev.relation))
-    return key
+def _evidence_sort_key(ev: Evidence) -> tuple:
+    return (ev.string, ev.synset_id, LABEL_PRECEDENCE.index(ev.relation))
 
 
 def label_paragraph(
     kb: ThesaurusKB,
     res: SynsetResource,
     target: Address,
-    cfg: LabelConfig = LabelConfig(),
+    *,
+    match_cross_refs: bool = True,
 ) -> LabelledParagraph:
     """Label every semicolon group of the paragraph at ``target`` against
-    the keyword's mini-net (all senses unioned)."""
+    the keyword's mini-net (all senses unioned). ``match_cross_refs`` lets
+    cross-reference keywords participate as group members."""
     para = kb.resolve(target)
     if not isinstance(para, Paragraph):
         raise AddressError(f"{target} does not name a paragraph")
-    relations = cfg.relations if cfg.relations is not None else DEFAULT_RELATIONS[para.pos]
     keyword = para.keyword
-    net = build_mini_net(res, keyword, para.pos, relations)
+    net = build_mini_net(res, keyword, para.pos)
 
     # every (relation, synset) pair one hop from any sense; seeds carry the
-    # synonym relation themselves
+    # synonym relation themselves (every part of speech follows SYNONYM)
     channels: list[tuple[RelationType, Synset]] = []
     for sense in net.senses:
-        if RelationType.SYNONYM in relations:
-            channels.append((RelationType.SYNONYM, sense.seed))
+        channels.append((RelationType.SYNONYM, sense.seed))
         for relation, reached in sense.reached:
             channels.extend((relation, synset) for synset in reached)
 
     labelled = []
     for sg_idx, group in enumerate(para.groups):
-        members = group_strings(group, include_cross_refs=cfg.match_cross_refs)
+        members = group_strings(group, include_cross_refs=match_cross_refs)
         if sg_idx == 0:
             # the keyword is the relation source, not a matchable member of
             # its own group
@@ -275,18 +260,16 @@ def label_paragraph(
             for relation, synset in channels
             for string in members & synset.lemma_set
         }
-        if sg_idx == 0 and not found and RelationType.SYNONYM in relations:
+        if sg_idx == 0 and not found:
             # a keyword group with nothing else to say is synonymous with
             # its own seed synsets
             found = {
                 Evidence(keyword, sense.seed.id, RelationType.SYNONYM)
                 for sense in net.senses
             }
-        evidence = tuple(sorted(found, key=_evidence_sort_key(cfg)))
-        label = None
-        if evidence:
-            present = {ev.relation for ev in evidence}
-            label = next(rel for rel in cfg.precedence if rel in present)
+        evidence = tuple(sorted(found, key=_evidence_sort_key))
+        label = (min((ev.relation for ev in evidence), key=LABEL_PRECEDENCE.index)
+                 if evidence else None)
         labelled.append(LabelledGroup(group=group, label=label, evidence=evidence))
 
     return LabelledParagraph(source=target, keyword=keyword, labelled=tuple(labelled))

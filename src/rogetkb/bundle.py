@@ -119,6 +119,14 @@ def _field(document: dict, key: str, kind: Union[type, tuple], default: Any, pat
     return value
 
 
+def _count(diag: dict, key: str, path: object) -> int:
+    """The count ``diag[key]`` (0 when absent): a non-negative int, not a bool."""
+    value = diag.get(key, 0)
+    if type(value) is not int or value < 0:
+        raise BundleError(f"bundle {path} has a malformed {key!r} field")
+    return value
+
+
 def _verified(recorded: object, checksum: Callable[[str], str], text: str, what: str, path) -> str:
     """``recorded``, which must equal ``checksum(text)``. A lone surrogate (a JSON
     escape such as ``\\ud800``) has no UTF-8 form, so no checksum can match it."""
@@ -159,8 +167,8 @@ def load_bundle(path: Union[str, Path]) -> KBBundle:
         lex_checksum=None if lex_text is None else _verified(
             meta_doc.get("lexChecksum"), _sha256, lex_text, "lexicon", path
         ),
-        errors=_field(diag, "errors", int, 0, path),
-        warnings=_field(diag, "warnings", int, 0, path),
+        errors=_count(diag, "errors", path),
+        warnings=_count(diag, "warnings", path),
     )
     return KBBundle(kb=result.kb, meta=meta, lex_text=lex_text, path=str(path))
 

@@ -16,7 +16,6 @@ from typing import Optional
 import click
 
 from .aligner import (
-    LabelConfig,
     LabelledParagraph,
     class_coverage,
     common_strings,
@@ -252,10 +251,7 @@ def label(head_num: int, pos: str, para_idx: int, kb_path: str,
         target = Address(
             head_addr.class_num, head_addr.section_num, head_num, pos_tag, para_idx
         )
-        result = label_paragraph(
-            bundle.kb, bundle.resource, target,
-            LabelConfig(match_cross_refs=not no_xref),
-        )
+        result = label_paragraph(bundle.kb, bundle.resource, target, match_cross_refs=not no_xref)
     except AddressError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_MISSING)

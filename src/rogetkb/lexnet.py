@@ -8,9 +8,10 @@ Interchange format, one record per line:
 
 Hyponym edges are stored as their hypernym inverses, never twice. A
 mini-net is the one-hop neighbourhood of a lemma: its seed synsets plus
-every synset one link away per requested relation, where "coordinate"
-means each direct hypernym together with all of that hypernym's direct
-hyponyms (seed and hypernym included).
+every synset one link away per relation its part of speech follows
+(``DEFAULT_RELATIONS``), where "coordinate" means each direct hypernym
+together with all of that hypernym's direct hyponyms (seed and hypernym
+included).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional
+from typing import Optional
 
 from .model import PartOfSpeech
 from .text import normalize
@@ -123,9 +124,7 @@ class SynsetResource:
         index: dict[str, list[str]] = {}
         for synset in self.synsets.values():
             for lemma in synset.lemmas:
-                ids = index.setdefault(lemma, [])
-                if synset.id not in ids:
-                    ids.append(synset.id)
+                index.setdefault(lemma, []).append(synset.id)
         return {lemma: tuple(ids) for lemma, ids in index.items()}
 
     @cached_property
@@ -144,9 +143,9 @@ class SynsetResource:
         ids = self._neighbour_ids.get((synset_id, relation), ())
         return tuple(self.synsets[i] for i in ids)
 
-    def synsets_for(self, lemma: str, pos: Optional[PartOfSpeech] = None) -> tuple[Synset, ...]:
+    def synsets_for(self, lemma: str, pos: PartOfSpeech) -> tuple[Synset, ...]:
         found = (self.synsets[i] for i in self.lemma_index.get(normalize(lemma), ()))
-        return tuple(s for s in found if pos is None or s.pos is pos)
+        return tuple(s for s in found if s.pos is pos)
 
     @cached_property
     def _all_lemmas(self) -> frozenset[str]:
@@ -267,22 +266,16 @@ def _coordinates(res: SynsetResource, seed: Synset) -> tuple[Synset, ...]:
     return tuple(out)
 
 
-def build_mini_net(
-    res: SynsetResource,
-    lemma: str,
-    pos: PartOfSpeech,
-    relations: Optional[Iterable[RelationType]] = None,
-) -> MiniNet:
-    """One-hop neighbourhood of ``lemma`` at ``pos``. An unknown lemma gives
-    a net with zero senses, not an error."""
+def build_mini_net(res: SynsetResource, lemma: str, pos: PartOfSpeech) -> MiniNet:
+    """One-hop neighbourhood of ``lemma`` at ``pos`` over the relations
+    ``DEFAULT_RELATIONS[pos]``. An unknown lemma gives a net with zero
+    senses, not an error."""
     lemma = normalize(lemma)
-    wanted = frozenset(relations) if relations is not None else DEFAULT_RELATIONS[pos]
+    wanted = sorted(DEFAULT_RELATIONS[pos], key=LABEL_PRECEDENCE.index)
     senses = []
     for seed in res.synsets_for(lemma, pos):
         reached = []
-        for relation in LABEL_PRECEDENCE:
-            if relation not in wanted:
-                continue
+        for relation in wanted:
             if relation is RelationType.COORDINATE:
                 group = _coordinates(res, seed)
             else:

@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import importlib
+import sys
+from pathlib import Path
+
 import pytest
 
 from rogetkb import build_index, fixtures
@@ -29,6 +33,17 @@ def kb2():
 @pytest.fixture(scope="session")
 def idx2(kb2):
     return build_index(kb2)
+
+
+@pytest.fixture(scope="session")
+def perfbench_corpus():
+    """The benchmark's corpus generator module, ``perfbench/corpus.py``."""
+    perfbench = str(Path(__file__).resolve().parent.parent / "perfbench")
+    sys.path.insert(0, perfbench)
+    try:
+        return importlib.import_module("corpus")
+    finally:
+        sys.path.remove(perfbench)
 
 
 def parse_ok(text: str):

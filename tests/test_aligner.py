@@ -9,7 +9,6 @@ from oracles import recount_tables
 from rogetkb.aligner import (
     CoverageRow,
     HeadCoverage,
-    LabelConfig,
     class_coverage,
     common_strings,
     head_coverage,
@@ -251,15 +250,13 @@ class TestLabelParagraph:
         assert result.labelled[6].evidence == ()
 
     def test_without_cross_ref_matching(self, kb42, res_dec):
-        cfg = LabelConfig(match_cross_refs=False)
-        result = label_paragraph(kb42, res_dec, PARA_42, cfg)
+        result = label_paragraph(kb42, res_dec, PARA_42, match_cross_refs=False)
         labels = [lg.label for lg in result.labelled]
         S, H = RelationType.SYNONYM, RelationType.HYPONYM
         assert labels == [S, None, None, None, H, None, None, H, H, None, None]
 
     def test_keyword_group_synonym_fallback_evidence(self, kb42, res_dec):
-        cfg = LabelConfig(match_cross_refs=False)
-        (first, *_) = label_paragraph(kb42, res_dec, PARA_42, cfg).labelled
+        (first, *_) = label_paragraph(kb42, res_dec, PARA_42, match_cross_refs=False).labelled
         assert [(e.string, e.synset_id, e.relation) for e in first.evidence] == [
             ("decrement", "decrement.n.1", RelationType.SYNONYM),
             ("decrement", "decrement.n.2", RelationType.SYNONYM),
@@ -270,20 +267,20 @@ class TestLabelParagraph:
         assert all(lg.label is None for lg in result.labelled)
         assert all(lg.evidence == () for lg in result.labelled)
 
-    def test_precedence_is_configurable(self, kb42, res_dec):
-        from rogetkb.lexnet import LABEL_PRECEDENCE
-
-        cfg = LabelConfig(precedence=tuple(reversed(LABEL_PRECEDENCE)))
-        result = label_paragraph(kb42, res_dec, PARA_42, cfg)
-        # the mixed group matched both hyponym and coordinate; reversing the
-        # precedence flips which one names it
-        assert result.labelled[4].label is RelationType.COORDINATE
-        assert result.labelled[7].label is RelationType.HYPONYM
-
-    def test_relations_restrict_channels(self, kb42, res_dec):
-        cfg = LabelConfig(relations=frozenset({RelationType.HYPERNYM}))
-        result = label_paragraph(kb42, res_dec, PARA_42, cfg)
-        assert all(lg.label is None for lg in result.labelled)
+    def test_one_string_and_synset_through_two_relations(self):
+        # x is both a hyponym and a meronym of the keyword's synset: one
+        # piece of evidence per relation, in precedence order
+        res = load_resource(
+            "SYN k.n.1 N kay\nSYN x.n.1 N ex\n"
+            "REL hyponym k.n.1 x.n.1\nREL meronym k.n.1 x.n.1\n"
+        )
+        kb = parse_source("#CLASS 1 C\n#SECTION 1 S\n#HEAD 1 Kay\n#PARA N\nkay;\nex;\n").kb
+        (_, group) = label_paragraph(kb, res, Address.parse("1.1.1:N:0")).labelled
+        assert [(e.string, e.synset_id, e.relation) for e in group.evidence] == [
+            ("ex", "x.n.1", RelationType.HYPONYM),
+            ("ex", "x.n.1", RelationType.MERONYM),
+        ]
+        assert group.label is RelationType.HYPONYM
 
     def test_target_must_be_a_paragraph(self, kb42, res_dec):
         with pytest.raises(AddressError, match="paragraph"):

@@ -1,12 +1,9 @@
 from __future__ import annotations
 
 import hashlib
-import importlib
 import io
 import json
 import re
-import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -20,8 +17,6 @@ from rogetkb.model import RogetClass, ThesaurusKB
 from rogetkb.parser import parse_source
 from oracles import reference_structured_document
 from soups import line_soups
-
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def test_write_renders_the_canonical_text_once(tmp_path, monkeypatch, kb2):
@@ -130,15 +125,6 @@ def test_structured_document_streams_the_reference_bytes(text, with_lex, strip_g
 def test_structured_document_of_empty_levels(kb, with_lex, strip_gloss):
     lex_text = fixture_text("decrement.lex") if with_lex else None
     _assert_streams_the_reference(_bundle(kb, lex_text), strip_gloss)
-
-
-@pytest.fixture(scope="module")
-def perfbench_corpus():
-    sys.path.insert(0, str(PERFBENCH))
-    try:
-        return importlib.import_module("corpus")
-    finally:
-        sys.path.remove(str(PERFBENCH))
 
 
 @pytest.mark.parametrize("seed", [1, 2])

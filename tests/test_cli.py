@@ -178,6 +178,8 @@ MALFORMED_BUNDLES = {
     "diagnostics-not-dict": lambda doc: doc["meta"].update(diagnostics=[0, 10]),
     "errors-not-integer": lambda doc: doc["meta"]["diagnostics"].update(errors="none"),
     "warnings-not-integer": lambda doc: doc["meta"]["diagnostics"].update(warnings=1.5),
+    "errors-bool": lambda doc: doc["meta"]["diagnostics"].update(errors=True),
+    "warnings-negative": lambda doc: doc["meta"]["diagnostics"].update(warnings=-5),
     "lexicon-malformed-checksum-matches": lambda doc: _set_lexicon(doc, "BOGUS record\n"),
     "wrong-format": lambda doc: doc.update(format="rogetkb-structured"),
     "unsupported-version": lambda doc: doc.update(version=99),

@@ -117,12 +117,21 @@ class TestQueries:
         ids = [s.id for s in res_dec.synsets_for("decrease", PartOfSpeech.NOUN)]
         assert ids == ["decrement.n.1", "decrement.n.2"]
         assert res_dec.synsets_for("decrease", PartOfSpeech.VERB) == ()
-        assert res_dec.synsets_for(" DECREASE ") != ()
+        assert res_dec.synsets_for(" DECREASE ", PartOfSpeech.NOUN) != ()
 
     def test_all_lemmas(self, res_dec):
         lemmas = res_dec.all_lemmas()
         assert {"decrement", "natural process", "leak", "growth"} <= lemmas
         assert res_dec.all_lemmas() is lemmas  # built once per resource
+
+    def test_lemma_index_matches_a_recount(self, res_dec, perfbench_corpus):
+        generated = load_resource(perfbench_corpus.generate(1, scale=0.02).lexicon)
+        for res in (res_dec, generated):
+            recount = {
+                lemma: tuple(s.id for s in res.synsets.values() if lemma in s.lemmas)
+                for lemma in res.all_lemmas()
+            }
+            assert res.lemma_index == recount
 
 
 class TestMiniNet:
@@ -160,7 +169,7 @@ class TestMiniNet:
             "REL hypernym a.n.1 b.n.1\nREL hypernym c.n.1 b.n.1\n"
             "REL coordinate a.n.1 d.n.1\n"
         )
-        net = build_mini_net(res, "a", PartOfSpeech.NOUN, [RelationType.COORDINATE])
+        net = build_mini_net(res, "a", PartOfSpeech.NOUN)
         assert [s.id for s in net.senses[0].via(RelationType.COORDINATE)] == [
             "b.n.1", "a.n.1", "c.n.1", "d.n.1",
         ]
@@ -177,14 +186,6 @@ class TestMiniNet:
         assert len(strings) == 41
         assert {"decrement", "fall", "natural process", "growth"} <= strings
         assert "leak" not in strings
-
-    def test_restricted_relations(self, res_dec):
-        net = build_mini_net(
-            res_dec, "decrement", PartOfSpeech.NOUN,
-            relations=[RelationType.HYPERNYM],
-        )
-        for sense in net.senses:
-            assert [rel for rel, _ in sense.reached] == [RelationType.HYPERNYM]
 
     def test_unknown_lemma_gives_empty_net(self, res_dec):
         net = build_mini_net(res_dec, "unheard-of", PartOfSpeech.NOUN)
