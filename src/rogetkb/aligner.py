@@ -145,15 +145,15 @@ def class_coverage(
 
 def head_coverage(
     kb: ThesaurusKB,
-    res: SynsetResource,
+    res: Optional[SynsetResource],
     common: frozenset[str],
     *,
     strip_gloss: bool = False,
 ) -> tuple[HeadCoverage, ...]:
     """One row per head, sorted descending by pct_common_strings, ties by
     ascending head number. head_name_in_lex tests the name against the
-    resource's lemmas (not the intersection)."""
-    lemmas = res.all_lemmas()
+    resource's lemmas (not the intersection); with no resource it is False."""
+    lemmas = res.all_lemmas() if res is not None else frozenset()
     out = [
         HeadCoverage(
             head.number, head.name, _head_name_key(head.name, strip_gloss) in lemmas,
@@ -258,7 +258,7 @@ def label_paragraph(
         found = {
             Evidence(string, synset.id, relation)
             for relation, synset in channels
-            for string in members & synset.lemma_set
+            for string in synset.lemmas if string in members
         }
         if sg_idx == 0 and not found:
             # a keyword group with nothing else to say is synonymous with

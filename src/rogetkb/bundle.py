@@ -145,12 +145,14 @@ def load_bundle(path: Union[str, Path]) -> KBBundle:
         raise BundleError(f"cannot read bundle {path}: {exc}") from exc
     try:
         document = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # a JSONDecodeError, an integer past Python's digit limit, or too deep
         raise BundleError(f"bundle {path} is not valid JSON: {exc}") from exc
     if not isinstance(document, dict) or document.get("format") != _FORMAT:
         raise BundleError(f"{path} is not a knowledge-base bundle")
-    if document.get("version") != _VERSION:
-        raise BundleError(f"unsupported bundle version {document.get('version')!r}")
+    version = document.get("version")
+    if type(version) is not int or version != _VERSION:  # neither True nor 1.0
+        raise BundleError(f"unsupported bundle version {version!r}")
     meta_doc = _field(document, "meta", dict, {}, path)
     diag = _field(meta_doc, "diagnostics", dict, {}, path)
     lex_text = _field(document, "lexicon", (str, type(None)), None, path)

@@ -162,36 +162,33 @@ def stats(mode: str, kb_path: str, top: Optional[int], strip: bool) -> None:
         shares = pos_distribution(bundle.kb)
         for pos in PartOfSpeech:
             click.echo(f"{pos.value}\t{shares[pos]:.4f}")
-    elif mode == "class":
-        with_lex = bundle.resource is not None
-        common = common_strings(bundle.kb, bundle.resource) if with_lex else frozenset()
+        return
+    res = bundle.resource
+    common = common_strings(bundle.kb, res) if res is not None else frozenset()
+    if mode == "class":
         report = class_coverage(bundle.kb, common, strip_gloss=strip)
-        click.echo("classNum\tsections\theads\tparagraphs\tsemicolonGroups\tstrings"
-                   + ("\tpctCommonHeads\tpctCommonKeywords\tpctCommonStrings" if with_lex else ""))
+        click.echo("classNum\tsections\theads\tparagraphs\tsemicolonGroups\tstrings" + (
+            "\tpctCommonHeads\tpctCommonKeywords\tpctCommonStrings" if res is not None else ""))
         for row in report.rows + (report.total,):
             label_cell = "total" if row.class_num is None else str(row.class_num)
             line = (f"{label_cell}\t{row.sections}\t{row.heads}\t{row.paragraphs}\t"
                     f"{row.groups}\t{row.strings}")
-            if with_lex:
+            if res is not None:
                 line += (f"\t{row.pct_common_heads:.2f}\t{row.pct_common_keywords:.2f}"
                          f"\t{row.pct_common_strings:.2f}")
             click.echo(line)
-    elif bundle.resource is None:
-        click.echo("headNum\theadName\tparagraphs\tsemicolonGroups\tstrings")
-        for _, head, tally in list(bundle.kb.tally_heads())[:top]:
-            click.echo(f"{head.number}\t{head.name}\t{tally.paragraphs}\t"
-                       f"{tally.groups}\t{tally.entries}")
-    else:
-        common = common_strings(bundle.kb, bundle.resource)
-        click.echo("headNum\theadName\theadNameInLex\tparagraphs\tsemicolonGroups\t"
-                   "strings\tpctCommonStrings\tpctCommonKeywords")
-        for row in head_coverage(bundle.kb, bundle.resource, common, strip_gloss=strip)[:top]:
-            in_lex = "yes" if row.head_name_in_lex else "no"
-            click.echo(
-                f"{row.head_num}\t{row.head_name}\t{in_lex}\t{row.paragraphs}\t"
-                f"{row.groups}\t{row.strings}\t{row.pct_common_strings:.2f}\t"
-                f"{row.pct_common_keywords:.2f}"
-            )
+        return
+    click.echo("headNum\theadName" + ("\theadNameInLex" if res is not None else "")
+               + "\tparagraphs\tsemicolonGroups\tstrings"
+               + ("\tpctCommonStrings\tpctCommonKeywords" if res is not None else ""))
+    for row in head_coverage(bundle.kb, res, common, strip_gloss=strip)[:top]:
+        line = f"{row.head_num}\t{row.head_name}"
+        if res is not None:
+            line += "\tyes" if row.head_name_in_lex else "\tno"
+        line += f"\t{row.paragraphs}\t{row.groups}\t{row.strings}"
+        if res is not None:
+            line += f"\t{row.pct_common_strings:.2f}\t{row.pct_common_keywords:.2f}"
+        click.echo(line)
 
 
 def _label_name(label: Optional[RelationType]) -> str:

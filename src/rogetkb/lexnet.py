@@ -107,10 +107,6 @@ class Synset:
     lemmas: tuple[str, ...]
     gloss: Optional[str] = None
 
-    @cached_property
-    def lemma_set(self) -> frozenset[str]:
-        return frozenset(self.lemmas)
-
 
 @dataclass(frozen=True)
 class SynsetResource:
@@ -248,22 +244,13 @@ class MiniNet:
 def _coordinates(res: SynsetResource, seed: Synset) -> tuple[Synset, ...]:
     """Each direct hypernym plus all of that hypernym's direct hyponyms;
     the seed itself and the hypernym are both members. Explicit coordinate
-    edges, if any, are appended."""
-    out: list[Synset] = []
-    seen: set[str] = set()
-
-    def push(synset: Synset) -> None:
-        if synset.id not in seen:
-            seen.add(synset.id)
-            out.append(synset)
-
+    edges, if any, are appended. A synset reached more than once is kept
+    once, at its first position."""
+    reached: list[Synset] = []
     for hypernym in res.neighbours(seed.id, RelationType.HYPERNYM):
-        push(hypernym)
-        for sibling in res.neighbours(hypernym.id, RelationType.HYPONYM):
-            push(sibling)
-    for explicit in res.neighbours(seed.id, RelationType.COORDINATE):
-        push(explicit)
-    return tuple(out)
+        reached += (hypernym, *res.neighbours(hypernym.id, RelationType.HYPONYM))
+    reached += res.neighbours(seed.id, RelationType.COORDINATE)
+    return tuple({synset.id: synset for synset in reached}.values())
 
 
 def build_mini_net(res: SynsetResource, lemma: str, pos: PartOfSpeech) -> MiniNet:

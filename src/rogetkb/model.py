@@ -362,20 +362,6 @@ class ThesaurusKB:
 
     # -- navigation ---------------------------------------------------------
 
-    def class_by_number(self, number: int) -> Optional[RogetClass]:
-        for cls in self.classes:
-            if cls.number == number:
-                return cls
-        return None
-
-    def head_by_number(self, number: int) -> Optional[Head]:
-        located = self.head_address(number)
-        if located is None:
-            return None
-        node = self.resolve(located)
-        assert isinstance(node, Head)
-        return node
-
     def head_address(self, number: int) -> Optional[Address]:
         for cls, sec, head in self.walk_heads():
             if head.number == number:
@@ -385,7 +371,7 @@ class ThesaurusKB:
     def resolve(self, address: Address) -> Node:
         """Return the node an address names, or raise :class:`AddressError`
         naming the first missing level."""
-        cls = self.class_by_number(address.class_num)
+        cls = next((c for c in self.classes if c.number == address.class_num), None)
         if cls is None:
             raise AddressError(f"class {address.class_num} not found")
         if address.section_num is None:

@@ -24,10 +24,10 @@ warning. A directive closes whatever is open at its own level or deeper.
 Class numbers lie in 1..8 and ascend; section numbers are positive and
 ascend within their class; head numbers are positive and ascend across the
 file; a number of 0 is "not a positive integer", as is one not written in
-decimal digits. No construct may be empty: a class needs a section, a
-section a head, a head a paragraph, a paragraph a semicolon group.
-Diagnostics are collected rather than raised; a knowledge base is returned
-only when no error-severity diagnostic was produced.
+decimal digits or longer than 4,300 digits. No construct may be empty: a
+class needs a section, a section a head, a head a paragraph, a paragraph a
+semicolon group. Diagnostics are collected rather than raised; a knowledge
+base is returned only when no error-severity diagnostic was produced.
 """
 
 from __future__ import annotations
@@ -84,6 +84,13 @@ class ParseResult:
         return tuple(d for d in self.diagnostics if d.severity == "warning")
 
 
+def _number(text: str) -> int:
+    """``text`` read as a decimal number, or 0 (which no construct accepts)
+    when it is not one of at most 4,300 digits: Python's default limit on
+    int-string conversion, past which int() raises where it is enforced."""
+    return int(text) if text.isdecimal() and len(text) <= 4300 else 0
+
+
 def parse_cross_ref(token: str) -> Optional[CrossReference]:
     """Read one ``@<headnum> <keyword>`` annotation; None when the token is
     not a cross-reference. Raises ValueError for ``@`` with a bad number."""
@@ -92,12 +99,13 @@ def parse_cross_ref(token: str) -> Optional[CrossReference]:
         return None
     body = token[1:].strip()
     num_part, _, keyword = body.partition(" ")
-    if not num_part.isdecimal() or int(num_part) <= 0:
+    head_num = _number(num_part)
+    if head_num < 1:
         raise ValueError(f"bad cross-reference head number {num_part!r}")
     keyword = normalize(keyword)
     if not keyword:
         raise ValueError("cross-reference is missing its keyword")
-    return CrossReference(int(num_part), keyword)
+    return CrossReference(head_num, keyword)
 
 
 # Depths of the open constructs. A directive opens one a level below its
@@ -182,7 +190,7 @@ class _Builder:
             floor = self.last_head_num
         num_part, _, name = rest.partition(" ")
         name = " ".join(name.split())
-        number = int(num_part) if num_part.isdecimal() else 0
+        number = _number(num_part)
         if number < 1:
             self.error(line, f"{_LEVELS[depth]} number {num_part!r} is not a positive integer")
         elif not name:

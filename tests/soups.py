@@ -13,8 +13,9 @@ _LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 _IN_LINE = st.text(
     st.characters(codec="utf-8", exclude_characters=_LINE_BREAKS), max_size=8
 )
-# "\u00b2" is a digit to str.isdigit but no number to int
-_NUMBERS = st.sampled_from(["0", "1", "8", "9", "\u00b2", "x", ""])
+# "\u00b2" is a digit to str.isdigit but no number to int; 5,000 digits are
+# past Python's default limit on int-string conversion
+_NUMBERS = st.sampled_from(["0", "1", "8", "9", "\u00b2", "x", "", "7" * 5000])
 _DIRECTIVE = st.one_of(
     st.builds(
         "{} {} {}".format,

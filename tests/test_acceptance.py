@@ -114,15 +114,15 @@ def test_mini_net_structure(announce, res_dec):
         problems.append(f"{len(net.senses)} senses != 2")
     else:
         s1, s2 = net.senses
-        hypo1 = {s.lemma_set for s in s1.via(RelationType.HYPONYM)}
+        hypo1 = {frozenset(s.lemmas) for s in s1.via(RelationType.HYPONYM)}
         if hypo1 != {frozenset({"drop", "fall"}), frozenset({"shrinkage"})}:
             problems.append(f"sense-1 hyponyms {hypo1}")
-        hypo2 = {s.lemma_set for s in s2.via(RelationType.HYPONYM)}
+        hypo2 = {frozenset(s.lemmas) for s in s2.via(RelationType.HYPONYM)}
         for needed in (frozenset({"slippage"}), frozenset({"decline", "diminution"})):
             if needed not in hypo2:
                 problems.append(f"sense-2 hyponyms missing {set(needed)}")
         coords = {
-            s.lemma_set
+            frozenset(s.lemmas)
             for sense in net.senses
             for s in sense.via(RelationType.COORDINATE)
         }

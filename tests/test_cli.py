@@ -62,6 +62,10 @@ def b2(workdir) -> str:
     return str(out)
 
 
+# a head number of 5,000 digits, past Python's default limit on int-string conversion
+_LONG_HEAD_SOURCE = f"#CLASS 1 C\n#SECTION 1 S\n#HEAD {'7' * 5000} H\n#PARA N\nx;\n"
+
+
 class TestBuild:
     def test_success_message_and_warnings(self, workdir):
         out = workdir / "again.kb"
@@ -133,6 +137,14 @@ class TestBuild:
         assert "1:error: class number '\u00b2' is not a positive integer" in result.stderr
         assert not out.exists()
 
+    def test_number_past_the_digit_limit_exits_1(self, workdir):
+        bad = workdir / "long_number.roget"
+        bad.write_text(_LONG_HEAD_SOURCE, encoding="utf-8")
+        out = workdir / "long_number.kb"
+        result = invoke("build", str(bad), "--out", str(out), expect=1)
+        assert f"3:error: head number '{'7' * 5000}' is not a positive integer" in result.stderr
+        assert not out.exists()
+
     def test_section_numbered_zero_exits_1(self, workdir):
         bad = workdir / "section0.roget"
         bad.write_text(
@@ -166,6 +178,11 @@ def _rewritten(workdir: Path, bundle: str, mutate) -> str:
     return str(path)
 
 
+def _set_source(doc: dict, text: str) -> None:
+    doc["source"] = text
+    doc["meta"]["sourceChecksum"] = hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 def _set_lexicon(doc: dict, text: str) -> None:
     doc["lexicon"] = text
     doc["meta"]["lexChecksum"] = hashlib.sha256(text.encode("utf-8")).hexdigest()
@@ -183,7 +200,11 @@ MALFORMED_BUNDLES = {
     "lexicon-malformed-checksum-matches": lambda doc: _set_lexicon(doc, "BOGUS record\n"),
     "wrong-format": lambda doc: doc.update(format="rogetkb-structured"),
     "unsupported-version": lambda doc: doc.update(version=99),
+    # True == 1 and 1.0 == 1, but neither is the version 1
+    "version-bool": lambda doc: doc.update(version=True),
+    "version-float": lambda doc: doc.update(version=1.0),
     "unparseable-source": lambda doc: doc.update(source="#BOGUS\n"),
+    "source-long-head-number-checksum-matches": lambda doc: _set_source(doc, _LONG_HEAD_SOURCE),
     "lexicon-checksum-mismatch": lambda doc: doc.update(lexicon=doc["lexicon"] + "\n"),
     # json.dumps writes a lone surrogate as the escape \ud800
     "source-lone-surrogate": lambda doc: doc.update(source=doc["source"] + "\ud800"),
@@ -211,6 +232,18 @@ def test_non_json_bundle_exits_2(workdir):
     bad.write_text("#CLASS 1 C\n", encoding="utf-8")
     result = invoke("stats", "class", "--kb", str(bad), expect=2)
     assert result.stderr.startswith(f"error: bundle {bad} is not valid JSON")
+
+
+@pytest.mark.parametrize("text", [
+    "[" * 200_000,
+    '{"format": "rogetkb-bundle", "version": ' + "1" * 5000 + "}",
+], ids=["deeper-than-recursion-limit", "integer-past-digit-limit"])
+def test_undecodable_json_bundle_exits_2(workdir, text):
+    bad = workdir / "undecodable.kb"
+    bad.write_text(text, encoding="utf-8")
+    for args in (("lookup", "decrement"), ("stats", "pos")):
+        result = invoke(*args, "--kb", str(bad), expect=2)
+        assert result.stderr.startswith(f"error: bundle {bad} is not valid JSON")
 
 
 def _raise(*args):

@@ -174,6 +174,19 @@ class TestMiniNet:
             "b.n.1", "a.n.1", "c.n.1", "d.n.1",
         ]
 
+    def test_synset_reached_three_times_is_kept_at_its_first_position(self):
+        # x is a hyponym of both of a's hypernyms and an explicit coordinate of a
+        res = load_resource(
+            "SYN a.n.1 N a\nSYN h1.n.1 N h1\nSYN h2.n.1 N h2\nSYN x.n.1 N x\nSYN y.n.1 N y\n"
+            "REL hypernym a.n.1 h1.n.1\nREL hypernym a.n.1 h2.n.1\n"
+            "REL hypernym x.n.1 h1.n.1\nREL hypernym y.n.1 h2.n.1\nREL hypernym x.n.1 h2.n.1\n"
+            "REL coordinate a.n.1 x.n.1\n"
+        )
+        net = build_mini_net(res, "a", PartOfSpeech.NOUN)
+        assert [s.id for s in net.senses[0].via(RelationType.COORDINATE)] == [
+            "h1.n.1", "a.n.1", "x.n.1", "h2.n.1", "y.n.1",
+        ]
+
     def test_sense_two_hyponyms(self, res_dec):
         net = build_mini_net(res_dec, "decrement", PartOfSpeech.NOUN)
         assert [s.id for s in net.senses[1].via(RelationType.HYPONYM)] == [

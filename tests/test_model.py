@@ -239,13 +239,13 @@ class TestResolve:
 
 class TestHeadByNumber:
     def test_present(self, kb42):
-        assert kb42.head_by_number(42).number == 42
+        assert kb42.resolve(kb42.head_address(42)).number == 42
 
     def test_absent(self, kb42):
-        assert kb42.head_by_number(9999) is None
+        assert kb42.head_address(9999) is None
 
     def test_empty_kb(self):
-        assert ThesaurusKB(()).head_by_number(1) is None
+        assert ThesaurusKB(()).head_address(1) is None
 
 
 class TestCounts:
@@ -306,7 +306,7 @@ def test_checksum_ignores_formatting(kb42):
 
 
 def test_paragraph_positions_index_within_pos(kb2):
-    head = kb2.head_by_number(184)
+    head = kb2.resolve(kb2.head_address(184))
     positions = list(head.paragraph_positions())
     noun_indices = [idx for pos, idx, _ in positions if pos is PartOfSpeech.NOUN]
     assert noun_indices == [0, 1]

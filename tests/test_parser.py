@@ -202,6 +202,30 @@ class TestErrors:
             "bad cross-reference head number '\u00b2'"
         ]
 
+    def test_numbers_past_the_digit_limit_are_not_numbers(self):
+        # 5,000 digits are past Python's default limit on int-string conversion
+        long = "7" * 5000
+        assert [str(d) for d in parse_source(f"#CLASS {long} C\n").errors] == [
+            f"1:error: class number '{long}' is not a positive integer"
+        ]
+        assert f"2:error: section number '{long}' is not a positive integer" in [
+            str(d) for d in parse_source(f"#CLASS 1 C\n#SECTION {long} S\n").errors
+        ]
+        assert f"3:error: head number '{long}' is not a positive integer" in [
+            str(d) for d in parse_source(f"#CLASS 1 C\n#SECTION 1 S\n#HEAD {long} H\n").errors
+        ]
+        assert [str(d) for d in parse_source(doc(f"cut @{long} diminution;")).diagnostics] == [
+            f"5:error: bad cross-reference head number '{long}'"
+        ]
+
+    def test_numbers_up_to_the_digit_limit_parse(self):
+        long = "7" * 4300
+        kb = parse_ok(f"#CLASS 1 C\n#SECTION 1 S\n#HEAD {long} H\n#PARA N\nx @{long} y;\n")
+        (_, _, head), = kb.walk_heads()
+        assert head.number == int(long)
+        assert head.paragraphs[0].groups[0].entries[0].cross_refs[0].head_num == int(long)
+        assert parse_source(serialize_kb(kb)).kb == kb
+
     def test_ref_without_keyword(self):
         assert "cross-reference is missing its keyword" in errors_of(doc("cut @37;"))
 
