@@ -31,7 +31,7 @@ from .lexnet import (
     build_mini_net,
     load_resource,
 )
-from .metrics import PathResult, RankedPair, rank_pairs, sg_distance, similarity, word_distance
+from .metrics import PathResult, sg_distance, word_distance
 from .model import (
     Address,
     AddressError,

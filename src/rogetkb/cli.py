@@ -41,7 +41,7 @@ _KB_OPTION = click.option(
 
 def _read_text(path: str) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         click.echo(f"error: cannot read {path}: {exc}", err=True)
         sys.exit(EXIT_IO)

@@ -10,12 +10,12 @@ Cross-references never create shortcuts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 from .index import LexicalIndex
 from .model import MAX_GROUP_DISTANCE, SG_LEVEL, Address, AddressError, ThesaurusKB
 
-__all__ = ["PathResult", "RankedPair", "sg_distance", "word_distance", "similarity", "rank_pairs"]
+__all__ = ["PathResult", "sg_distance", "word_distance"]
 
 
 @dataclass(frozen=True)
@@ -82,32 +82,3 @@ def word_distance(
                     return best
     return best
 
-
-def similarity(
-    kb: ThesaurusKB, idx: LexicalIndex, word_a: str, word_b: str
-) -> Optional[float]:
-    """1 − distance/12, in [0, 1]; None when either word is unindexed."""
-    result = word_distance(kb, idx, word_a, word_b)
-    return None if result is None else result.similarity
-
-
-@dataclass(frozen=True)
-class RankedPair:
-    words: tuple[str, str]
-    result: Optional[PathResult]
-
-    @property
-    def distance(self) -> Optional[int]:
-        return None if self.result is None else self.result.distance
-
-    @property
-    def similarity(self) -> Optional[float]:
-        return None if self.result is None else self.result.similarity
-
-
-def rank_pairs(
-    kb: ThesaurusKB, idx: LexicalIndex, pairs: Sequence[tuple[str, str]]
-) -> list[RankedPair]:
-    """Ascending by distance, stable, unindexed pairs last."""
-    ranked = [RankedPair((a, b), word_distance(kb, idx, a, b)) for a, b in pairs]
-    return sorted(ranked, key=lambda r: (r.distance is None, r.distance))

@@ -14,6 +14,7 @@ not depend on the parser.
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Optional, Union
 
@@ -168,6 +169,14 @@ class AddressError(ValueError):
     """An address component is malformed or does not exist in the tree."""
 
 
+# At most 4,300 digits, the default int-string limit, so every Python reads alike
+_NUMBER = r"(0|[1-9][0-9]{0,4299})"
+_ADDRESS_TEXT = re.compile(
+    rf"{_NUMBER}(?:\.{_NUMBER}(?:\.{_NUMBER}"
+    rf"(?::(N|ADJ|VB|ADV|INT):{_NUMBER}(?::{_NUMBER}(?::{_NUMBER})?)?)?)?)?"
+)
+
+
 class _AddressFields(NamedTuple):
     """The components of :class:`Address`, which adds the checks (a
     NamedTuple cannot override ``__new__`` in its own body)."""
@@ -250,55 +259,31 @@ class Address(_AddressFields):
         return Address(*self[:SG_LEVEL])
 
     def __str__(self) -> str:
-        dotted = [str(self.class_num)]
-        if self.section_num is not None:
-            dotted.append(str(self.section_num))
-        if self.head_num is not None:
-            dotted.append(str(self.head_num))
-        out = ".".join(dotted)
-        if self.pos is not None:
-            out += f":{self.pos.value}:{self.para_idx}"
-            if self.sg_idx is not None:
-                out += f":{self.sg_idx}"
-                if self.entry_idx is not None:
-                    out += f":{self.entry_idx}"
-        return out
+        class_num, section, head, pos, para, group, entry = self
+        if entry is not None:
+            return f"{class_num}.{section}.{head}:{pos.value}:{para}:{group}:{entry}"
+        if group is not None:
+            return f"{class_num}.{section}.{head}:{pos.value}:{para}:{group}"
+        if pos is not None:
+            return f"{class_num}.{section}.{head}:{pos.value}:{para}"
+        if head is not None:
+            return f"{class_num}.{section}.{head}"
+        if section is not None:
+            return f"{class_num}.{section}"
+        return f"{class_num}"
 
     @classmethod
     def parse(cls, text: str) -> "Address":
-        """Inverse of ``str``: accepts any valid prefix depth."""
-        text = text.strip()
-        if not text:
-            raise AddressError("empty address")
-        fields = text.split(":")
-        dotted = fields[0].split(".")
-        if len(dotted) > 3:
-            raise AddressError(f"too many dotted components in {text!r}")
-        try:
-            nums = [int(part) for part in dotted]
-        except ValueError:
-            raise AddressError(f"non-numeric path component in {text!r}") from None
-        class_num = nums[0]
-        section_num = nums[1] if len(nums) > 1 else None
-        head_num = nums[2] if len(nums) > 2 else None
-        pos = para = sg = ent = None
-        rest = fields[1:]
-        if rest:
-            if head_num is None:
-                raise AddressError(f"paragraph components without a head in {text!r}")
-            if len(rest) < 2 or len(rest) > 4:
-                raise AddressError(f"expected POS:para[:group[:entry]] in {text!r}")
-            try:
-                pos = PartOfSpeech.parse(rest[0])
-            except ValueError as exc:
-                raise AddressError(str(exc)) from None
-            try:
-                para = int(rest[1])
-                sg = int(rest[2]) if len(rest) > 2 else None
-                ent = int(rest[3]) if len(rest) > 3 else None
-            except ValueError:
-                raise AddressError(f"non-numeric index in {text!r}") from None
-        return cls(class_num, section_num, head_num, pos, para, sg, ent)
+        """Inverse of ``str``: reads exactly ``n[.n[.n[:POS:n[:n[:n]]]]]`` after
+        stripping surrounding whitespace, where ``n`` is ``0`` or at most 4,300
+        ASCII digits with no leading zero and POS is upper case. Other text is a
+        ``malformed address``; the constructor then checks the components."""
+        match = _ADDRESS_TEXT.fullmatch(text.strip())
+        if match is None:
+            raise AddressError(f"malformed address {text!r}")
+        numbers = [None if part is None else int(part) for part in match.group(1, 2, 3, 5, 6, 7)]
+        pos = match[4] and PartOfSpeech(match[4])
+        return cls(*numbers[:3], pos, *numbers[3:])
 
 
 @dataclass(frozen=True)

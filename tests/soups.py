@@ -6,6 +6,8 @@ the bundle round-trip property and the CLI fuzz test.
 
 from __future__ import annotations
 
+import itertools
+
 from hypothesis import strategies as st
 
 # str.splitlines breaks a line at each of these; an entry token never holds one
@@ -15,26 +17,28 @@ _IN_LINE = st.text(
 )
 # "\u00b2" is a digit to str.isdigit but no number to int; 5,000 digits are
 # past Python's default limit on int-string conversion
-_NUMBERS = st.sampled_from(["0", "1", "8", "9", "\u00b2", "x", "", "7" * 5000])
+_NUMBERS = ["0", "1", "8", "9", "\u00b2", "x", "", "7" * 5000]
+# Fixed choices are enumerated up front: one draw from a list costs far less
+# than the nested draws that would build the same strings.
 _DIRECTIVE = st.one_of(
-    st.builds(
-        "{} {} {}".format,
-        st.sampled_from(["#CLASS", "#SECTION", "#HEAD"]),
-        _NUMBERS,
-        st.sampled_from(["", "Name", "Two  Words"]),
-    ),
-    st.builds("#PARA {}".format, st.sampled_from(["N", "adj", "VB", "ADV", "INT", "XYZ", ""])),
+    st.sampled_from([
+        f"{level} {number} {name}"
+        for level in ("#CLASS", "#SECTION", "#HEAD")
+        for number in _NUMBERS
+        for name in ("", "Name", "Two  Words")
+    ]),
+    st.sampled_from([f"#PARA {pos}" for pos in ("N", "adj", "VB", "ADV", "INT", "XYZ", "")]),
     st.sampled_from(["#FOO", "#", "#FOO 1 Name"]),
 )
 _TEXT = st.one_of(_IN_LINE, st.sampled_from(["word", "Two  Words", "#z", "//c", " "]))
-_REF = st.builds("@{} {}".format, st.one_of(st.just("42"), _NUMBERS), _TEXT)
+_REF = st.builds("@{} {}".format, st.sampled_from(["42", *_NUMBERS]), _TEXT)
 _TOKEN = st.one_of(
     _TEXT, st.builds(lambda text, refs: " ".join([text, *refs]), _TEXT, st.lists(_REF, max_size=2))
 )
 _ENTRY_LINE = st.builds(
     lambda tokens, seps, tail: "".join(t + s for t, s in zip(tokens, seps)) + tail,
     st.lists(_TOKEN, min_size=1, max_size=4),
-    st.lists(st.sampled_from([",", ";", ", ,", ";;", " ; "]), min_size=4, max_size=4),
+    st.sampled_from(list(itertools.product([",", ";", ", ,", ";;", " ; "], repeat=4))),
     st.sampled_from(["", ";", ","]),
 )
 _COMMENT = st.builds("//{}".format, _IN_LINE)
@@ -45,21 +49,30 @@ _BODY = st.one_of(_ENTRY_LINE, _COMMENT, st.just(""))
 # entries that never open a group with "#" or "//" and refs that always parse;
 # some need JSON escapes (a quote, a backslash, control characters) and one is
 # a lemma of the decrement.lex fixture
-_WORD = st.sampled_from([
+_WORDS = [
     "word", "Two  Words", "x-y", "caf\u00e9", "a#b", " spaced ",
     'say "so"', "back\\slash", "bell\x07\x1b", "decrement",
+]
+_GOOD_REFS = [f"@{head} {word}" for head in ("1", "2", "42") for word in _WORDS]
+_GOOD_ENTRY = st.sampled_from([
+    " ".join([word, *refs])
+    for word in _WORDS
+    for refs in [(), *itertools.product(_GOOD_REFS), *itertools.product(_GOOD_REFS, repeat=2)]
 ])
-_GOOD_ENTRY = st.builds(
-    lambda text, refs: " ".join([text, *refs]),
-    _WORD,
-    st.lists(st.builds("@{} {}".format, st.sampled_from(["1", "2", "42"]), _WORD), max_size=2),
-)
 _GOOD_GROUP_LINE = st.builds(
     lambda entries, end: ", ".join(entries) + end,
     st.lists(_GOOD_ENTRY, min_size=1, max_size=3),
     st.sampled_from([";", ";", "; ;", ","]),
 )
 _GOOD_BODY = st.one_of(_GOOD_GROUP_LINE, _COMMENT, st.just(""))
+_CLASS_SETS = st.sampled_from([
+    *itertools.combinations(range(1, 9), 1), *itertools.combinations(range(1, 9), 2)
+])
+_POS_TAGS = ["N", "adj", "VB", "ADV", "INT"]
+# per head: the step to its number, its name, and the tags of its paragraphs
+_HEAD_OPENING = st.sampled_from(list(itertools.product(
+    range(1, 4), _WORDS, [*itertools.product(_POS_TAGS), *itertools.product(_POS_TAGS, repeat=2)]
+)))
 
 
 @st.composite
@@ -68,15 +81,15 @@ def _well_formed(draw) -> list[str]:
     child, down to paragraphs that open with a whole group."""
     lines = []
     head = 0
-    for cls in sorted(draw(st.sets(st.integers(1, 8), min_size=1, max_size=2))):
+    for cls in draw(_CLASS_SETS):
         lines.append(f"#CLASS {cls} Class {cls}")
         for section in range(1, draw(st.integers(1, 2)) + 1):
             lines.append(f"#SECTION {section} S")
             for _ in range(draw(st.integers(1, 2))):
-                head += draw(st.integers(1, 3))
-                lines.append(f"#HEAD {head} {draw(_WORD)}")
-                for pos in draw(st.lists(st.sampled_from(["N", "adj", "VB", "ADV", "INT"]),
-                                         min_size=1, max_size=2)):
+                step, name, tags = draw(_HEAD_OPENING)
+                head += step
+                lines.append(f"#HEAD {head} {name}")
+                for pos in tags:
                     lines.append(f"#PARA {pos}")
                     lines.append(draw(_GOOD_GROUP_LINE))
                     lines += draw(st.lists(_GOOD_BODY, max_size=2))

@@ -110,6 +110,21 @@ class TestBuild:
         )
         assert out.read_bytes() == Path(b42).read_bytes()
 
+    @pytest.mark.parametrize(
+        "marked", [{"head42.roget"}, {"decrement.lex"}, {"head42.roget", "decrement.lex"}]
+    )
+    def test_leading_byte_order_mark_is_skipped(self, workdir, b42, marked):
+        paths = []
+        for name in ("head42.roget", "decrement.lex"):
+            path = workdir / name
+            if name in marked:
+                path = workdir / f"bom_{name}"
+                path.write_bytes(b"\xef\xbb\xbf" + (workdir / name).read_bytes())
+            paths.append(str(path))
+        out = workdir / "bom.kb"
+        invoke("build", paths[0], "--lex", paths[1], "--out", str(out))
+        assert out.read_bytes() == Path(b42).read_bytes()
+
     def test_tampered_bundle_refuses_to_load(self, workdir, b42):
         doc = json.loads(Path(b42).read_text(encoding="utf-8"))
         doc["source"] = doc["source"].replace("toll", "tolls")

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from corpusgen import WORDS, generate
 from oracles import bfs_distance, materialize_graph
 from rogetkb.index import build_index
-from rogetkb.metrics import rank_pairs, sg_distance, similarity, word_distance
+from rogetkb.metrics import sg_distance, word_distance
 from rogetkb.model import Address, AddressError
 from rogetkb.parser import parse_source
 
@@ -176,43 +176,15 @@ def test_generated_word_distances_match_bfs(seed):
 
 class TestSimilarity:
     def test_linear_in_distance(self, kb2, idx2):
-        assert similarity(kb2, idx2, "void", "emptiness") == 1.0
-        assert similarity(kb2, idx2, "nothingness", "void") == pytest.approx(5 / 6)
-        assert similarity(kb2, idx2, "existence", "regionally") == 0.0
+        assert word_distance(kb2, idx2, "void", "emptiness").similarity == 1.0
+        assert word_distance(kb2, idx2, "nothingness", "void").similarity == pytest.approx(5 / 6)
+        assert word_distance(kb2, idx2, "existence", "regionally").similarity == 0.0
 
     def test_none_for_unindexed(self, kb2, idx2):
-        assert similarity(kb2, idx2, "ghost", "void") is None
+        assert word_distance(kb2, idx2, "ghost", "void") is None
 
     def test_bounds_hold_everywhere(self, kb2, idx2):
         words = ["void", "existence", "space", "relate", "nowhere"]
         for a, b in itertools.product(words, repeat=2):
-            s = similarity(kb2, idx2, a, b)
+            s = word_distance(kb2, idx2, a, b).similarity
             assert 0.0 <= s <= 1.0
-
-
-class TestRankPairs:
-    def test_ascending_with_unindexed_last(self, kb2, idx2):
-        pairs = [
-            ("existence", "regionally"),
-            ("void", "emptiness"),
-            ("ghost", "void"),
-            ("nothingness", "void"),
-        ]
-        ranked = rank_pairs(kb2, idx2, pairs)
-        assert [r.words for r in ranked] == [
-            ("void", "emptiness"),
-            ("nothingness", "void"),
-            ("existence", "regionally"),
-            ("ghost", "void"),
-        ]
-        assert [r.distance for r in ranked] == [0, 2, 12, None]
-        assert [r.similarity for r in ranked[:3]] == pytest.approx([1.0, 10 / 12, 0.0])
-        assert ranked[3].similarity is None
-
-    def test_stable_for_equal_distances(self, kb2, idx2):
-        pairs = [("existence", "being"), ("blank", "void"), ("relation", "bearing")]
-        ranked = rank_pairs(kb2, idx2, pairs)
-        assert [r.words for r in ranked] == pairs  # all distance 0, input order
-
-    def test_empty(self, kb2, idx2):
-        assert rank_pairs(kb2, idx2, []) == []

@@ -71,6 +71,12 @@ _CLASS_VALUES = st.integers(-2, 3) | st.sampled_from([1.0, "1"])
 _POS_VALUES = st.none() | st.sampled_from(PartOfSpeech)
 
 
+# Numbers for the text checks: up to the longest that ``str`` writes on
+# every Python, 4,300 digits.
+def _text_numbers(minimum: int):
+    return st.integers(minimum, 10**4300 - 1) | st.just(10**4300 - 1)
+
+
 class TestAddress:
     def test_str_and_parse_round_trip_all_depths(self):
         samples = [
@@ -84,6 +90,22 @@ class TestAddress:
         ]
         for text in samples:
             assert str(Address.parse(text)) == text
+
+    @given(st.builds(
+        lambda components, depth: Address(*components[:depth]),
+        st.tuples(*[_text_numbers(1)] * 3, st.sampled_from(PartOfSpeech), *[_text_numbers(0)] * 3),
+        st.sampled_from([1, 2, 3, 5, 6, 7]),
+    ))
+    def test_parse_inverts_str(self, address):
+        assert Address.parse(str(address)) == address
+
+    @given(st.text(alphabet="0123456789.:+_- NADJVBIT٣²"))
+    def test_parse_reads_only_what_str_writes(self, text):
+        try:
+            address = Address.parse(text)
+        except AddressError:
+            return
+        assert str(address) == text.strip()
 
     def test_levels(self):
         assert Address.parse("7").level == 1
