@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from json.encoder import encode_basestring
-from typing import Any, Callable, Iterator, Optional, TextIO, Union
+from typing import Any, Callable, Iterable, Iterator, Optional, TextIO, Union
 
 from .aligner import class_coverage, common_strings, pos_distribution
 from .index import LexicalIndex, build_index
@@ -44,7 +44,8 @@ class BuildMeta:
 class KBBundle:
     """A loaded bundle: the parsed knowledge base and its checked metadata.
     The index and the lexicon are built on first access, so a command pays
-    only for the layers it reads."""
+    only for the layers it reads; a command that answers one query indexes
+    only its words."""
 
     def __init__(
         self, kb: ThesaurusKB, meta: BuildMeta, lex_text: Optional[str], path: str
@@ -56,7 +57,13 @@ class KBBundle:
 
     @cached_property
     def index(self) -> LexicalIndex:
+        """The full index, built once: the path for many queries."""
         return build_index(self.kb)
+
+    def index_of(self, words: Iterable[str]) -> LexicalIndex:
+        """An index of ``words`` alone, built by one walk that keeps only
+        their postings and not cached: the path for a single query."""
+        return build_index(self.kb, words)
 
     @cached_property
     def resource(self) -> Optional[SynsetResource]:

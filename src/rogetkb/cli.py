@@ -119,7 +119,7 @@ def lookup(word: str, kb_path: str) -> None:
     A miss prints nothing and still exits 0.
     """
     bundle = _load(kb_path)
-    for addr in bundle.index.lookup(word):
+    for addr in bundle.index_of([word]).lookup(word):
         head = bundle.kb.resolve(Address(*addr[:3]))
         para = bundle.kb.resolve(Address(*addr[:5]))
         click.echo(f"{addr}\t{head.name}\t{para.keyword}")
@@ -132,12 +132,13 @@ def lookup(word: str, kb_path: str) -> None:
 def sim(word_a: str, word_b: str, kb_path: str) -> None:
     """Edge-counting distance and similarity between two words."""
     bundle = _load(kb_path)
-    missing = [w for w in (word_a, word_b) if not bundle.index.lookup(w)]
+    index = bundle.index_of([word_a, word_b])
+    missing = [w for w in (word_a, word_b) if not index.lookup(w)]
     if missing:
         for word in missing:
             click.echo(f"error: word not indexed: {word}", err=True)
         sys.exit(EXIT_MISSING)
-    result = word_distance(bundle.kb, bundle.index, word_a, word_b)
+    result = word_distance(bundle.kb, index, word_a, word_b)
     click.echo(
         f"distance={result.distance} similarity={result.similarity:.4f} "
         f"lca={result.lca_level} a={result.witness_a} b={result.witness_b}"

@@ -124,15 +124,16 @@ class SynsetResource:
         return {lemma: tuple(ids) for lemma, ids in index.items()}
 
     @cached_property
-    def _neighbour_ids(self) -> dict[tuple[str, RelationType], tuple[str, ...]]:
+    def _neighbour_ids(self) -> dict[tuple[str, RelationType], list[str]]:
         """Neighbour ids per ``(synset, relation)``. Each hypernym edge is
-        also filed in reverse as a hyponym edge."""
+        also filed in reverse as a hyponym edge. The lists are kept as built:
+        copying them into tuples would hold the table twice at its peak."""
         table: dict[tuple[str, RelationType], list[str]] = {}
         for src, rel, dst in self.edges:
             table.setdefault((src, rel), []).append(dst)
             if rel is RelationType.HYPERNYM:
                 table.setdefault((dst, RelationType.HYPONYM), []).append(src)
-        return {key: tuple(ids) for key, ids in table.items()}
+        return table
 
     def neighbours(self, synset_id: str, relation: RelationType) -> tuple[Synset, ...]:
         """Synsets one ``relation`` edge away, in file order."""

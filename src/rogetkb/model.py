@@ -36,6 +36,7 @@ __all__ = [
     "HeadTally",
     "SG_LEVEL",
     "MAX_GROUP_DISTANCE",
+    "MAX_DIGITS",
 ]
 
 # Tree depth constants: root=0, class=1, section=2, head=3, POS group=4,
@@ -169,8 +170,11 @@ class AddressError(ValueError):
     """An address component is malformed or does not exist in the tree."""
 
 
-# At most 4,300 digits, the default int-string limit, so every Python reads alike
-_NUMBER = r"(0|[1-9][0-9]{0,4299})"
+# Numbers in addresses and source text have at most MAX_DIGITS digits, the
+# default int-string limit, so every Python reads and prints them alike.
+MAX_DIGITS = 4300
+_NUMBER_END = 10**MAX_DIGITS
+_NUMBER = rf"(0|[1-9][0-9]{{0,{MAX_DIGITS - 1}}})"
 _ADDRESS_TEXT = re.compile(
     rf"{_NUMBER}(?:\.{_NUMBER}(?:\.{_NUMBER}"
     rf"(?::(N|ADJ|VB|ADV|INT):{_NUMBER}(?::{_NUMBER}(?::{_NUMBER})?)?)?)?)?"
@@ -198,9 +202,9 @@ class Address(_AddressFields):
     (pos, para_idx) together, sg_idx, entry_idx. Rendered as
     ``class.section.head:POS:para:sg:entry`` truncated at the last set
     component, e.g. ``1.3.42:N:0:0:0`` for an entry or ``1.3`` for a
-    section. The first ``n`` components (``n`` not 4) are those of the
-    level-``n`` ancestor. Addresses are ordered by :meth:`sort_key`, not by
-    ``<``.
+    section. Each number has at most :data:`MAX_DIGITS` digits. The first
+    ``n`` components (``n`` not 4) are those of the level-``n`` ancestor.
+    Addresses are ordered by :meth:`sort_key`, not by ``<``.
     """
 
     __slots__ = ()
@@ -224,8 +228,11 @@ class Address(_AddressFields):
                 seen_gap = True
             elif seen_gap:
                 raise AddressError(f"{name} component set without its parent levels")
-            elif type(value) is not int or value < minimum:
-                raise AddressError(f"bad {name} component {value!r}")
+            elif type(value) is not int or not minimum <= value < _NUMBER_END:
+                # repr of an int past the limit raises ValueError, so it is not shown
+                shown = (f"of more than {MAX_DIGITS} digits"
+                         if isinstance(value, int) and abs(value) >= _NUMBER_END else repr(value))
+                raise AddressError(f"bad {name} component {shown}")
         return tuple.__new__(
             cls, (class_num, section_num, head_num, pos, para_idx, sg_idx, entry_idx)
         )

@@ -36,6 +36,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .model import (
+    MAX_DIGITS,
     CrossReference,
     Entry,
     Head,
@@ -86,9 +87,10 @@ class ParseResult:
 
 def _number(text: str) -> int:
     """``text`` read as a decimal number, or 0 (which no construct accepts)
-    when it is not one of at most 4,300 digits: Python's default limit on
-    int-string conversion, past which int() raises where it is enforced."""
-    return int(text) if text.isdecimal() and len(text) <= 4300 else 0
+    when it is not one of at most :data:`MAX_DIGITS` (4,300) digits: Python's
+    default limit on int-string conversion, past which int() raises where it
+    is enforced."""
+    return int(text) if text.isdecimal() and len(text) <= MAX_DIGITS else 0
 
 
 def parse_cross_ref(token: str) -> Optional[CrossReference]:

@@ -297,6 +297,20 @@ class TestLazyLayers:
         monkeypatch.setattr("rogetkb.bundle.build_index", _raise)
         _call(args, b42, workdir / "lazy.out")
 
+    @pytest.mark.parametrize("args, expect, stdout, stderr", [
+        (_LOOKUP, 0, "1.3.42:N:0:0:0\tDecrement: thing deducted\tdecrement\n", ""),
+        (("lookup", "zzzz", "--kb", "{kb}"), 0, "", ""),
+        (("sim", "decrement", "allowance", "--kb", "{kb}"), 0,
+         "distance=2 similarity=0.8333 lca=5 a=1.3.42:N:0:0:0 b=1.3.42:N:0:1:0\n", ""),
+        (("sim", "decrement", "zzzz", "--kb", "{kb}"), 3, "", "error: word not indexed: zzzz\n"),
+    ], ids=["lookup-hit", "lookup-miss", "sim", "sim-exit-3"])
+    def test_single_queries_never_read_the_full_index(
+        self, workdir, b42, monkeypatch, args, expect, stdout, stderr
+    ):
+        monkeypatch.setattr("rogetkb.bundle.KBBundle.index", property(_raise))
+        result = _call(args, b42, workdir / "lazy.out", expect=expect)
+        assert (result.stdout, result.stderr) == (stdout, stderr)
+
     @pytest.mark.parametrize("args", [_LOOKUP, _SIM, _STATS_POS, _STATS_CLASS, _STATS_HEAD,
                                       _LABEL, _EXPORT_STRUCTURED],
                              ids=["lookup", "sim", "stats-pos", "stats-class", "stats-head",

@@ -9,6 +9,7 @@ from oracles import reference_index
 from rogetkb.index import build_index
 from rogetkb.model import Address
 from rogetkb.parser import parse_source
+from rogetkb.text import normalize
 from soups import line_soups
 
 
@@ -157,3 +158,46 @@ def test_kb_strings_and_counts_agree_with_the_index(text):
         idx = build_index(kb)
         assert kb.entry_strings() == frozenset(idx.entries)
         assert kb.count_nodes().total.entries == occurrences(idx)
+
+
+def assert_scoped_matches(kb, words):
+    """``build_index(kb, words)`` answers each asked word as the full index
+    and the sorting oracle do, and holds exactly the asked words that occur."""
+    full, ref, scoped = build_index(kb), reference_index(kb), build_index(kb, words)
+    for word in words:
+        assert scoped.lookup(word) == full.lookup(word) == ref.lookup(word)
+    assert set(scoped.entries) == {normalize(word) for word in words} & set(full.entries)
+
+
+def _spellings(text: str):
+    """An entry text as a query may spell it: other case, other whitespace."""
+    return st.sampled_from([text, text.upper(), f" \t{text}  ", text.replace(" ", "  \n ")])
+
+
+# a blank word, misses, and words the soups' entries often hold
+_OTHER_WORDS = st.sampled_from(["", "   ", "zeppelin", "word", "Two  Words", "decrement"])
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(text=line_soups(), data=st.data())
+def test_scoped_index_matches_the_full_index(text, data):
+    kb = parse_source(text).kb
+    if kb is None:
+        return
+    texts = sorted(kb.entry_strings())
+    hits = st.sampled_from(texts).flatmap(_spellings) if texts else st.nothing()
+    words = data.draw(st.lists(st.one_of(hits, _OTHER_WORDS), min_size=1, max_size=3))
+    # the same word twice, as ``sim a a`` asks it
+    words += data.draw(st.sampled_from([[], words[:1]]))
+    assert_scoped_matches(kb, words)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_scoped_index_of_a_generated_corpus(perfbench_corpus, seed):
+    corpus = perfbench_corpus.generate(seed, scale=0.02)
+    kb = parse_source(corpus.canonical).kb
+    hot, rare = corpus.words[0], corpus.words[-1]
+    assert len(corpus.senses[hot]) > len(corpus.senses[rare])
+    for words in ([hot], [rare], ["not a word"], [hot, rare], [hot, hot], [rare, "not a word"],
+                  [hot.upper(), f"  {rare} "], [""]):
+        assert_scoped_matches(kb, words)

@@ -186,6 +186,18 @@ class TestAddress:
         numbers = address[1:3] + address[4:]
         assert all(value is None or type(value) is int for value in numbers)
 
+    def test_numbers_have_at_most_4300_digits(self):
+        # the default int-string limit: a longer number could not be printed
+        entry = [1, 1, 1, PartOfSpeech.NOUN, 0, 0, 0]
+        for position in (0, 1, 2, 4, 5, 6):
+            address = Address(*entry[:position], 10**4300 - 1, *entry[position + 1:])
+            assert Address.parse(str(address)) == address
+            assert repr(address).startswith("Address(")
+            with pytest.raises(AddressError, match="component of more than 4300 digits$"):
+                Address(*entry[:position], 10**4300, *entry[position + 1:])
+        with pytest.raises(AddressError, match="^bad class component of more than 4300 digits$"):
+            Address(-(10**4300))
+
     def test_replace_and_make_validate(self):
         entry = Address.parse("1.3.42:N:0:4:2")
         assert entry._replace(entry_idx=3) == Address.parse("1.3.42:N:0:4:3")
