@@ -29,6 +29,7 @@ from .lexnet import (
     Synset,
     SynsetResource,
     build_mini_net,
+    lexicon_lemmas,
     load_resource,
 )
 from .metrics import PathResult, sg_distance, word_distance

@@ -90,9 +90,10 @@ class HeadCoverage:
     pct_common_keywords: float
 
 
-def common_strings(kb: ThesaurusKB, res: SynsetResource) -> frozenset[str]:
-    """Normalized strings present in both resources."""
-    return kb.entry_strings() & res.all_lemmas()
+def common_strings(kb: ThesaurusKB, lemmas: frozenset[str]) -> frozenset[str]:
+    """Normalized strings present in both resources: the entry strings of
+    ``kb`` that are among a lexicon's ``lemmas``."""
+    return kb.entry_strings() & lemmas
 
 
 def _head_name_key(name: str, use_stripped: bool) -> str:
@@ -145,15 +146,14 @@ def class_coverage(
 
 def head_coverage(
     kb: ThesaurusKB,
-    res: Optional[SynsetResource],
+    lemmas: frozenset[str],
     common: frozenset[str],
     *,
     strip_gloss: bool = False,
 ) -> tuple[HeadCoverage, ...]:
     """One row per head, sorted descending by pct_common_strings, ties by
     ascending head number. head_name_in_lex tests the name against the
-    resource's lemmas (not the intersection); with no resource it is False."""
-    lemmas = res.all_lemmas() if res is not None else frozenset()
+    lexicon's ``lemmas`` (not the intersection)."""
     out = [
         HeadCoverage(
             head.number, head.name, _head_name_key(head.name, strip_gloss) in lemmas,

@@ -19,7 +19,7 @@ from typing import Any, Callable, Iterable, Iterator, Optional, TextIO, Union
 
 from .aligner import class_coverage, common_strings, pos_distribution
 from .index import LexicalIndex, build_index
-from .lexnet import LexiconError, SynsetResource, load_resource
+from .lexnet import LexiconError, SynsetResource, lexicon_lemmas, load_resource
 from .model import RogetClass, Section, ThesaurusKB
 from .parser import ParseDiagnostic, parse_source, serialize_kb
 
@@ -45,7 +45,7 @@ class KBBundle:
     """A loaded bundle: the parsed knowledge base and its checked metadata.
     The index and the lexicon are built on first access, so a command pays
     only for the layers it reads; a command that answers one query indexes
-    only its words."""
+    only its words, and one that counts lemmas never builds the synset graph."""
 
     def __init__(
         self, kb: ThesaurusKB, meta: BuildMeta, lex_text: Optional[str], path: str
@@ -65,17 +65,31 @@ class KBBundle:
         their postings and not cached: the path for a single query."""
         return build_index(self.kb, words)
 
-    @cached_property
-    def resource(self) -> Optional[SynsetResource]:
-        """The embedded lexicon, or None; raises BundleError when it is malformed."""
-        if self._lex_text is None:
-            return None
+    def _read_lexicon(self, read: Callable[[str], Any]) -> Any:
+        """``read`` of the embedded lexicon text; BundleError when it is malformed."""
         try:
-            resource = load_resource(self._lex_text)
+            return read(self._lex_text)
         except LexiconError as exc:
             raise BundleError(f"bundle {self._path} carries a malformed lexicon: {exc}") from exc
+
+    @cached_property
+    def resource(self) -> Optional[SynsetResource]:
+        """The embedded lexicon's synset graph, or None; raises BundleError
+        when it is malformed."""
+        if self._lex_text is None:
+            return None
+        resource = self._read_lexicon(load_resource)
         self._lex_text = None  # cached from here on; the text need not live through the command
         return resource
+
+    @cached_property
+    def lemmas(self) -> Optional[frozenset[str]]:
+        """Every lemma of the embedded lexicon, or None; raises BundleError
+        when it is malformed. Checked without building the synset graph,
+        unless ``resource`` has already built it."""
+        if self._lex_text is None:  # no lexicon, or ``resource`` holds it now
+            return None if self.resource is None else self.resource.all_lemmas()
+        return self._read_lexicon(lexicon_lemmas)
 
 
 def _sha256(text: str) -> str:
@@ -237,15 +251,15 @@ def _taxonomy(classes: tuple[RogetClass, ...]) -> Iterator[str]:
 
 def structured_document(bundle: KBBundle, out: TextIO, *, strip_gloss: bool = False) -> None:
     """Write the machine-readable export to the text stream ``out``: full
-    taxonomy, index statistics, and (when a resource is present) coverage rows,
+    taxonomy, index statistics, and (when the bundle carries a lexicon) coverage rows,
     laid out as ``json.dumps(indent=2)`` lays them out, in fixed key order. The
     taxonomy is streamed a section at a time, never the whole document at once."""
     kb = bundle.kb
     counts = kb.count_nodes().total
 
     coverage = None
-    if bundle.resource is not None:
-        common = common_strings(kb, bundle.resource)
+    if bundle.lemmas is not None:
+        common = common_strings(kb, bundle.lemmas)
         report = class_coverage(kb, common, strip_gloss=strip_gloss)
 
         def row(r) -> dict:

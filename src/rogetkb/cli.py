@@ -24,7 +24,8 @@ from .aligner import (
     pos_distribution,
 )
 from .bundle import BundleError, KBBundle, load_bundle, structured_document, write_bundle
-from .lexnet import LABEL_PRECEDENCE, LexiconError, RelationType, load_resource
+from .lexnet import LABEL_PRECEDENCE, LexiconError, RelationType, lexicon_lemmas
+from .lexnet import load_resource  # unused; perfbench/tracer.py binds it here
 from .metrics import word_distance
 from .model import Address, AddressError, PartOfSpeech
 from .parser import parse_source, serialize_kb
@@ -47,13 +48,14 @@ def _read_text(path: str) -> str:
         sys.exit(EXIT_IO)
 
 
-def _load(kb_path: str, *, lexicon: bool = False) -> KBBundle:
-    """Load the bundle. With ``lexicon``, also build its lexicon now, so that
-    a malformed one exits before the command prints or writes anything."""
+def _load(kb_path: str, lexicon: Optional[str] = None) -> KBBundle:
+    """Load the bundle. With ``lexicon`` (``"resource"`` or ``"lemmas"``), also
+    build that layer of its lexicon now, so that a malformed one exits before
+    the command prints or writes anything."""
     try:
         bundle = load_bundle(kb_path)
-        if lexicon:
-            bundle.resource
+        if lexicon is not None:
+            getattr(bundle, lexicon)
         return bundle
     except BundleError as exc:
         click.echo(f"error: {exc}", err=True)
@@ -94,7 +96,7 @@ def build(source: str, lex_path: Optional[str], out_path: str) -> None:
     if lex_path is not None:
         lex_text = _read_text(lex_path)
         try:
-            load_resource(lex_text)
+            lexicon_lemmas(lex_text)  # the full check, without building the synset graph
         except LexiconError as exc:
             click.echo(str(exc), err=True)
             sys.exit(EXIT_PARSE)
@@ -157,37 +159,37 @@ def stats(mode: str, kb_path: str, top: Optional[int], strip: bool) -> None:
     Coverage percentage columns appear when the bundle carries a synset
     resource; otherwise the tables are counts-only.
     """
-    bundle = _load(kb_path, lexicon=mode != "pos")
+    bundle = _load(kb_path, None if mode == "pos" else "lemmas")
     if mode == "pos":
         click.echo("pos\tfraction")
         shares = pos_distribution(bundle.kb)
         for pos in PartOfSpeech:
             click.echo(f"{pos.value}\t{shares[pos]:.4f}")
         return
-    res = bundle.resource
-    common = common_strings(bundle.kb, res) if res is not None else frozenset()
+    lemmas = bundle.lemmas
+    common = common_strings(bundle.kb, lemmas) if lemmas is not None else frozenset()
     if mode == "class":
         report = class_coverage(bundle.kb, common, strip_gloss=strip)
         click.echo("classNum\tsections\theads\tparagraphs\tsemicolonGroups\tstrings" + (
-            "\tpctCommonHeads\tpctCommonKeywords\tpctCommonStrings" if res is not None else ""))
+            "\tpctCommonHeads\tpctCommonKeywords\tpctCommonStrings" if lemmas is not None else ""))
         for row in report.rows + (report.total,):
             label_cell = "total" if row.class_num is None else str(row.class_num)
             line = (f"{label_cell}\t{row.sections}\t{row.heads}\t{row.paragraphs}\t"
                     f"{row.groups}\t{row.strings}")
-            if res is not None:
+            if lemmas is not None:
                 line += (f"\t{row.pct_common_heads:.2f}\t{row.pct_common_keywords:.2f}"
                          f"\t{row.pct_common_strings:.2f}")
             click.echo(line)
         return
-    click.echo("headNum\theadName" + ("\theadNameInLex" if res is not None else "")
+    click.echo("headNum\theadName" + ("\theadNameInLex" if lemmas is not None else "")
                + "\tparagraphs\tsemicolonGroups\tstrings"
-               + ("\tpctCommonStrings\tpctCommonKeywords" if res is not None else ""))
-    for row in head_coverage(bundle.kb, res, common, strip_gloss=strip)[:top]:
+               + ("\tpctCommonStrings\tpctCommonKeywords" if lemmas is not None else ""))
+    for row in head_coverage(bundle.kb, lemmas or frozenset(), common, strip_gloss=strip)[:top]:
         line = f"{row.head_num}\t{row.head_name}"
-        if res is not None:
+        if lemmas is not None:
             line += "\tyes" if row.head_name_in_lex else "\tno"
         line += f"\t{row.paragraphs}\t{row.groups}\t{row.strings}"
-        if res is not None:
+        if lemmas is not None:
             line += f"\t{row.pct_common_strings:.2f}\t{row.pct_common_keywords:.2f}"
         click.echo(line)
 
@@ -236,7 +238,7 @@ def label(head_num: int, pos: str, para_idx: int, kb_path: str,
           show_evidence: bool, no_xref: bool) -> None:
     """Label the semicolon groups of one paragraph against the keyword's
     mini-net and print the paragraph regrouped by relation."""
-    bundle = _load(kb_path, lexicon=True)
+    bundle = _load(kb_path, "resource")
     if bundle.resource is None:
         click.echo("error: bundle has no synset resource (rebuild with --lex)", err=True)
         sys.exit(EXIT_CAPABILITY)
@@ -267,7 +269,7 @@ def export(fmt: str, kb_path: str, out_path: str, strip: bool) -> None:
     """Write the bundle back out: FORMAT is ``canonical`` (the source
     grammar, re-parseable) or ``structured`` (JSON with taxonomy, index
     statistics, and coverage)."""
-    bundle = _load(kb_path, lexicon=fmt == "structured")
+    bundle = _load(kb_path, "lemmas" if fmt == "structured" else None)
     try:
         with open(out_path, "w", encoding="utf-8") as out:
             if fmt == "canonical":

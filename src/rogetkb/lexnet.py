@@ -19,7 +19,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from typing import Callable, Optional
 
 from .model import PartOfSpeech
 from .text import normalize
@@ -34,6 +34,7 @@ __all__ = [
     "MiniNet",
     "LexiconError",
     "load_resource",
+    "lexicon_lemmas",
     "build_mini_net",
 ]
 
@@ -156,11 +157,24 @@ class SynsetResource:
         return self._all_lemmas
 
 
-def load_resource(text: str) -> SynsetResource:
-    """Parse an interchange document. Raises :class:`LexiconError` on the
-    first malformed record."""
-    synsets: dict[str, Synset] = {}
-    raw_edges: list[tuple[int, str, RelationType, str]] = []
+_POS_BY_VALUE = {pos.value: pos for pos in PartOfSpeech}
+_RELATION_BY_VALUE = {rel.value: rel for rel in RelationType}
+
+
+def _read_records(
+    text: str,
+    add_synset: Callable[[str, PartOfSpeech, str, str], object],
+    add_edge: Callable[[str, RelationType, str], object],
+) -> None:
+    """Check every record of an interchange document in file order. Each
+    SYN record's id, part of speech, raw lemma field and raw gloss go to
+    ``add_synset``; each REL record goes to ``add_edge``, a hyponym as its
+    inverse hypernym. Raises :class:`LexiconError` on the first malformed
+    record. An edge may name a synset declared further on, so an unknown
+    endpoint is reported only after every record is read."""
+    ids: set[str] = set()
+    # edges read before one of their endpoints was declared, in file order
+    pending: list[tuple[int, str, str]] = []
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -173,40 +187,65 @@ def load_resource(text: str) -> SynsetResource:
             if len(parts) < 3:
                 raise LexiconError(line_no, f"malformed SYN record {line!r}")
             syn_id, pos_tok, lemma_field = parts
-            if syn_id in synsets:
+            if syn_id in ids:
                 raise LexiconError(line_no, f"duplicate synset id {syn_id}")
-            try:
-                pos = PartOfSpeech.parse(pos_tok)
-            except ValueError as exc:
-                raise LexiconError(line_no, str(exc)) from None
-            lemmas = tuple(dict.fromkeys(filter(None, map(normalize, lemma_field.split(";")))))
-            if not lemmas:
+            pos = _POS_BY_VALUE.get(pos_tok.upper())
+            if pos is None:
+                raise LexiconError(line_no, f"unknown part of speech {pos_tok!r}")
+            # a lemma normalizes to "" exactly when it is blank
+            if not lemma_field.replace(";", " ").strip():
                 raise LexiconError(line_no, f"synset {syn_id} has no lemmas")
-            gloss = gloss.strip()
-            synsets[syn_id] = Synset(syn_id, pos, lemmas, gloss or None)
+            ids.add(syn_id)
+            add_synset(syn_id, pos, lemma_field, gloss)
         elif kind == "REL":
             parts = rest.split()
             if len(parts) != 3:
                 raise LexiconError(line_no, f"malformed REL record {line!r}")
             rel_tok, src, dst = parts
-            try:
-                rel = RelationType.parse(rel_tok)
-            except ValueError as exc:
-                raise LexiconError(line_no, str(exc)) from None
+            rel = _RELATION_BY_VALUE.get(rel_tok.lower())
+            if rel is None:
+                raise LexiconError(line_no, f"unknown relation type {rel_tok!r}")
             if rel is RelationType.HYPONYM:
                 # canonical storage: the inverse hypernym edge
                 rel, src, dst = RelationType.HYPERNYM, dst, src
-            raw_edges.append((line_no, src, rel, dst))
+            if src not in ids or dst not in ids:
+                pending.append((line_no, src, dst))
+            add_edge(src, rel, dst)
         else:
             raise LexiconError(line_no, f"unknown record kind {kind!r}")
 
-    edges = []
-    for line_no, src, rel, dst in raw_edges:
+    for line_no, src, dst in pending:
         for endpoint in (src, dst):
-            if endpoint not in synsets:
+            if endpoint not in ids:
                 raise LexiconError(line_no, f"unknown synset {endpoint}")
-        edges.append((src, rel, dst))
+
+
+def load_resource(text: str) -> SynsetResource:
+    """Parse an interchange document into the synset graph. Raises
+    :class:`LexiconError` on the first malformed record."""
+    synsets: dict[str, Synset] = {}
+    edges: list[tuple[str, RelationType, str]] = []
+
+    def add_synset(syn_id: str, pos: PartOfSpeech, lemma_field: str, gloss: str) -> None:
+        lemmas = tuple(dict.fromkeys(filter(None, map(normalize, lemma_field.split(";")))))
+        synsets[syn_id] = Synset(syn_id, pos, lemmas, gloss.strip() or None)
+
+    _read_records(text, add_synset, lambda src, rel, dst: edges.append((src, rel, dst)))
     return SynsetResource(synsets=synsets, edges=tuple(edges))
+
+
+def lexicon_lemmas(text: str) -> frozenset[str]:
+    """Every normalized lemma of an interchange document, checked as
+    :func:`load_resource` checks it (the same :class:`LexiconError`) but
+    without building the synset graph: ``load_resource(text).all_lemmas()``."""
+    lemmas: set[str] = set()
+
+    def add_synset(syn_id: str, pos: PartOfSpeech, lemma_field: str, gloss: str) -> None:
+        lemmas.update(map(normalize, lemma_field.split(";")))
+
+    _read_records(text, add_synset, lambda src, rel, dst: None)
+    lemmas.discard("")
+    return frozenset(lemmas)
 
 
 @dataclass(frozen=True)

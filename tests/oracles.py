@@ -8,7 +8,10 @@ addresses the walks yield, without the nested tree loops the tables use.
 The reference index collects validated addresses in walk order and sorts
 each posting list, where ``build_index`` relies on the walk's order. The
 address rule is the check the original dataclass ``Address`` ran in
-``__post_init__``, kept verbatim.
+``__post_init__``, kept verbatim. The reference lexicon loader is the
+interchange reader that built the synset graph record by record through the
+enums' own parsers, before one reader served both the graph and the lemma
+set, kept verbatim.
 """
 
 from __future__ import annotations
@@ -20,7 +23,9 @@ from typing import Optional
 from rogetkb.aligner import class_coverage, common_strings, pos_distribution
 from rogetkb.bundle import _VERSION, KBBundle
 from rogetkb.index import LexicalIndex
-from rogetkb.model import Address, ThesaurusKB
+from rogetkb.lexnet import LexiconError, RelationType, Synset, SynsetResource
+from rogetkb.model import Address, PartOfSpeech, ThesaurusKB
+from rogetkb.text import normalize
 
 
 def materialize_graph(kb: ThesaurusKB) -> tuple[dict, dict]:
@@ -242,7 +247,7 @@ def reference_structured_document(bundle: KBBundle, *, strip_gloss: bool = False
 
     coverage = None
     if bundle.resource is not None:
-        common = common_strings(kb, bundle.resource)
+        common = common_strings(kb, bundle.resource.all_lemmas())
         report = class_coverage(kb, common, strip_gloss=strip_gloss)
 
         def row(r) -> dict:
@@ -288,3 +293,56 @@ def reference_structured_document(bundle: KBBundle, *, strip_gloss: bool = False
         "coverage": coverage,
     }
     return json.dumps(document, indent=2, ensure_ascii=False) + "\n"
+
+
+def reference_load_resource(text: str) -> SynsetResource:
+    """Parse an interchange document. Raises :class:`LexiconError` on the
+    first malformed record."""
+    synsets: dict[str, Synset] = {}
+    raw_edges: list[tuple[int, str, RelationType, str]] = []
+
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("//"):
+            continue
+        kind, _, rest = line.partition(" ")
+        if kind == "SYN":
+            body, _, gloss = rest.partition("|")
+            parts = body.split(None, 2)
+            if len(parts) < 3:
+                raise LexiconError(line_no, f"malformed SYN record {line!r}")
+            syn_id, pos_tok, lemma_field = parts
+            if syn_id in synsets:
+                raise LexiconError(line_no, f"duplicate synset id {syn_id}")
+            try:
+                pos = PartOfSpeech.parse(pos_tok)
+            except ValueError as exc:
+                raise LexiconError(line_no, str(exc)) from None
+            lemmas = tuple(dict.fromkeys(filter(None, map(normalize, lemma_field.split(";")))))
+            if not lemmas:
+                raise LexiconError(line_no, f"synset {syn_id} has no lemmas")
+            gloss = gloss.strip()
+            synsets[syn_id] = Synset(syn_id, pos, lemmas, gloss or None)
+        elif kind == "REL":
+            parts = rest.split()
+            if len(parts) != 3:
+                raise LexiconError(line_no, f"malformed REL record {line!r}")
+            rel_tok, src, dst = parts
+            try:
+                rel = RelationType.parse(rel_tok)
+            except ValueError as exc:
+                raise LexiconError(line_no, str(exc)) from None
+            if rel is RelationType.HYPONYM:
+                # canonical storage: the inverse hypernym edge
+                rel, src, dst = RelationType.HYPERNYM, dst, src
+            raw_edges.append((line_no, src, rel, dst))
+        else:
+            raise LexiconError(line_no, f"unknown record kind {kind!r}")
+
+    edges = []
+    for line_no, src, rel, dst in raw_edges:
+        for endpoint in (src, dst):
+            if endpoint not in synsets:
+                raise LexiconError(line_no, f"unknown synset {endpoint}")
+        edges.append((src, rel, dst))
+    return SynsetResource(synsets=synsets, edges=tuple(edges))

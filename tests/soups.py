@@ -1,7 +1,9 @@
-"""Hypothesis strategy for source documents of arbitrary line soup.
+"""Hypothesis strategies for source documents and lexicons of arbitrary
+line soup.
 
-Shared by the parser's consistency property, the index oracle property,
-the bundle round-trip property and the CLI fuzz test.
+Source soups are shared by the parser's consistency property, the index
+oracle property, the bundle round-trip property and the CLI fuzz test;
+lexicon soups feed the lexicon reader's oracle property.
 """
 
 from __future__ import annotations
@@ -110,4 +112,98 @@ def line_soups(draw) -> str:
     else:
         lines = draw(_well_formed())
     text = draw(st.sampled_from(["\n", "\r\n", "\r"])).join(lines)
+    return text + draw(st.sampled_from(["", "\n"]))
+
+
+# -- lexicon interchange documents ----------------------------------------------
+
+_SYN_IDS = ["a.n.1", "b.n.1", "c.v.1", "A.n.1", "d.a.1"]
+# "\u0131nt" (dotless i) upper-cases to "INT"; "\u0130nt" (dotted capital I) does not
+_GOOD_POS = ["N", "n", "adj", "VB", "Adv", "INT", "\u0131nt"]
+_BAD_POS = ["Q", "NOUN", "\u0130nt", "N.", "-"]
+# "\u00a0" and "\u2003" are whitespace to str.split; "\u0130" lower-cases to two characters
+_GOOD_FIELDS = [
+    "alpha", "Alpha ; beta;alpha ", "Two  Words;x-y", "caf\u00e9;CAF\u00c9", "a\u00a0b",
+    "\u0130stanbul;ss;\u00df", "x;;y;", ";lone", "it's\u2003so",
+]
+_BLANK_FIELDS = [";", " ; ;", ";\u00a0;", "\u2003;"]
+_GLOSSES = ["", " | a gloss", "|", " | x | y", "|   ", "|gloss|"]
+_GOOD_RELATIONS = [
+    "synonym", "hypernym", "hyponym", "meronym", "also-see", "HYPERNYM", "Hyponym",
+    "ALSO-SEE", "Similar", "participle",
+]
+# "s\u0131milar" keeps its dotless i and "\u017fimilar" its long s when lower-cased
+_BAD_RELATIONS = ["friend-of", "hyponyms", "s\u0131milar", "\u017fimilar", "also_see", "-"]
+_ENDPOINTS = [*_SYN_IDS, "ghost.n.1"]
+
+_GOOD_SYN = st.sampled_from([
+    f"SYN {{}} {pos} {field}{gloss}"
+    for pos in _GOOD_POS for field in _GOOD_FIELDS for gloss in _GLOSSES
+])
+_GOOD_REL = st.sampled_from([f"REL {rel} {{}} {{}}" for rel in _GOOD_RELATIONS])
+# one draw per kind of fault, so no kind is crowded out by a longer list
+_FAULTY = st.one_of(
+    st.sampled_from([f"SYN {syn_id} {pos} alpha" for syn_id in _SYN_IDS for pos in _BAD_POS]),
+    st.sampled_from([
+        f"SYN {syn_id} N {field}{gloss}"
+        for syn_id in _SYN_IDS for field in _BLANK_FIELDS for gloss in _GLOSSES
+    ]),
+    st.sampled_from([f"REL {rel} a.n.1 b.n.1" for rel in _BAD_RELATIONS]),
+    st.sampled_from([
+        f"REL {rel} {src} {dst}"
+        for rel in ("hypernym", "hyponym") for src in _ENDPOINTS for dst in _ENDPOINTS
+    ]),
+    st.sampled_from([
+        "SYN", "SYN a.n.1", "SYN a.n.1 N", "SYN a.n.1 N | gloss only", "SYN\ta.n.1 N a",
+        "syn a.n.1 N a", "REL", "REL hypernym a.n.1", "REL hypernym a.n.1 b.n.1 c.v.1",
+        "BOGUS x", "#SYN a.n.1 N a", "/ not a comment",
+    ]),
+)
+_LEXICON_NOISE = st.one_of(
+    st.builds("//{}".format, _IN_LINE), st.sampled_from(["", "   ", "\t// indented"])
+)
+_LEXICON_LINE_ENDS = ["\n", "\r\n", "\r", "\x85", "\u2028"]
+
+
+@st.composite
+def _valid_records(draw) -> list[str]:
+    """A SYN record for each of some distinct ids and REL records between
+    them, in any order, so edges may refer forward; comments and blank
+    lines in between."""
+    ids = draw(st.lists(st.sampled_from(_SYN_IDS), min_size=1, unique=True))
+    lines = [draw(_GOOD_SYN).format(syn_id) for syn_id in ids]
+    for _ in range(draw(st.integers(0, 4))):
+        pair = draw(st.sampled_from(ids)), draw(st.sampled_from(ids))
+        lines.append(draw(_GOOD_REL).format(*pair))
+    lines += draw(st.lists(_LEXICON_NOISE, max_size=3))
+    return draw(st.permutations(lines))
+
+
+@st.composite
+def lexicon_soups(draw) -> str:
+    """One of: a valid document; a valid document followed by records
+    that are cut short, repeat an earlier line, or carry a mistyped token,
+    an unknown id or a malformed shape, or with edges to undeclared ids
+    slipped in anywhere; or a soup of all of these lines."""
+    kind = draw(st.sampled_from(["valid", "damaged", "soup"]))
+    if kind == "soup":
+        line = st.one_of(_GOOD_SYN.map(lambda r: r.format("a.n.1")), _FAULTY, _LEXICON_NOISE,
+                         _GOOD_REL.map(lambda r: r.format("a.n.1", "b.n.1")))
+        lines = draw(st.lists(line, max_size=12))
+    else:
+        lines = draw(_valid_records())
+        if kind == "damaged":
+            for _ in range(draw(st.integers(1, 3))):
+                fault = draw(st.sampled_from(["cut", "repeat", "faulty", "dangling"]))
+                if fault == "faulty":
+                    lines.append(draw(_FAULTY))
+                elif fault == "dangling":
+                    # an edge to an id that no record declares, anywhere in the file
+                    ends = draw(st.permutations([draw(st.sampled_from(_ENDPOINTS)), "ghost.n.1"]))
+                    lines.insert(draw(st.integers(0, len(lines))), draw(_GOOD_REL).format(*ends))
+                else:
+                    earlier = draw(st.sampled_from(lines))
+                    cut = draw(st.integers(0, len(earlier))) if fault == "cut" else None
+                    lines.append(earlier[:cut])
+    text = draw(st.sampled_from(_LEXICON_LINE_ENDS)).join(lines)
     return text + draw(st.sampled_from(["", "\n"]))

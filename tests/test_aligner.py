@@ -26,18 +26,18 @@ PARA_42 = Address.parse("1.3.42:N:0")
 
 class TestCommonStrings:
     def test_head42_against_fixture_resource(self, kb42, res_dec):
-        assert common_strings(kb42, res_dec) == frozenset({
+        assert common_strings(kb42, res_dec.all_lemmas()) == frozenset({
             "decrement", "shrinkage", "wastage", "slippage",
             "leak", "leakage", "escape",
         })
 
     def test_disjoint_resources(self, kb2, res_dec):
-        assert common_strings(kb2, res_dec) == frozenset()
+        assert common_strings(kb2, res_dec.all_lemmas()) == frozenset()
 
 
 class TestClassCoverage:
     def test_head42_row(self, kb42, res_dec):
-        common = common_strings(kb42, res_dec)
+        common = common_strings(kb42, res_dec.all_lemmas())
         cov = class_coverage(kb42, common)
         (row,) = cov.rows
         assert (row.class_num, row.sections, row.heads) == (1, 1, 1)
@@ -47,12 +47,12 @@ class TestClassCoverage:
         assert row.pct_common_heads == 0.0  # full name carries the gloss
 
     def test_strip_gloss_matches_head_name(self, kb42, res_dec):
-        common = common_strings(kb42, res_dec)
+        common = common_strings(kb42, res_dec.all_lemmas())
         cov = class_coverage(kb42, common, strip_gloss=True)
         assert cov.rows[0].pct_common_heads == 1.0
 
     def test_totals_row_is_occurrence_weighted(self, kb2, res_dec):
-        common = common_strings(kb2, res_dec)
+        common = common_strings(kb2, res_dec.all_lemmas())
         cov = class_coverage(kb2, common)
         t = cov.total
         assert t.class_num is None
@@ -68,7 +68,7 @@ class TestClassCoverage:
             "SYN s.n.1 N space\n"
             "SYN e.n.1 N existence\n"
         )
-        common = common_strings(kb2, res)
+        common = common_strings(kb2, res.all_lemmas())
         cov = class_coverage(kb2, common)
         for row in cov.rows:
             cls = next(c for c in kb2.classes if c.number == row.class_num)
@@ -98,8 +98,8 @@ class TestClassCoverage:
 
 class TestHeadCoverage:
     def test_head42_row(self, kb42, res_dec):
-        common = common_strings(kb42, res_dec)
-        (row,) = head_coverage(kb42, res_dec, common)
+        common = common_strings(kb42, res_dec.all_lemmas())
+        (row,) = head_coverage(kb42, res_dec.all_lemmas(), common)
         assert row.head_num == 42
         assert row.head_name == "Decrement: thing deducted"
         assert row.head_name_in_lex is False
@@ -108,8 +108,8 @@ class TestHeadCoverage:
         assert row.pct_common_keywords == 1.0
 
     def test_strip_gloss_finds_name_in_lexicon(self, kb42, res_dec):
-        common = common_strings(kb42, res_dec)
-        (row,) = head_coverage(kb42, res_dec, common, strip_gloss=True)
+        common = common_strings(kb42, res_dec.all_lemmas())
+        (row,) = head_coverage(kb42, res_dec.all_lemmas(), common, strip_gloss=True)
         assert row.head_name_in_lex is True
 
     def test_sorted_by_coverage_then_number(self, res_dec):
@@ -120,14 +120,14 @@ class TestHeadCoverage:
             "#HEAD 3 Charlie\n#PARA N\ngamma;\n"
         )
         kb = parse_source(source).kb
-        common = common_strings(kb, res_dec)
-        rows = head_coverage(kb, res_dec, common)
+        common = common_strings(kb, res_dec.all_lemmas())
+        rows = head_coverage(kb, res_dec.all_lemmas(), common)
         assert [r.head_num for r in rows] == [2, 1, 3]
         assert rows[0].pct_common_strings == 1.0
 
     def test_all_zero_ties_by_head_number(self, kb2, res_dec):
-        common = common_strings(kb2, res_dec)
-        rows = head_coverage(kb2, res_dec, common)
+        common = common_strings(kb2, res_dec.all_lemmas())
+        rows = head_coverage(kb2, res_dec.all_lemmas(), common)
         assert [r.head_num for r in rows] == [1, 2, 9, 183, 184]
 
 
@@ -193,7 +193,7 @@ def test_tables_against_address_recount(seed, strip):
         ),
         key=lambda r: (-r.pct_common_strings, r.head_num),
     )
-    assert list(head_coverage(kb, res, common, strip_gloss=strip)) == expected_heads
+    assert list(head_coverage(kb, res.all_lemmas(), common, strip_gloss=strip)) == expected_heads
 
     cov = class_coverage(kb, common, strip_gloss=strip)
     assert [r.class_num for r in cov.rows] == sorted(classes)

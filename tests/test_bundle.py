@@ -13,6 +13,7 @@ from rogetkb.bundle import (
     BuildMeta, BundleError, KBBundle, load_bundle, structured_document, write_bundle,
 )
 from rogetkb.fixtures import fixture_text
+from rogetkb.lexnet import lexicon_lemmas, load_resource
 from rogetkb.model import RogetClass, ThesaurusKB
 from rogetkb.parser import parse_source
 from oracles import reference_structured_document
@@ -62,6 +63,34 @@ def test_malformed_lexicon_raises_on_first_access(tmp_path, kb2):
     for _ in range(2):  # a failed build is not cached
         with pytest.raises(BundleError, match=message):
             bundle.resource
+
+
+@pytest.mark.parametrize("lex_text", [fixture_text("decrement.lex"), "", None],
+                         ids=["fixture", "empty", "none"])
+@pytest.mark.parametrize("first", ["resource", "lemmas"])
+def test_resource_and_lemmas_in_either_order(tmp_path, kb2, lex_text, first):
+    write_bundle(tmp_path / "two.kb", kb2, lex_text=lex_text)
+    bundle = load_bundle(tmp_path / "two.kb")
+    getattr(bundle, first)
+    resource, lemmas = bundle.resource, bundle.lemmas
+    if lex_text is None:
+        assert (resource, lemmas) == (None, None)
+        return
+    want = load_resource(lex_text)
+    assert (resource.synsets, resource.edges) == (want.synsets, want.edges)
+    assert lemmas == want.all_lemmas() == lexicon_lemmas(lex_text)
+    assert bundle.lemmas is lemmas and bundle.resource is resource  # both cached
+
+
+@pytest.mark.parametrize("first", ["resource", "lemmas"])
+def test_malformed_lexicon_raises_from_either_layer(tmp_path, kb2, first):
+    path = tmp_path / "bogus.kb"
+    write_bundle(path, kb2, lex_text="SYN a.n.1 N a\nBOGUS record\n")
+    bundle = load_bundle(path)
+    message = "^" + re.escape(f"bundle {path} carries a malformed lexicon: 2:error: ")
+    for layer in (first, *({"resource", "lemmas"} - {first}), first):
+        with pytest.raises(BundleError, match=message):
+            getattr(bundle, layer)
 
 
 @pytest.fixture(scope="module")

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from rogetkb.bundle import load_bundle
 from rogetkb.cli import main
 from rogetkb.fixtures import fixture_text
+from rogetkb.lexnet import load_resource
 from soups import line_soups
 
 runner = CliRunner()
@@ -320,6 +321,104 @@ class TestLazyLayers:
     ):
         monkeypatch.setattr("rogetkb.model.ThesaurusKB.canonical_source", _raise)
         _call(args, b42, workdir / "lazy.out")
+
+
+class TestLexiconLayers:
+    """``build`` only checks the lexicon and the coverage commands only read
+    its lemmas, so neither builds the synset graph; ``label`` does."""
+
+    @staticmethod
+    def _run(args: tuple, out: Path, expect: int = 0) -> tuple:
+        """stdout, stderr and the bytes written to ``out`` by one call."""
+        out.unlink(missing_ok=True)
+        result = invoke(*(a.format(out=out) for a in args), expect=expect)
+        return result.stdout, result.stderr, out.read_bytes() if out.exists() else None
+
+    @pytest.mark.parametrize("command", [
+        ("build", "{src}", "--lex", "{lex}", "--out", "{{out}}"),
+        ("stats", "class", "--kb", "{kb}"),
+        ("stats", "class", "--kb", "{kb}", "--strip-gloss"),
+        ("stats", "head", "--kb", "{kb}"),
+        ("stats", "head", "--kb", "{kb}", "--strip-gloss", "--top", "1"),
+        ("export", "structured", "--kb", "{kb}", "--out", "{{out}}"),
+    ], ids=["build", "stats-class", "stats-class-strip", "stats-head", "stats-head-strip",
+            "export-structured"])
+    def test_commands_that_never_build_the_synset_graph(self, workdir, b42, monkeypatch, command):
+        args = tuple(a.format(src=workdir / "head42.roget", lex=workdir / "decrement.lex", kb=b42)
+                     for a in command)
+        out = workdir / "graph.out"
+        unpatched = self._run(args, out)
+        monkeypatch.setattr("rogetkb.bundle.load_resource", _raise)
+        monkeypatch.setattr("rogetkb.cli.load_resource", _raise)
+        assert self._run(args, out) == unpatched
+
+    def test_build_rejects_a_malformed_lexicon_without_the_graph(self, workdir, monkeypatch):
+        bad = workdir / "dangling.lex"
+        bad.write_text("SYN a.n.1 N a\nREL hypernym a.n.1 ghost.n.1\nSYN b.n.1 N b\n",
+                       encoding="utf-8")
+        args = ("build", str(workdir / "head42.roget"), "--lex", str(bad), "--out", "{out}")
+        out = workdir / "never-written.kb"
+        unpatched = self._run(args, out, expect=1)
+        monkeypatch.setattr("rogetkb.bundle.load_resource", _raise)
+        monkeypatch.setattr("rogetkb.cli.load_resource", _raise)
+        stdout, stderr, written = self._run(args, out, expect=1)
+        assert (stdout, stderr, written) == unpatched
+        assert (stdout, written) == ("", None)
+        assert stderr.endswith("\n2:error: unknown synset ghost.n.1\n")  # after the parse warnings
+
+    def test_label_builds_the_synset_graph(self, workdir, b42, monkeypatch):
+        unpatched = _call(_LABEL, b42, workdir / "label.out").stdout
+        calls = []
+        monkeypatch.setattr("rogetkb.bundle.load_resource",
+                            lambda text: calls.append(text) or load_resource(text))
+        monkeypatch.setattr("rogetkb.cli.load_resource", _raise)
+        assert _call(_LABEL, b42, workdir / "label.out").stdout == unpatched
+        assert calls == [fixture_text("decrement.lex")]
+
+
+class TestEmptyLexicon:
+    """A bundle built with an empty ``--lex`` file carries a lexicon with no
+    lemmas, which is not the same as carrying none: the coverage columns and
+    the ``coverage`` object stay, at zero."""
+
+    @pytest.fixture(scope="class")
+    def b42_empty_lex(self, workdir) -> str:
+        lex = workdir / "empty.lex"
+        lex.write_text("", encoding="utf-8")
+        out = workdir / "head42_empty_lex.kb"
+        invoke("build", str(workdir / "head42.roget"), "--lex", str(lex), "--out", str(out))
+        return str(out)
+
+    def test_stats_class_keeps_the_coverage_columns(self, b42_empty_lex):
+        assert invoke("stats", "class", "--kb", b42_empty_lex).stdout.splitlines() == [
+            "classNum\tsections\theads\tparagraphs\tsemicolonGroups\tstrings\t"
+            "pctCommonHeads\tpctCommonKeywords\tpctCommonStrings",
+            "1\t1\t1\t1\t11\t27\t0.00\t0.00\t0.00",
+            "total\t1\t1\t1\t11\t27\t0.00\t0.00\t0.00",
+        ]
+
+    def test_stats_head_keeps_the_coverage_columns(self, b42_empty_lex):
+        result = invoke("stats", "head", "--kb", b42_empty_lex, "--strip-gloss")
+        assert result.stdout.splitlines() == [
+            "headNum\theadName\theadNameInLex\tparagraphs\tsemicolonGroups\t"
+            "strings\tpctCommonStrings\tpctCommonKeywords",
+            "42\tDecrement: thing deducted\tno\t1\t11\t27\t0.00\t0.00",
+        ]
+
+    def test_export_structured_keeps_the_coverage_object(self, workdir, b42_empty_lex):
+        out = workdir / "empty-lex.json"
+        invoke("export", "structured", "--kb", b42_empty_lex, "--out", str(out))
+        coverage = json.loads(out.read_text(encoding="utf-8"))["coverage"]
+        row = {
+            "sections": 1, "heads": 1, "paragraphs": 1, "semicolonGroups": 11, "strings": 27,
+            "pctCommonHeads": 0.0, "pctCommonKeywords": 0.0, "pctCommonStrings": 0.0,
+        }
+        assert coverage == {
+            "keywordDenominator": "paragraphs",
+            "commonStrings": 0,
+            "classes": [{"classNum": 1, **row}],
+            "total": {"classNum": None, **row},
+        }
 
 
 class TestStoredTextChecksum:

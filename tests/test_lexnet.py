@@ -1,16 +1,23 @@
 from __future__ import annotations
 
-import pytest
+import random
 
+import pytest
+from hypothesis import given, settings
+
+from oracles import reference_load_resource
+from rogetkb.fixtures import fixture_text
 from rogetkb.lexnet import (
     DEFAULT_RELATIONS,
     LABEL_PRECEDENCE,
     LexiconError,
     RelationType,
     build_mini_net,
+    lexicon_lemmas,
     load_resource,
 )
 from rogetkb.model import PartOfSpeech
+from soups import lexicon_soups
 
 
 class TestRelationType:
@@ -98,6 +105,63 @@ class TestLoadResource:
             load_resource("// comment\nBOGUS x\n")
         assert exc_info.value.line == 2
         assert str(exc_info.value).startswith("2:error: ")
+
+
+def _assert_reads_as_the_reference(text: str) -> None:
+    """``load_resource`` builds the reference loader's graph and
+    ``lexicon_lemmas`` its lemma set, or both raise its error: the same
+    line and message."""
+    try:
+        want = reference_load_resource(text)
+    except LexiconError as exc:
+        for read in (load_resource, lexicon_lemmas):
+            with pytest.raises(LexiconError) as exc_info:
+                read(text)
+            assert (exc_info.value.line, exc_info.value.message) == (exc.line, exc.message)
+        return
+    got = load_resource(text)
+    assert [(i, s.id, s.pos, s.lemmas, s.gloss) for i, s in got.synsets.items()] == [
+        (i, s.id, s.pos, s.lemmas, s.gloss) for i, s in want.synsets.items()
+    ]
+    assert got.edges == want.edges
+    assert lexicon_lemmas(text) == got.all_lemmas() == want.all_lemmas()
+
+
+class TestReaderAgainstTheReference:
+    @settings(max_examples=300, deadline=None)
+    @given(lexicon_soups())
+    def test_lexicon_soups(self, text):
+        _assert_reads_as_the_reference(text)
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r", "\x85"])
+    def test_line_ends_and_token_case(self, end):
+        text = end.join([
+            "// every record kind", "SYN b.n.1 \u0131nt Beta;  BETA ;b-b | a gloss ",
+            "REL Hyponym b.n.1 a.n.1", "", "SYN a.n.1 n alpha|", "REL ALSO-SEE a.n.1 b.n.1",
+        ])
+        _assert_reads_as_the_reference(text)
+        assert load_resource(text).synsets["b.n.1"].pos is PartOfSpeech.INTERJECTION
+        for bad in ("SYN c.n.1 \u0130nt c", "REL s\u0131milar a.n.1 b.n.1",
+                    "REL \u017fimilar a.n.1 b.n.1", "REL hypernym c.n.1 d.n.1"):
+            _assert_reads_as_the_reference(text + end + bad)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_generated_lexicons(self, perfbench_corpus, seed):
+        text = perfbench_corpus.generate(seed, scale=0.02).lexicon
+        _assert_reads_as_the_reference(text)
+        lines = text.splitlines()
+        rng = random.Random(seed)
+        for _ in range(3):
+            # one record cut short, and an edge to an undeclared id, somewhere
+            damaged = list(lines)
+            cut = rng.randrange(len(damaged))
+            damaged[cut] = damaged[cut][:rng.randrange(len(damaged[cut]) + 1)]
+            damaged.insert(rng.randrange(len(damaged) + 1), "REL hypernym ghost.n.1 ghost.n.2")
+            _assert_reads_as_the_reference("\n".join(damaged))
+
+    def test_lemmas_of_the_fixture(self, res_dec):
+        assert lexicon_lemmas(fixture_text("decrement.lex")) == res_dec.all_lemmas()
+        assert lexicon_lemmas("") == frozenset()
 
 
 class TestQueries:
