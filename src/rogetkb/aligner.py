@@ -211,12 +211,12 @@ def group_strings(group: SemicolonGroup, *, include_cross_refs: bool = True) -> 
     return frozenset(out)
 
 
-def paragraph_strings(para: Paragraph, *, include_cross_refs: bool = True) -> frozenset[str]:
+def paragraph_strings(para: Paragraph) -> frozenset[str]:
     """Every member string of the paragraph, cross-reference keywords
-    included by default."""
+    included."""
     out: frozenset[str] = frozenset()
     for group in para.groups:
-        out |= group_strings(group, include_cross_refs=include_cross_refs)
+        out |= group_strings(group)
     return out
 
 

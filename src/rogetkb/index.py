@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .model import POS_ORDER, Address, ThesaurusKB
+from .model import Address, PartOfSpeech, ThesaurusKB
 from .text import normalize
 
 __all__ = ["LexicalIndex", "build_index"]
@@ -38,7 +38,7 @@ def build_index(kb: ThesaurusKB, words: Optional[Iterable[str]] = None) -> Lexic
     wanted = None if words is None else {normalize(word) for word in words}
     table: dict[str, list[Address]] = {}
     for cls, sec, head in kb.walk_heads():
-        for pos in POS_ORDER:
+        for pos in PartOfSpeech:
             for para_idx, para in enumerate(head.pos_paragraphs(pos)):
                 for sg_idx, group in enumerate(para.groups):
                     for entry_idx, entry in enumerate(group.entries):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional
 
-from .model import PartOfSpeech
+from .model import POS_BY_TAG, PartOfSpeech
 from .text import normalize
 
 __all__ = [
@@ -61,12 +61,14 @@ class RelationType(enum.Enum):
 
     @classmethod
     def parse(cls, token: str) -> "RelationType":
-        try:
-            return cls(token.lower())
-        except ValueError:
-            raise ValueError(f"unknown relation type {token!r}") from None
+        rel = _RELATION_BY_NAME.get(token.lower())
+        if rel is None:
+            raise ValueError(f"unknown relation type {token!r}")
+        return rel
 
 
+# Every reader of a relation name goes through this table; names are lower case.
+_RELATION_BY_NAME = {rel.value: rel for rel in RelationType}
 LABEL_PRECEDENCE: tuple[RelationType, ...] = tuple(RelationType)
 
 # Relations followed by default when building a mini-net, per part of speech.
@@ -157,10 +159,6 @@ class SynsetResource:
         return self._all_lemmas
 
 
-_POS_BY_VALUE = {pos.value: pos for pos in PartOfSpeech}
-_RELATION_BY_VALUE = {rel.value: rel for rel in RelationType}
-
-
 def _read_records(
     text: str,
     add_synset: Callable[[str, PartOfSpeech, str, str], object],
@@ -189,7 +187,7 @@ def _read_records(
             syn_id, pos_tok, lemma_field = parts
             if syn_id in ids:
                 raise LexiconError(line_no, f"duplicate synset id {syn_id}")
-            pos = _POS_BY_VALUE.get(pos_tok.upper())
+            pos = POS_BY_TAG.get(pos_tok.upper())
             if pos is None:
                 raise LexiconError(line_no, f"unknown part of speech {pos_tok!r}")
             # a lemma normalizes to "" exactly when it is blank
@@ -202,7 +200,7 @@ def _read_records(
             if len(parts) != 3:
                 raise LexiconError(line_no, f"malformed REL record {line!r}")
             rel_tok, src, dst = parts
-            rel = _RELATION_BY_VALUE.get(rel_tok.lower())
+            rel = _RELATION_BY_NAME.get(rel_tok.lower())
             if rel is None:
                 raise LexiconError(line_no, f"unknown relation type {rel_tok!r}")
             if rel is RelationType.HYPONYM:

@@ -57,26 +57,19 @@ class PartOfSpeech(enum.Enum):
     @property
     def display(self) -> str:
         """Abbreviation used when rendering paragraphs (``N.``, ``Adj.`` ...)."""
-        return _POS_DISPLAY[self]
+        return self.value.capitalize() + "."
 
     @classmethod
     def parse(cls, token: str) -> "PartOfSpeech":
-        try:
-            return cls(token.upper())
-        except ValueError:
-            raise ValueError(f"unknown part of speech {token!r}") from None
+        pos = POS_BY_TAG.get(token.upper())
+        if pos is None:
+            raise ValueError(f"unknown part of speech {token!r}")
+        return pos
 
 
-_POS_DISPLAY = {
-    PartOfSpeech.NOUN: "N.",
-    PartOfSpeech.ADJECTIVE: "Adj.",
-    PartOfSpeech.VERB: "Vb.",
-    PartOfSpeech.ADVERB: "Adv.",
-    PartOfSpeech.INTERJECTION: "Int.",
-}
-
-POS_ORDER = tuple(PartOfSpeech)
-_POS_RANK = {pos: rank for rank, pos in enumerate(POS_ORDER)}
+# Every reader of a tag goes through this table; tags are upper case.
+POS_BY_TAG = {pos.value: pos for pos in PartOfSpeech}
+_POS_RANK = {pos: rank for rank, pos in enumerate(PartOfSpeech)}
 
 
 @dataclass(frozen=True)
@@ -177,7 +170,7 @@ _NUMBER_END = 10**MAX_DIGITS
 _NUMBER = rf"(0|[1-9][0-9]{{0,{MAX_DIGITS - 1}}})"
 _ADDRESS_TEXT = re.compile(
     rf"{_NUMBER}(?:\.{_NUMBER}(?:\.{_NUMBER}"
-    rf"(?::(N|ADJ|VB|ADV|INT):{_NUMBER}(?::{_NUMBER}(?::{_NUMBER})?)?)?)?)?"
+    rf"(?::({'|'.join(POS_BY_TAG)}):{_NUMBER}(?::{_NUMBER}(?::{_NUMBER})?)?)?)?)?"
 )
 
 
@@ -289,7 +282,7 @@ class Address(_AddressFields):
         if match is None:
             raise AddressError(f"malformed address {text!r}")
         numbers = [None if part is None else int(part) for part in match.group(1, 2, 3, 5, 6, 7)]
-        pos = match[4] and PartOfSpeech(match[4])
+        pos = match[4] and POS_BY_TAG[match[4]]
         return cls(*numbers[:3], pos, *numbers[3:])
 
 
@@ -433,7 +426,7 @@ class ThesaurusKB:
         ``strings`` the hit counts are 0 and no entry is looked at."""
         for cls, _, head in self.walk_heads():
             groups = entries = keyword_hits = entry_hits = 0
-            pos_entries = [0] * len(POS_ORDER)
+            pos_entries = [0] * len(PartOfSpeech)
             for para in head.paragraphs:
                 para_entries = 0
                 for group in para.groups:

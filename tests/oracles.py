@@ -9,9 +9,10 @@ The reference index collects validated addresses in walk order and sorts
 each posting list, where ``build_index`` relies on the walk's order. The
 address rule is the check the original dataclass ``Address`` ran in
 ``__post_init__``, kept verbatim. The reference lexicon loader is the
-interchange reader that built the synset graph record by record through the
-enums' own parsers, before one reader served both the graph and the lemma
-set, kept verbatim.
+interchange reader that built the synset graph record by record, before one
+reader served both the graph and the lemma set, kept verbatim except that it
+reads each tag and relation name through the enum's own constructor, as the
+enums' parsers then did, so that it shares no lookup table with the reader.
 """
 
 from __future__ import annotations
@@ -315,9 +316,9 @@ def reference_load_resource(text: str) -> SynsetResource:
             if syn_id in synsets:
                 raise LexiconError(line_no, f"duplicate synset id {syn_id}")
             try:
-                pos = PartOfSpeech.parse(pos_tok)
-            except ValueError as exc:
-                raise LexiconError(line_no, str(exc)) from None
+                pos = PartOfSpeech(pos_tok.upper())
+            except ValueError:
+                raise LexiconError(line_no, f"unknown part of speech {pos_tok!r}") from None
             lemmas = tuple(dict.fromkeys(filter(None, map(normalize, lemma_field.split(";")))))
             if not lemmas:
                 raise LexiconError(line_no, f"synset {syn_id} has no lemmas")
@@ -329,9 +330,9 @@ def reference_load_resource(text: str) -> SynsetResource:
                 raise LexiconError(line_no, f"malformed REL record {line!r}")
             rel_tok, src, dst = parts
             try:
-                rel = RelationType.parse(rel_tok)
-            except ValueError as exc:
-                raise LexiconError(line_no, str(exc)) from None
+                rel = RelationType(rel_tok.lower())
+            except ValueError:
+                raise LexiconError(line_no, f"unknown relation type {rel_tok!r}") from None
             if rel is RelationType.HYPONYM:
                 # canonical storage: the inverse hypernym edge
                 rel, src, dst = RelationType.HYPERNYM, dst, src

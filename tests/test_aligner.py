@@ -292,10 +292,9 @@ class TestLabelParagraph:
 
 
 class TestOverlap:
-    def test_paragraph_strings_with_and_without_refs(self, kb42):
+    def test_paragraph_strings_include_cross_reference_keywords(self, kb42):
         para = kb42.resolve(PARA_42)
         assert len(paragraph_strings(para)) == 37
-        assert len(paragraph_strings(para, include_cross_refs=False)) == 27
 
     def test_worked_example_overlap(self, kb42, res_dec):
         para = kb42.resolve(PARA_42)

@@ -4,6 +4,7 @@ import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import reference_load_resource
 from rogetkb.fixtures import fixture_text
@@ -53,6 +54,47 @@ class TestRelationType:
             assert DEFAULT_RELATIONS[pos] == frozenset({
                 RelationType.SYNONYM, RelationType.ANTONYM,
             })
+
+
+# Non-ASCII letters whose case mapping gives ASCII letters or changes length:
+# the dotless and dotted i, the Kelvin sign, the long s and the sharp s.
+_LOOKALIKES = {"i": "ıİ", "k": "K", "s": "ſß"}
+
+
+@st.composite
+def _case_variants(draw) -> str:
+    """A tag or relation name with each letter in either case or swapped for
+    a look-alike."""
+    word = draw(st.sampled_from([member.value for member in (*PartOfSpeech, *RelationType)]))
+    return "".join(
+        draw(st.sampled_from([ch.lower(), ch.upper(), *_LOOKALIKES.get(ch.lower(), "")]))
+        for ch in word
+    )
+
+
+_VOCABULARY_TOKENS = st.one_of(
+    _case_variants(),
+    st.builds("{}{}{}".format, st.sampled_from(["", " "]), _case_variants(), st.sampled_from(["", "\t"])),
+    st.text(alphabet="ıİſKßnNtT \t\u3000", max_size=4),
+)
+
+
+@given(_VOCABULARY_TOKENS)
+def test_parse_agrees_with_the_enum_constructor(token):
+    """Each parser reads its table as the enum's own constructor reads the
+    case-folded token: the same member, or the same error message."""
+    for vocabulary, fold, unknown in (
+        (PartOfSpeech, str.upper, "unknown part of speech"),
+        (RelationType, str.lower, "unknown relation type"),
+    ):
+        try:
+            member = vocabulary(fold(token))
+        except ValueError:
+            with pytest.raises(ValueError) as raised:
+                vocabulary.parse(token)
+            assert str(raised.value) == f"{unknown} {token!r}"
+        else:
+            assert vocabulary.parse(token) is member
 
 
 class TestLoadResource:

@@ -58,9 +58,7 @@ class TestPartOfSpeech:
             PartOfSpeech.parse("NOUN")
 
     def test_display(self):
-        assert PartOfSpeech.NOUN.display == "N."
-        assert PartOfSpeech.ADJECTIVE.display == "Adj."
-        assert PartOfSpeech.INTERJECTION.display == "Int."
+        assert [p.display for p in PartOfSpeech] == ["N.", "Adj.", "Vb.", "Adv.", "Int."]
 
 
 # Component draws for the address checks: numbers around each minimum plus
@@ -146,7 +144,7 @@ class TestAddress:
             Address.parse("")
         with pytest.raises(AddressError):
             Address.parse("1.2.3.4")
-        for text in ("1.x", "1.3:N:0", "1.3.42:N:x"):
+        for text in ("1.x", "1.3:N:0", "1.3.42:N:x", "1.3.42:n:0", "1.3.42:Adj:0"):
             with pytest.raises(AddressError):
                 Address.parse(text)
 
