@@ -30,6 +30,7 @@ from .lexnet import (
     SynsetResource,
     build_mini_net,
     lexicon_lemmas,
+    load_neighbourhood,
     load_resource,
 )
 from .metrics import PathResult, sg_distance, word_distance

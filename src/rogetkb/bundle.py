@@ -19,8 +19,8 @@ from typing import Any, Callable, Iterable, Iterator, Optional, TextIO, Union
 
 from .aligner import class_coverage, common_strings, pos_distribution
 from .index import LexicalIndex, build_index
-from .lexnet import LexiconError, SynsetResource, lexicon_lemmas, load_resource
-from .model import RogetClass, Section, ThesaurusKB
+from .lexnet import LexiconError, SynsetResource, lexicon_lemmas, load_neighbourhood, load_resource
+from .model import PartOfSpeech, RogetClass, Section, ThesaurusKB
 from .parser import ParseDiagnostic, parse_source, serialize_kb
 
 __all__ = ["BuildMeta", "KBBundle", "BundleError", "write_bundle", "load_bundle", "structured_document"]
@@ -44,8 +44,9 @@ class BuildMeta:
 class KBBundle:
     """A loaded bundle: the parsed knowledge base and its checked metadata.
     The index and the lexicon are built on first access, so a command pays
-    only for the layers it reads; a command that answers one query indexes
-    only its words, and one that counts lemmas never builds the synset graph."""
+    only for the layers it reads. A single query reads a scoped layer: it
+    indexes only its words, or keeps only its keyword's neighbourhood of
+    the lexicon. A command that counts lemmas keeps only the lemma set."""
 
     def __init__(
         self, kb: ThesaurusKB, meta: BuildMeta, lex_text: Optional[str], path: str
@@ -81,6 +82,16 @@ class KBBundle:
         resource = self._read_lexicon(load_resource)
         self._lex_text = None  # cached from here on; the text need not live through the command
         return resource
+
+    def resource_of(self, lemma: str, pos: PartOfSpeech) -> Optional[SynsetResource]:
+        """The part of the embedded lexicon that ``build_mini_net`` reads for
+        ``lemma`` at ``pos``, or None; raises BundleError when it is
+        malformed. Read by one checked pass that keeps only that part, and
+        not cached: the path for a single query. Once ``resource`` is
+        built, that is the answer."""
+        if self._lex_text is None:  # no lexicon, or ``resource`` holds it now
+            return self.resource
+        return self._read_lexicon(lambda text: load_neighbourhood(text, lemma, pos))
 
     @cached_property
     def lemmas(self) -> Optional[frozenset[str]]:

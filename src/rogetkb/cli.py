@@ -11,7 +11,7 @@ from __future__ import annotations
 import gc
 import sys
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional, TypeVar
 
 import click
 
@@ -27,13 +27,15 @@ from .bundle import BundleError, KBBundle, load_bundle, structured_document, wri
 from .lexnet import LABEL_PRECEDENCE, LexiconError, RelationType, lexicon_lemmas
 from .lexnet import load_resource  # unused; perfbench/tracer.py binds it here
 from .metrics import word_distance
-from .model import Address, AddressError, PartOfSpeech
+from .model import POS_BY_TAG, Address, AddressError, PartOfSpeech
 from .parser import parse_source, serialize_kb
 
 EXIT_PARSE = 1
 EXIT_IO = 2
 EXIT_MISSING = 3
 EXIT_CAPABILITY = 4
+
+_T = TypeVar("_T")
 
 _KB_OPTION = click.option(
     "--kb", "kb_path", required=True, type=click.Path(), help="knowledge-base bundle file"
@@ -48,18 +50,30 @@ def _read_text(path: str) -> str:
         sys.exit(EXIT_IO)
 
 
-def _load(kb_path: str, lexicon: Optional[str] = None) -> KBBundle:
-    """Load the bundle. With ``lexicon`` (``"resource"`` or ``"lemmas"``), also
-    build that layer of its lexicon now, so that a malformed one exits before
-    the command prints or writes anything."""
+def _read(read: Callable[[], _T]) -> _T:
+    """``read()``, exiting 2 on a BundleError: an unreadable bundle, or a
+    malformed lexicon when ``read`` builds a layer of it. A command builds
+    that layer before it prints or writes anything."""
     try:
-        bundle = load_bundle(kb_path)
-        if lexicon is not None:
-            getattr(bundle, lexicon)
-        return bundle
+        return read()
     except BundleError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_IO)
+
+
+def _load(kb_path: str, lemmas: bool = False) -> KBBundle:
+    """Load the bundle; with ``lemmas``, also the lemma set of its lexicon."""
+    bundle = _read(lambda: load_bundle(kb_path))
+    if lemmas:
+        _read(lambda: bundle.lemmas)
+    return bundle
+
+
+def _part_of_speech(ctx: click.Context, param: click.Parameter, tag: str) -> PartOfSpeech:
+    try:
+        return PartOfSpeech.parse(tag)
+    except ValueError as exc:
+        raise click.BadParameter(str(exc)) from None
 
 
 @click.group()
@@ -159,7 +173,7 @@ def stats(mode: str, kb_path: str, top: Optional[int], strip: bool) -> None:
     Coverage percentage columns appear when the bundle carries a synset
     resource; otherwise the tables are counts-only.
     """
-    bundle = _load(kb_path, None if mode == "pos" else "lemmas")
+    bundle = _load(kb_path, lemmas=mode != "pos")
     if mode == "pos":
         click.echo("pos\tfraction")
         shares = pos_distribution(bundle.kb)
@@ -227,35 +241,39 @@ def render_labelled(result: LabelledParagraph, pos: PartOfSpeech, show_evidence:
 
 @main.command()
 @click.argument("head_num", type=int)
-@click.argument("pos", type=click.Choice([p.value for p in PartOfSpeech], case_sensitive=False))
+@click.argument("pos", metavar="{" + "|".join(POS_BY_TAG) + "}", callback=_part_of_speech)
 @click.argument("para_idx", type=int, default=0, required=False)
 @_KB_OPTION
 @click.option("--evidence", "show_evidence", is_flag=True,
               help="print the matched string/synset pairs per labelled group")
 @click.option("--no-xref-match", "no_xref", is_flag=True,
               help="do not let cross-reference keywords participate in matching")
-def label(head_num: int, pos: str, para_idx: int, kb_path: str,
+def label(head_num: int, pos: PartOfSpeech, para_idx: int, kb_path: str,
           show_evidence: bool, no_xref: bool) -> None:
     """Label the semicolon groups of one paragraph against the keyword's
     mini-net and print the paragraph regrouped by relation."""
-    bundle = _load(kb_path, "resource")
-    if bundle.resource is None:
+    bundle = _load(kb_path)
+    # Only the keyword's neighbourhood of the lexicon is read, so the target
+    # paragraph is found first. A missing target exits 3 only after the
+    # lexicon is read: a malformed lexicon exits 2 and an absent one 4 first.
+    missing, keyword = None, ""  # "" is no lemma: the lexicon is only checked
+    try:
+        head_addr = bundle.kb.head_address(head_num)
+        if head_addr is None:
+            raise AddressError(f"head {head_num} not found")
+        target = Address(head_addr.class_num, head_addr.section_num, head_num, pos, para_idx)
+        keyword = bundle.kb.resolve(target).keyword
+    except AddressError as exc:
+        missing = exc
+    resource = _read(lambda: bundle.resource_of(keyword, pos))
+    if resource is None:
         click.echo("error: bundle has no synset resource (rebuild with --lex)", err=True)
         sys.exit(EXIT_CAPABILITY)
-    head_addr = bundle.kb.head_address(head_num)
-    if head_addr is None:
-        click.echo(f"error: head {head_num} not found", err=True)
+    if missing is not None:
+        click.echo(f"error: {missing}", err=True)
         sys.exit(EXIT_MISSING)
-    pos_tag = PartOfSpeech.parse(pos)
-    try:
-        target = Address(
-            head_addr.class_num, head_addr.section_num, head_num, pos_tag, para_idx
-        )
-        result = label_paragraph(bundle.kb, bundle.resource, target, match_cross_refs=not no_xref)
-    except AddressError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_MISSING)
-    for line in render_labelled(result, pos_tag, show_evidence):
+    result = label_paragraph(bundle.kb, resource, target, match_cross_refs=not no_xref)
+    for line in render_labelled(result, pos, show_evidence):
         click.echo(line)
 
 
@@ -269,7 +287,7 @@ def export(fmt: str, kb_path: str, out_path: str, strip: bool) -> None:
     """Write the bundle back out: FORMAT is ``canonical`` (the source
     grammar, re-parseable) or ``structured`` (JSON with taxonomy, index
     statistics, and coverage)."""
-    bundle = _load(kb_path, "lemmas" if fmt == "structured" else None)
+    bundle = _load(kb_path, lemmas=fmt == "structured")
     try:
         with open(out_path, "w", encoding="utf-8") as out:
             if fmt == "canonical":

@@ -12,6 +12,9 @@ every synset one link away per relation its part of speech follows
 (``DEFAULT_RELATIONS``), where "coordinate" means each direct hypernym
 together with all of that hypernym's direct hyponyms (seed and hypernym
 included).
+
+A mini-net reads a few synsets, so :func:`load_neighbourhood` checks the
+whole document but keeps only what one lemma's mini-net reads.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from .model import POS_BY_TAG, PartOfSpeech
 from .text import normalize
@@ -35,6 +38,7 @@ __all__ = [
     "LexiconError",
     "load_resource",
     "lexicon_lemmas",
+    "load_neighbourhood",
     "build_mini_net",
 ]
 
@@ -100,7 +104,7 @@ class LexiconError(ValueError):
         self.message = message
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Synset:
     """One sense: a set of synonymous lemmas. Lemmas are normalized and kept
     in file order for deterministic rendering."""
@@ -159,6 +163,24 @@ class SynsetResource:
         return self._all_lemmas
 
 
+def _lines(text: str) -> Iterator[str]:
+    """``text.splitlines()``, one chunk of about 64 KiB at a time, so that
+    the list of every line never exists at once. Each chunk ends just past
+    a line feed, which ends a line whatever comes before it."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + (1 << 16)) + 1 or len(text)
+        yield from text[start:end].splitlines()
+        start = end
+
+
+def _synset(syn_id: str, pos: PartOfSpeech, lemma_field: str, gloss: str) -> Synset:
+    """The synset of one SYN record's fields. Its lemmas are normalized,
+    with blanks and repeats dropped, in file order."""
+    lemmas = tuple(dict.fromkeys(filter(None, map(normalize, lemma_field.split(";")))))
+    return Synset(syn_id, pos, lemmas, gloss.strip() or None)
+
+
 def _read_records(
     text: str,
     add_synset: Callable[[str, PartOfSpeech, str, str], object],
@@ -174,7 +196,7 @@ def _read_records(
     # edges read before one of their endpoints was declared, in file order
     pending: list[tuple[int, str, str]] = []
 
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in enumerate(_lines(text), start=1):
         line = raw.strip()
         if not line or line.startswith("//"):
             continue
@@ -225,8 +247,7 @@ def load_resource(text: str) -> SynsetResource:
     edges: list[tuple[str, RelationType, str]] = []
 
     def add_synset(syn_id: str, pos: PartOfSpeech, lemma_field: str, gloss: str) -> None:
-        lemmas = tuple(dict.fromkeys(filter(None, map(normalize, lemma_field.split(";")))))
-        synsets[syn_id] = Synset(syn_id, pos, lemmas, gloss.strip() or None)
+        synsets[syn_id] = _synset(syn_id, pos, lemma_field, gloss)
 
     _read_records(text, add_synset, lambda src, rel, dst: edges.append((src, rel, dst)))
     return SynsetResource(synsets=synsets, edges=tuple(edges))
@@ -244,6 +265,62 @@ def lexicon_lemmas(text: str) -> frozenset[str]:
     _read_records(text, add_synset, lambda src, rel, dst: None)
     lemmas.discard("")
     return frozenset(lemmas)
+
+
+def load_neighbourhood(text: str, lemma: str, pos: PartOfSpeech) -> SynsetResource:
+    """The part of an interchange document that ``build_mini_net(res, lemma,
+    pos)`` reads, checked as :func:`load_resource` checks the whole (the
+    same :class:`LexiconError`): the seed synsets, every edge of theirs
+    that a relation of ``DEFAULT_RELATIONS[pos]`` follows, and, when
+    coordinates are followed, every hyponym edge of each seed hypernym;
+    then the synsets those edges reach. Synsets and edges keep their file
+    order, so the mini-net is the one the whole graph gives. Other queries
+    on the result see only this part."""
+    lemma = normalize(lemma)
+    wanted = DEFAULT_RELATIONS[pos]
+    seeds: set[str] = set()
+    # an edge's endpoints may be declared later, so every candidate is kept to the end
+    candidates: list[tuple[str, RelationType, str]] = []
+
+    def add_synset(syn_id: str, syn_pos: PartOfSpeech, lemma_field: str, gloss: str) -> None:
+        # a blank lemma normalizes to "" and names no synset
+        if syn_pos is pos and lemma and lemma in map(normalize, lemma_field.split(";")):
+            seeds.add(syn_id)
+
+    def add_edge(src: str, rel: RelationType, dst: str) -> None:
+        # A hyponym edge is stored as a hypernym edge, and coordinates are read
+        # through hypernyms; every part of speech that follows either follows
+        # hypernyms too.
+        if rel in wanted:
+            candidates.append((src, rel, dst))
+
+    _read_records(text, add_synset, add_edge)
+    # a hyponym edge of a seed, or of a seed hypernym when coordinates are followed
+    hyponyms_of = set(seeds)
+    if RelationType.COORDINATE in wanted:
+        hyponyms_of.update(
+            dst for src, rel, dst in candidates if rel is RelationType.HYPERNYM and src in seeds
+        )
+    edges = tuple(
+        (src, rel, dst) for src, rel, dst in candidates
+        if src in seeds or (rel is RelationType.HYPERNYM and dst in hyponyms_of)
+    )
+    reached = seeds.union(*((src, dst) for src, _, dst in edges))
+    return SynsetResource(synsets=_synsets_of(text, reached), edges=edges)
+
+
+def _synsets_of(text: str, ids: set[str]) -> dict[str, Synset]:
+    """The synsets of ``ids``, in file order, read from a document that has
+    passed :func:`_read_records`: every record is known to be well formed."""
+    found: dict[str, Synset] = {}
+    for raw in _lines(text):
+        kind, _, rest = raw.strip().partition(" ")
+        if kind == "SYN":
+            body, _, gloss = rest.partition("|")
+            syn_id, pos_tok, lemma_field = body.split(None, 2)
+            if syn_id in ids:
+                found[syn_id] = _synset(syn_id, POS_BY_TAG[pos_tok.upper()], lemma_field, gloss)
+    return found
 
 
 @dataclass(frozen=True)

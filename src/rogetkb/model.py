@@ -72,7 +72,7 @@ POS_BY_TAG = {pos.value: pos for pos in PartOfSpeech}
 _POS_RANK = {pos: rank for rank, pos in enumerate(PartOfSpeech)}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CrossReference:
     """Pointer to another head: ``@307 shortfall`` refers to head 307 under
     the keyword ``shortfall``."""
@@ -84,7 +84,7 @@ class CrossReference:
         return f"@{self.head_num} {self.keyword}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Entry:
     """One string in a semicolon group, with any cross-references attached
     to it. ``text`` is stored normalized."""
@@ -98,7 +98,7 @@ class Entry:
         return " ".join(parts)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SemicolonGroup:
     """A run of closely related entries; the unit of word sense."""
 
@@ -108,7 +108,7 @@ class SemicolonGroup:
         return ", ".join(entry.render() for entry in self.entries)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Paragraph:
     """All semicolon groups of one part of speech sharing a keyword."""
 
@@ -121,7 +121,7 @@ class Paragraph:
         return self.groups[0].entries[0].text
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Head:
     """A numbered topic. Paragraphs are kept in source order; the address
     scheme groups them by part of speech."""
@@ -142,14 +142,14 @@ class Head:
             yield para.pos, idx, para
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Section:
     number: int
     name: str
     heads: tuple[Head, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RogetClass:
     number: int
     name: str
@@ -286,7 +286,7 @@ class Address(_AddressFields):
         return cls(*numbers[:3], pos, *numbers[3:])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CountRecord:
     """Node totals for one class, or for the whole KB when class_num is None.
     ``entries`` counts every occurrence, repetitions included."""
@@ -299,7 +299,7 @@ class CountRecord:
     entries: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CountReport:
     per_class: tuple[CountRecord, ...]
     total: CountRecord
@@ -319,7 +319,7 @@ class HeadTally(NamedTuple):
     pos_entries: tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ThesaurusKB:
     """A fully built knowledge base. Numbers ascend at every level: classes
     in the KB, sections in their class, heads across the KB. The parser

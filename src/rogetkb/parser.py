@@ -59,7 +59,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ParseDiagnostic:
     line: int
     severity: str  # "warning" or "error"
@@ -69,7 +69,7 @@ class ParseDiagnostic:
         return f"{self.line}:{self.severity}: {self.message}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ParseResult:
     """Outcome of a parse: ``kb`` is None iff any diagnostic is an error."""
 

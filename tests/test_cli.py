@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 from rogetkb.bundle import load_bundle
 from rogetkb.cli import main
 from rogetkb.fixtures import fixture_text
-from rogetkb.lexnet import load_resource
+from rogetkb.lexnet import load_neighbourhood
+from rogetkb.model import PartOfSpeech
 from soups import line_soups
 
 runner = CliRunner()
@@ -324,8 +325,9 @@ class TestLazyLayers:
 
 
 class TestLexiconLayers:
-    """``build`` only checks the lexicon and the coverage commands only read
-    its lemmas, so neither builds the synset graph; ``label`` does."""
+    """``build`` only checks the lexicon, the coverage commands only read its
+    lemmas and ``label`` only its keyword's neighbourhood, so no command
+    builds the synset graph."""
 
     @staticmethod
     def _run(args: tuple, out: Path, expect: int = 0) -> tuple:
@@ -341,8 +343,11 @@ class TestLexiconLayers:
         ("stats", "head", "--kb", "{kb}"),
         ("stats", "head", "--kb", "{kb}", "--strip-gloss", "--top", "1"),
         ("export", "structured", "--kb", "{kb}", "--out", "{{out}}"),
+        ("label", "42", "N", "--kb", "{kb}"),
+        ("label", "42", "N", "--kb", "{kb}", "--evidence"),
+        ("label", "42", "N", "0", "--kb", "{kb}", "--evidence", "--no-xref-match"),
     ], ids=["build", "stats-class", "stats-class-strip", "stats-head", "stats-head-strip",
-            "export-structured"])
+            "export-structured", "label", "label-evidence", "label-no-xref-match"])
     def test_commands_that_never_build_the_synset_graph(self, workdir, b42, monkeypatch, command):
         args = tuple(a.format(src=workdir / "head42.roget", lex=workdir / "decrement.lex", kb=b42)
                      for a in command)
@@ -366,14 +371,13 @@ class TestLexiconLayers:
         assert (stdout, written) == ("", None)
         assert stderr.endswith("\n2:error: unknown synset ghost.n.1\n")  # after the parse warnings
 
-    def test_label_builds_the_synset_graph(self, workdir, b42, monkeypatch):
+    def test_label_reads_only_its_keywords_neighbourhood(self, workdir, b42, monkeypatch):
         unpatched = _call(_LABEL, b42, workdir / "label.out").stdout
         calls = []
-        monkeypatch.setattr("rogetkb.bundle.load_resource",
-                            lambda text: calls.append(text) or load_resource(text))
-        monkeypatch.setattr("rogetkb.cli.load_resource", _raise)
+        monkeypatch.setattr("rogetkb.bundle.load_neighbourhood",
+                            lambda *args: calls.append(args) or load_neighbourhood(*args))
         assert _call(_LABEL, b42, workdir / "label.out").stdout == unpatched
-        assert calls == [fixture_text("decrement.lex")]
+        assert calls == [(fixture_text("decrement.lex"), "decrement", PartOfSpeech.NOUN)]
 
 
 class TestEmptyLexicon:
@@ -669,6 +673,46 @@ class TestLabel:
         result = invoke("label", "--kb", b42, "42", "N", "--", "-1", expect=3)
         assert result.stderr == "error: bad paragraph component -1\n"
         assert result.stdout == ""
+
+    @pytest.mark.parametrize("args, lexicon, expect, stderr", [
+        (("99", "N"), "malformed", 2, "error: bundle {kb} carries a malformed lexicon: "
+                                      "1:error: unknown record kind 'BOGUS'\n"),
+        (("42", "VB"), "malformed", 2, "error: bundle {kb} carries a malformed lexicon: "
+                                       "1:error: unknown record kind 'BOGUS'\n"),
+        (("42", "N", "--", "-1"), "malformed", 2,
+         "error: bundle {kb} carries a malformed lexicon: 1:error: unknown record kind 'BOGUS'\n"),
+        # the keyword's synsets are declared before the fault, which is still found
+        (("42", "N"), "dangling", 2, "error: bundle {kb} carries a malformed lexicon: "
+                                     "2:error: unknown synset ghost.n.1\n"),
+        (("99", "N"), "absent", 4, "error: bundle has no synset resource (rebuild with --lex)\n"),
+        (("42", "VB"), "absent", 4, "error: bundle has no synset resource (rebuild with --lex)\n"),
+        (("99", "N"), "good", 3, "error: head 99 not found\n"),
+        (("42", "VB"), "good", 3, "error: paragraph VB:0 not found in head 42\n"),
+    ], ids=["no-head-malformed", "no-paragraph-malformed", "negative-index-malformed",
+            "keyword-found-malformed", "no-head-absent", "no-paragraph-absent",
+            "no-head-good", "no-paragraph-good"])
+    def test_exit_code_precedence(self, workdir, b42, args, lexicon, expect, stderr):
+        """A malformed lexicon exits 2 before an absent one exits 4, and both
+        before a missing target exits 3, whatever the target is."""
+        texts = {"malformed": "BOGUS record\n",
+                 "dangling": "SYN d.n.1 N decrement\nREL hypernym d.n.1 ghost.n.1\n"}
+        if lexicon == "good":
+            kb = b42
+        elif lexicon == "absent":
+            kb = _rewritten(workdir, b42, lambda doc: doc.update(lexicon=None))
+        else:
+            kb = _rewritten(workdir, b42, lambda doc: _set_lexicon(doc, texts[lexicon]))
+        result = invoke("label", "--kb", kb, *args, expect=expect)
+        assert (result.stdout, result.stderr) == ("", stderr.format(kb=kb))
+
+    def test_unknown_tag_is_a_usage_error_before_the_bundle_loads(self, workdir, monkeypatch):
+        monkeypatch.setattr("rogetkb.cli.load_bundle", _raise)
+        result = invoke("label", "42", "q", "--kb", str(workdir / "absent.kb"), expect=2)
+        assert result.stdout == ""
+        assert result.stderr.startswith("Usage: ")
+        assert result.stderr.endswith(
+            "Error: Invalid value for '{N|ADJ|VB|ADV|INT}': unknown part of speech 'q'\n"
+        )
 
     def test_pos_argument_case_insensitive(self, b42):
         assert (

@@ -1,23 +1,31 @@
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import soups
 from oracles import reference_load_resource
+from rogetkb.aligner import label_paragraph
+from rogetkb.bundle import BundleError, KBBundle
 from rogetkb.fixtures import fixture_text
 from rogetkb.lexnet import (
     DEFAULT_RELATIONS,
     LABEL_PRECEDENCE,
     LexiconError,
     RelationType,
+    _lines,
     build_mini_net,
     lexicon_lemmas,
+    load_neighbourhood,
     load_resource,
 )
-from rogetkb.model import PartOfSpeech
+from rogetkb.model import Address, PartOfSpeech, ThesaurusKB
+from rogetkb.parser import parse_source
+from rogetkb.text import normalize
 from soups import lexicon_soups
 
 
@@ -314,3 +322,148 @@ class TestMiniNet:
     def test_pos_filters_seeds(self, res_dec):
         net = build_mini_net(res_dec, "decrement", PartOfSpeech.VERB)
         assert net.senses == ()
+
+
+class TestLines:
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r", "\x85", "\u2028"])
+    def test_chunked_lines_are_splitlines(self, end):
+        # lines of every length around the 64 KiB chunk size, so that chunks
+        # end at many offsets, some just past the "\n" of a "\r\n"
+        text = "\n".join(end.join(["x" * width, "", "// y"]) for width in range(0, 3000, 7))
+        assert len(text) > 3 * (1 << 16)
+        for cut in (text, text + "\n", text + "\r", text[:-1]):
+            assert list(_lines(cut)) == cut.splitlines()
+        assert list(_lines("")) == []
+
+    def test_error_line_numbers_past_the_first_chunk(self):
+        records = [f"SYN s{i}.n.1 N lemma{i} | {'g' * 40}" for i in range(4000)]
+        text = "\r\n".join(records + ["REL hypernym s1.n.1 ghost.n.1", *records[:1]])
+        for read in (load_resource, lexicon_lemmas,
+                     lambda t: load_neighbourhood(t, "lemma1", PartOfSpeech.NOUN)):
+            with pytest.raises(LexiconError) as exc_info:
+                read(text)
+            assert (exc_info.value.line, exc_info.value.message) == (4002, "duplicate synset id s0.n.1")
+
+
+# The lemmas of the graph lexicons below. Paragraphs also take as words every
+# lemma of the lexicon soups' SYN records, a lemma of the decrement fixture and
+# a string no record holds.
+_GRAPH_LEMMAS = ["alpha", "beta", "gamma", "delta"]
+_LEMMAS = sorted(
+    {normalize(piece) for field in soups._GOOD_FIELDS for piece in field.split(";")} - {""}
+) + ["decrement", "zzz"]
+
+
+# Fixed choices are enumerated up front, as in soups.py: one draw from a list
+# costs far less than the nested draws that would build the same strings.
+_TAGS = ["N", "N", "VB", "ADJ", "ADV", "INT"]
+_SYN_BODIES = st.sampled_from([
+    f"{tag} {lemmas}" for tag in _TAGS
+    for lemmas in [*_GRAPH_LEMMAS, *map(";".join, itertools.permutations(_GRAPH_LEMMAS, 2))]
+])
+_RELATION_NAMES = ["hypernym", "hyponym"] * 4 + [rel.value for rel in RelationType]
+_RELS = [st.sampled_from([f"REL {rel} s{a} s{b}" for rel in _RELATION_NAMES
+                          for a in range(n) for b in range(n)]) for n in range(9)]
+
+
+@st.composite
+def _graph_lexicons(draw) -> str:
+    """A few synsets over a few lemmas and edges of every relation type
+    between them, so that seeds share hypernyms and hyponyms; the records in
+    any order, so edges refer forward."""
+    n = draw(st.integers(1, 8))
+    lines = [f"SYN s{i} {draw(_SYN_BODIES)}" for i in range(n)]
+    lines += draw(st.lists(_RELS[n], max_size=20))
+    return "\n".join(draw(st.permutations(lines)))
+
+
+_WORDS = _GRAPH_LEMMAS * 4 + _LEMMAS
+_GROUPS = st.lists(
+    st.sampled_from([*_WORDS, *(f"{word} @1 {ref}" for word in _WORDS[::3] for ref in _WORDS[1::3])]),
+    min_size=1, max_size=3,
+).map(", ".join)
+_PARAGRAPHS = st.builds(
+    lambda tag, groups: f"#PARA {tag}\n" + "\n".join(group + ";" for group in groups),
+    st.sampled_from(_TAGS), st.lists(_GROUPS, min_size=1, max_size=4),
+)
+_KBS = st.lists(_PARAGRAPHS, min_size=1, max_size=4).map(
+    lambda paragraphs: parse_source("#CLASS 1 C\n#SECTION 1 S\n#HEAD 1 H\n" + "\n".join(paragraphs)).kb
+)
+
+
+def _paragraph_targets(kb: ThesaurusKB) -> list:
+    return [
+        Address(cls.number, sec.number, head.number, pos, idx)
+        for cls in kb.classes for sec in cls.sections for head in sec.heads
+        for pos, idx, _ in head.paragraph_positions()
+    ]
+
+
+def _assert_scoped_reads_as_the_whole(kb: ThesaurusKB, text: str, every_lemma: bool) -> None:
+    """Through a bundle, the part ``resource_of`` reads gives the labels of
+    every paragraph, and the mini-net of every keyword at its paragraph's
+    part of speech, that the whole graph gives; with ``every_lemma``, also
+    the mini-net of every lemma of the lexicon, a blank and an unknown
+    string at every part of speech. On a malformed lexicon it raises the
+    reference loader's error."""
+
+    def bundle() -> KBBundle:  # a fresh bundle: ``resource`` is not built yet
+        return KBBundle(kb, meta=None, lex_text=text, path="lexicon.kb")
+
+    targets = _paragraph_targets(kb)
+    queries = [(kb.resolve(target).keyword, target.pos) for target in targets]
+    try:
+        reference_load_resource(text)
+    except LexiconError as exc:
+        for lemma, pos in [("zzz", PartOfSpeech.NOUN), *queries[:3]]:
+            with pytest.raises(BundleError) as raised:
+                bundle().resource_of(lemma, pos)
+            cause = raised.value.__cause__
+            assert (cause.line, cause.message) == (exc.line, exc.message)
+        return
+    whole = bundle().resource
+    if every_lemma:
+        queries += [(lemma, pos) for lemma in ["", "zzz", *sorted(whole.all_lemmas())]
+                    for pos in PartOfSpeech]
+    for lemma, pos in queries:
+        scoped = bundle().resource_of(lemma, pos)
+        assert build_mini_net(scoped, lemma, pos) == build_mini_net(whole, lemma, pos)
+    for target in targets:
+        scoped = bundle().resource_of(kb.resolve(target).keyword, target.pos)
+        for match in (True, False):
+            assert label_paragraph(kb, scoped, target, match_cross_refs=match) == (
+                label_paragraph(kb, whole, target, match_cross_refs=match)
+            )
+
+
+class TestScopedRead:
+    """``load_neighbourhood`` keeps only what one mini-net reads, and reads
+    as the whole graph does for it."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(lexicon_soups(), _graph_lexicons()), _KBS)
+    def test_against_the_whole_graph(self, text, kb):
+        _assert_scoped_reads_as_the_whole(kb, text, every_lemma=True)
+
+    @settings(max_examples=1, deadline=None)
+    @given(st.integers(0, 2**16))
+    def test_against_the_whole_graph_on_a_generated_corpus(self, perfbench_corpus, seed):
+        corpus = perfbench_corpus.generate(seed, scale=0.02)
+        kb = parse_source(corpus.canonical).kb
+        _assert_scoped_reads_as_the_whole(kb, corpus.lexicon, every_lemma=False)
+        damaged = corpus.lexicon + "REL hypernym ghost.n.1 x\n"
+        _assert_scoped_reads_as_the_whole(kb, damaged, every_lemma=False)
+
+    def test_keeps_only_the_neighbourhood(self, res_dec):
+        text = fixture_text("decrement.lex")
+        part = load_neighbourhood(text, " Decrement ", PartOfSpeech.NOUN)
+        # the two seeds, their hypernyms and every hyponym of those
+        want = {s.id for sense in build_mini_net(res_dec, "decrement", PartOfSpeech.NOUN).senses
+                for s in (sense.seed, *(t for _, group in sense.reached for t in group))}
+        assert set(part.synsets) == want
+        assert [s.id for s in part.synsets.values()] == [i for i in res_dec.synsets if i in want]
+        assert part.edges == tuple(e for e in res_dec.edges if e in set(part.edges))
+        assert "leak.n.1" not in part.synsets
+        assert load_neighbourhood(text, "decrement", PartOfSpeech.VERB).synsets == {}
+        # a blank lemma is no synset's, though a lemma field may hold a blank
+        assert load_neighbourhood("SYN a.n.1 N x;;y\n", "", PartOfSpeech.NOUN).synsets == {}
