@@ -5,17 +5,24 @@ Nothing opaque is stored. A load parses the embedded source text and checks
 both recorded checksums against sha256 of the stored texts, byte for byte;
 the index and the lexicon are built from them on first use. Output is
 byte-deterministic (no timestamps).
+
+The lexicon check is the one read that needs nothing from the parse, so a
+caller that needs both (``build --lex`` and the coverage commands) can run
+it in a forked child while it parses: see ``_lemmas_alongside``.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from json.encoder import encode_basestring
-from typing import Any, Callable, Iterable, Iterator, Optional, TextIO, Union
+from typing import Any, BinaryIO, Callable, Iterable, Iterator, Optional, TextIO, Union
 
 from .aligner import class_coverage, common_strings, pos_distribution
 from .index import LexicalIndex, build_index
@@ -137,9 +144,9 @@ def write_bundle(
         "source": source,
         "lexicon": lex_text,
     }
-    Path(path).write_text(
-        json.dumps(document, indent=2, ensure_ascii=False) + "\n", encoding="utf-8"
-    )
+    with open(path, "w", encoding="utf-8") as out:
+        json.dump(document, out, indent=2, ensure_ascii=False)
+        out.write("\n")
     return meta
 
 
@@ -170,7 +177,90 @@ def _verified(recorded: object, checksum: Callable[[str], str], text: str, what:
     raise BundleError(f"bundle {path} failed its {what} checksum")
 
 
-def load_bundle(path: Union[str, Path]) -> KBBundle:
+def _fork_lemmas(text: str) -> tuple[int, Optional[BinaryIO]]:
+    """The pid of a forked child that writes the outcome of
+    ``lexicon_lemmas(text)`` down a pipe, and the read end of that pipe.
+    The reply is "L" and the lemmas one a line (a normalized lemma holds
+    no line break), or "E", the line of the LexiconError, a line break and
+    its message. ``(0, None)`` when no child can be started: no
+    ``os.fork``, another live thread, or an OSError."""
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return 0, None
+    try:
+        read_fd, write_fd = os.pipe()
+    except OSError:
+        return 0, None
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        return 0, None
+    if pid == 0:  # the child leaves only through os._exit, never back to the caller
+        code = 1
+        try:
+            os.close(read_fd)
+            try:
+                reply = "L" + "\n".join(lexicon_lemmas(text))
+            except LexiconError as exc:
+                reply = f"E{exc.line}\n{exc.message}"
+            with open(write_fd, "wb") as pipe:
+                pipe.write(reply.encode("utf-8", "surrogatepass"))
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_fd)
+    return pid, open(read_fd, "rb")
+
+
+@contextmanager
+def _lemmas_alongside(text: Optional[str]) -> Iterator[Callable[[], Optional[frozenset[str]]]]:
+    """Start ``lexicon_lemmas(text)`` in a forked child, so that it runs
+    while the caller parses, and yield the function that returns its
+    result: the lemma set, or the same LexiconError (None when ``text`` is).
+    The child only saves time: when none could be started, or it died
+    before its whole reply was written, that function reads ``text``
+    itself. Fork before the parse, while the process is small: the child
+    starts as big as its parent. However the block ends, a child still
+    running is killed and reaped."""
+    pid, pipe = _fork_lemmas(text) if text is not None else (0, None)
+
+    def lemmas() -> Optional[frozenset[str]]:
+        nonlocal pid
+        if text is None:
+            return None
+        if pid:
+            reply = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            pid = 0
+            if status == 0:  # the child exits 0 only once its whole reply is written
+                body = reply[1:].decode("utf-8", "surrogatepass")
+                if reply[:1] == b"L":
+                    return frozenset(body.split("\n")) if body else frozenset()
+                line, _, message = body.partition("\n")
+                raise LexiconError(int(line), message)
+        return lexicon_lemmas(text)
+
+    try:
+        yield lemmas
+    finally:
+        if pipe is not None:
+            pipe.close()
+        if pid:
+            # imported here, on the early exits alone: the module costs each
+            # call a third of a megabyte at its peak
+            from signal import SIGKILL
+
+            os.kill(pid, SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def load_bundle(path: Union[str, Path], *, lemmas: bool = False) -> KBBundle:
+    """Read, parse and check the bundle at ``path``. With ``lemmas``, the
+    embedded lexicon's lemma set is read too, in a child process while the
+    taxonomy parses when one can be started, so that ``lemmas`` is already
+    built and a malformed lexicon raises BundleError here, after every
+    other check."""
     try:
         raw = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
@@ -180,6 +270,7 @@ def load_bundle(path: Union[str, Path]) -> KBBundle:
     except (ValueError, RecursionError) as exc:
         # a JSONDecodeError, an integer past Python's digit limit, or too deep
         raise BundleError(f"bundle {path} is not valid JSON: {exc}") from exc
+    del raw  # the document holds the texts: the file's need not live through the parse
     if not isinstance(document, dict) or document.get("format") != _FORMAT:
         raise BundleError(f"{path} is not a knowledge-base bundle")
     version = document.get("version")
@@ -190,21 +281,25 @@ def load_bundle(path: Union[str, Path]) -> KBBundle:
     lex_text = _field(document, "lexicon", (str, type(None)), None, path)
 
     source = _field(document, "source", str, "", path)
-    result = parse_source(source)
-    if result.kb is None:
-        raise BundleError(f"bundle {path} contains an unparseable source document")
+    with _lemmas_alongside(lex_text if lemmas else None) as read_lemmas:
+        result = parse_source(source)
+        if result.kb is None:
+            raise BundleError(f"bundle {path} contains an unparseable source document")
 
-    meta = BuildMeta(
-        source_checksum=_verified(
-            meta_doc.get("sourceChecksum"), _source_checksum, source, "source", path
-        ),
-        lex_checksum=None if lex_text is None else _verified(
-            meta_doc.get("lexChecksum"), _sha256, lex_text, "lexicon", path
-        ),
-        errors=_count(diag, "errors", path),
-        warnings=_count(diag, "warnings", path),
-    )
-    return KBBundle(kb=result.kb, meta=meta, lex_text=lex_text, path=str(path))
+        meta = BuildMeta(
+            source_checksum=_verified(
+                meta_doc.get("sourceChecksum"), _source_checksum, source, "source", path
+            ),
+            lex_checksum=None if lex_text is None else _verified(
+                meta_doc.get("lexChecksum"), _sha256, lex_text, "lexicon", path
+            ),
+            errors=_count(diag, "errors", path),
+            warnings=_count(diag, "warnings", path),
+        )
+        bundle = KBBundle(kb=result.kb, meta=meta, lex_text=lex_text, path=str(path))
+        if lemmas:
+            bundle.lemmas = bundle._read_lexicon(lambda text: read_lemmas())
+    return bundle
 
 
 def _object(depth: int, *keys: str) -> str:

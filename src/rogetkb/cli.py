@@ -23,8 +23,10 @@ from .aligner import (
     label_paragraph,
     pos_distribution,
 )
-from .bundle import BundleError, KBBundle, load_bundle, structured_document, write_bundle
-from .lexnet import LABEL_PRECEDENCE, LexiconError, RelationType, lexicon_lemmas
+from .bundle import (
+    BundleError, KBBundle, _lemmas_alongside, load_bundle, structured_document, write_bundle,
+)
+from .lexnet import LABEL_PRECEDENCE, LexiconError, RelationType
 from .lexnet import load_resource  # unused; perfbench/tracer.py binds it here
 from .metrics import word_distance
 from .model import POS_BY_TAG, Address, AddressError, PartOfSpeech
@@ -42,12 +44,21 @@ _KB_OPTION = click.option(
 )
 
 
-def _read_text(path: str) -> str:
+def _try_read_text(path: str) -> tuple[Optional[str], str]:
+    """The text of ``path`` and "", or None and the message saying why it
+    cannot be read."""
     try:
-        return Path(path).read_text(encoding="utf-8-sig")
+        return Path(path).read_text(encoding="utf-8-sig"), ""
     except (OSError, UnicodeDecodeError) as exc:
-        click.echo(f"error: cannot read {path}: {exc}", err=True)
+        return None, f"error: cannot read {path}: {exc}"
+
+
+def _read_text(path: str) -> str:
+    text, error = _try_read_text(path)
+    if text is None:
+        click.echo(error, err=True)
         sys.exit(EXIT_IO)
+    return text
 
 
 def _read(read: Callable[[], _T]) -> _T:
@@ -62,11 +73,11 @@ def _read(read: Callable[[], _T]) -> _T:
 
 
 def _load(kb_path: str, lemmas: bool = False) -> KBBundle:
-    """Load the bundle; with ``lemmas``, also the lemma set of its lexicon."""
-    bundle = _read(lambda: load_bundle(kb_path))
+    """Load the bundle; with ``lemmas``, also the lemma set of its lexicon,
+    read while the taxonomy parses."""
     if lemmas:
-        _read(lambda: bundle.lemmas)
-    return bundle
+        return _read(lambda: load_bundle(kb_path, lemmas=True))
+    return _read(lambda: load_bundle(kb_path))
 
 
 def _part_of_speech(ctx: click.Context, param: click.Parameter, tag: str) -> PartOfSpeech:
@@ -101,16 +112,23 @@ def build(source: str, lex_path: Optional[str], out_path: str) -> None:
     Diagnostics go to standard error; the bundle is written only when no
     error-severity diagnostic was produced.
     """
-    result = parse_source(_read_text(source))
-    for diag in result.diagnostics:
-        click.echo(str(diag), err=True)
-    if result.kb is None:
-        sys.exit(EXIT_PARSE)
-    lex_text = None
-    if lex_path is not None:
-        lex_text = _read_text(lex_path)
+    text = _read_text(source)
+    # The lexicon is read and checked while the source parses, but its
+    # faults are reported after the parse's, in the order a sequential
+    # build gives: parse errors, then an unreadable lexicon, then a
+    # malformed one.
+    lex_text, lex_error = _try_read_text(lex_path) if lex_path is not None else (None, "")
+    with _lemmas_alongside(lex_text) as checked:
+        result = parse_source(text)
+        for diag in result.diagnostics:
+            click.echo(str(diag), err=True)
+        if result.kb is None:
+            sys.exit(EXIT_PARSE)
+        if lex_error:
+            click.echo(lex_error, err=True)
+            sys.exit(EXIT_IO)
         try:
-            lexicon_lemmas(lex_text)  # the full check, without building the synset graph
+            checked()  # the full check, without building the synset graph
         except LexiconError as exc:
             click.echo(str(exc), err=True)
             sys.exit(EXIT_PARSE)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import os
 import re
 
 import pytest
@@ -91,6 +92,76 @@ def test_malformed_lexicon_raises_from_either_layer(tmp_path, kb2, first):
     for layer in (first, *({"resource", "lemmas"} - {first}), first):
         with pytest.raises(BundleError, match=message):
             getattr(bundle, layer)
+
+
+@pytest.mark.parametrize("lex_text", [fixture_text("decrement.lex"), "", None],
+                         ids=["fixture", "empty", "none"])
+def test_load_with_lemmas_reads_the_lemma_set_at_load(tmp_path, monkeypatch, kb2, lex_text):
+    """``load_bundle(path, lemmas=True)`` builds ``lemmas`` as the load, in a
+    child process: the parent never reads the lexicon itself."""
+    write_bundle(tmp_path / "two.kb", kb2, lex_text=lex_text)
+    parent, reads = os.getpid(), []
+
+    def read_in_parent(text):
+        if os.getpid() == parent:
+            reads.append(text)
+        return lexicon_lemmas(text)
+
+    monkeypatch.setattr("rogetkb.bundle.lexicon_lemmas", read_in_parent)
+    bundle = load_bundle(tmp_path / "two.kb", lemmas=True)
+    assert "lemmas" in vars(bundle)  # built, not pending
+    assert bundle.lemmas == (None if lex_text is None else lexicon_lemmas(lex_text))
+    assert reads == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_load_with_lemmas_raises_a_malformed_lexicon_after_the_checksums(tmp_path, kb2):
+    path = tmp_path / "bogus.kb"
+    write_bundle(path, kb2, lex_text="SYN a.n.1 N a\nBOGUS record\n")
+    assert load_bundle(path).kb == kb2  # the lexicon is not read without need
+    message = "^" + re.escape(f"bundle {path} carries a malformed lexicon: 2:error: ")
+    with pytest.raises(BundleError, match=message):
+        load_bundle(path, lemmas=True)
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc["source"] += "\n"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(BundleError, match="failed its source checksum$"):
+        load_bundle(path, lemmas=True)
+
+
+def test_an_interrupted_load_leaves_no_child(tmp_path, monkeypatch, kb2):
+    write_bundle(tmp_path / "two.kb", kb2, lex_text=fixture_text("decrement.lex"))
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+
+    def interrupt(text):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr("rogetkb.bundle.parse_source", interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        load_bundle(tmp_path / "two.kb", lemmas=True)
+    assert forks == [1]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_write_renders_the_document_as_json_dumps_does(tmp_path, kb42):
+    lex_text = "SYN a.n.1 N caf\u00e9 | \u201cquoted\u201d \\ tab\t\n"
+    meta = write_bundle(tmp_path / "42.kb", kb42, lex_text=lex_text)
+    document = {
+        "format": "rogetkb-bundle",
+        "version": 1,
+        "meta": {
+            "sourceChecksum": meta.source_checksum,
+            "lexChecksum": meta.lex_checksum,
+            "diagnostics": {"errors": 0, "warnings": 0},
+        },
+        "source": kb42.canonical_source(),
+        "lexicon": lex_text,
+    }
+    want = json.dumps(document, indent=2, ensure_ascii=False) + "\n"
+    assert (tmp_path / "42.kb").read_bytes() == want.encode("utf-8")
 
 
 @pytest.fixture(scope="module")

@@ -13,6 +13,7 @@ from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from rogetkb import bundle as bundle_module
 from rogetkb.bundle import load_bundle
 from rogetkb.cli import main
 from rogetkb.fixtures import fixture_text
@@ -378,6 +379,171 @@ class TestLexiconLayers:
                             lambda *args: calls.append(args) or load_neighbourhood(*args))
         assert _call(_LABEL, b42, workdir / "label.out").stdout == unpatched
         assert calls == [(fixture_text("decrement.lex"), "decrement", PartOfSpeech.NOUN)]
+
+
+def _no_children() -> bool:
+    """True when this process has no child, running or unreaped."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+def _child_dies_before_writing(monkeypatch) -> None:
+    parent, read = os.getpid(), bundle_module.lexicon_lemmas
+    monkeypatch.setattr(bundle_module, "lexicon_lemmas",
+                        lambda text: os._exit(1) if os.getpid() != parent else read(text))
+
+
+def _fork_fails(monkeypatch) -> None:
+    def fork():
+        raise OSError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", fork)
+
+
+# ways the lexicon worker cannot deliver, each leaving the read to the parent
+_NO_WORKER = {
+    "no-fork": lambda monkeypatch: monkeypatch.delattr(os, "fork"),
+    "child-dies-before-writing": _child_dies_before_writing,
+    "fork-fails": _fork_fails,
+    "second-thread": lambda monkeypatch: monkeypatch.setattr(
+        bundle_module.threading, "active_count", lambda: 2),
+}
+
+
+class TestLexiconWorker:
+    """``build --lex``, ``stats class|head`` and ``export structured`` read
+    the lexicon in a forked child while the taxonomy parses. The child only
+    saves time: each call prints, writes and exits as the parent's own read
+    makes it, and no call leaves a child behind, however it ends."""
+
+    # {kb}, {src}, {lex} and {out} are filled in per case
+    COMMANDS = {
+        "stats-class": _STATS_CLASS,
+        "stats-head": ("stats", "head", "--kb", "{kb}", "--strip-gloss"),
+        "export-structured": _EXPORT_STRUCTURED,
+    }
+    BUILD = ("build", "{src}", "--lex", "{lex}", "--out", "{out}")
+
+    @staticmethod
+    def _outcome(args: tuple, out: Path, **fill) -> tuple:
+        """stdout, stderr, exit code and the bytes written to ``out`` by one call."""
+        out.unlink(missing_ok=True)
+        result = runner.invoke(main, [a.format(out=out, **fill) for a in args])
+        if result.exception is not None and not isinstance(result.exception, SystemExit):
+            raise result.exception
+        written = out.read_bytes() if out.exists() else None
+        return result.stdout, result.stderr, result.exit_code, written
+
+    @pytest.fixture(scope="class")
+    def lexicons(self, workdir) -> dict:
+        """Lexicon paths by name: the fixture, malformed ones, and unreadable ones."""
+        paths = {"good": workdir / "decrement.lex", "absent": workdir / "absent.lex"}
+        for name, data in {
+            "bogus": b"BOGUS record\n",
+            "dangling": b"SYN a.n.1 N a\nREL hypernym a.n.1 ghost.n.1\n",
+            "latin-1": "SYN a.n.1 N caf\u00e9\n".encode("latin-1"),
+        }.items():
+            paths[name] = workdir / f"worker-{name}.lex"
+            paths[name].write_bytes(data)
+        return {name: str(path) for name, path in paths.items()}
+
+    @pytest.fixture(scope="class")
+    def bad_source(self, workdir) -> str:
+        path = workdir / "worker-bad.roget"
+        path.write_text("#CLASS 9 Out of range\n", encoding="utf-8")
+        return str(path)
+
+    def _cases(self, request) -> list:
+        """(name, args, fill) of every overlapped call on the fixtures and
+        on each malformed bundle."""
+        workdir, b42 = request.getfixturevalue("workdir"), request.getfixturevalue("b42")
+        bundles = {"b42": b42, "b2": request.getfixturevalue("b2")}
+        for name, mutate in MALFORMED_BUNDLES.items():
+            bundles[name] = str(Path(_rewritten(workdir, b42, mutate)).replace(
+                workdir / f"worker-{name}.kb"))
+        cases = [(f"{command}-{bundle}", args, {"kb": path})
+                 for command, args in self.COMMANDS.items() for bundle, path in bundles.items()]
+        lexicons = request.getfixturevalue("lexicons")
+        sources = {"head42": str(workdir / "head42.roget"),
+                   "bad-source": request.getfixturevalue("bad_source")}
+        cases += [(f"build-{source}-{lex}", self.BUILD, {"src": sources[source], "lex": path})
+                  for source in sources for lex, path in lexicons.items()]
+        return cases
+
+    @pytest.mark.parametrize("way", _NO_WORKER.values(), ids=_NO_WORKER.keys())
+    def test_the_worker_changes_nothing(self, workdir, request, monkeypatch, way):
+        out = workdir / "worker.out"
+        cases = self._cases(request)
+        shipped = [self._outcome(args, out, **fill) for _, args, fill in cases]
+        way(monkeypatch)
+        for (name, args, fill), want in zip(cases, shipped):
+            assert self._outcome(args, out, **fill) == want, name
+        assert {code for _, _, code, _ in shipped} == {0, 1, 2}
+
+    def test_the_parent_never_reads_the_lexicon_itself(self, workdir, request, monkeypatch):
+        parent, reads, read = os.getpid(), [], bundle_module.lexicon_lemmas
+
+        def read_in_parent(text):
+            if os.getpid() == parent:
+                reads.append(text)
+            return read(text)
+
+        monkeypatch.setattr(bundle_module, "lexicon_lemmas", read_in_parent)
+        for name, args, fill in self._cases(request):
+            self._outcome(args, workdir / "worker.out", **fill)
+            assert reads == [], name
+
+    @pytest.mark.parametrize("case, expect", [
+        ("stats-class-b42", 0),
+        ("stats-head-b42", 0),
+        ("export-structured-b42", 0),
+        ("build-head42-good", 0),
+        ("stats-class-unparseable-source", 2),
+        ("stats-head-source-lone-surrogate", 2),
+        ("export-structured-lexicon-checksum-mismatch", 2),
+        ("export-structured-lexicon-malformed-checksum-matches", 2),
+        ("build-head42-dangling", 1),
+        ("build-bad-source-good", 1),
+        ("build-head42-good-unwritable-out", 2),
+    ])
+    def test_no_child_is_left_behind(self, workdir, request, monkeypatch, case, expect):
+        cases = {name: (args, fill) for name, args, fill in self._cases(request)}
+        out = workdir / "worker.out"
+        if case.endswith("-unwritable-out"):
+            case, out = case.removesuffix("-unwritable-out"), workdir / "absent-dir" / "x.kb"
+        args, fill = cases[case]
+        forks, fork = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        assert _no_children()
+        assert self._outcome(args, out, **fill)[2] == expect
+        assert forks == [1]
+        assert _no_children()
+
+    def test_build_keeps_its_error_order(self, workdir, lexicons, bad_source):
+        """Parse errors exit 1 before an unreadable lexicon exits 2, and that
+        before a malformed lexicon exits 1 after the parse diagnostics."""
+        out = workdir / "never-written.kb"
+        head42 = str(workdir / "head42.roget")
+        warnings = invoke("build", head42, "--out", str(workdir / "bare.kb")).stderr
+        errors = invoke("build", bad_source, "--out", str(out), expect=1).stderr
+        absent = lexicons["absent"]
+        for source, lex, expect, stderr in [
+            (bad_source, "absent", 1, errors),
+            (bad_source, "latin-1", 1, errors),
+            (bad_source, "bogus", 1, errors),
+            (head42, "absent", 2, warnings + f"error: cannot read {absent}: "
+                                            f"[Errno 2] No such file or directory: '{absent}'\n"),
+            (head42, "bogus", 1, warnings + "1:error: unknown record kind 'BOGUS'\n"),
+            (head42, "dangling", 1, warnings + "2:error: unknown synset ghost.n.1\n"),
+        ]:
+            got = self._outcome(self.BUILD, out, src=source, lex=lexicons[lex])
+            assert got == ("", stderr, expect, None), (source, lex)
+        latin = self._outcome(self.BUILD, out, src=head42, lex=lexicons["latin-1"])
+        assert latin[1].startswith(warnings + f"error: cannot read {lexicons['latin-1']}: ")
+        assert latin[2] == 2
 
 
 class TestEmptyLexicon:
