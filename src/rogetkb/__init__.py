@@ -38,7 +38,6 @@ from .model import (
     Address,
     AddressError,
     CountRecord,
-    CountReport,
     CrossReference,
     Entry,
     Head,

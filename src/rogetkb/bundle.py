@@ -361,7 +361,7 @@ def structured_document(bundle: KBBundle, out: TextIO, *, strip_gloss: bool = Fa
     laid out as ``json.dumps(indent=2)`` lays them out, in fixed key order. The
     taxonomy is streamed a section at a time, never the whole document at once."""
     kb = bundle.kb
-    counts = kb.count_nodes().total
+    counts = kb.count_nodes()
 
     coverage = None
     if bundle.lemmas is not None:

@@ -53,14 +53,6 @@ def _try_read_text(path: str) -> tuple[Optional[str], str]:
         return None, f"error: cannot read {path}: {exc}"
 
 
-def _read_text(path: str) -> str:
-    text, error = _try_read_text(path)
-    if text is None:
-        click.echo(error, err=True)
-        sys.exit(EXIT_IO)
-    return text
-
-
 def _read(read: Callable[[], _T]) -> _T:
     """``read()``, exiting 2 on a BundleError: an unreadable bundle, or a
     malformed lexicon when ``read`` builds a layer of it. A command builds
@@ -75,9 +67,7 @@ def _read(read: Callable[[], _T]) -> _T:
 def _load(kb_path: str, lemmas: bool = False) -> KBBundle:
     """Load the bundle; with ``lemmas``, also the lemma set of its lexicon,
     read while the taxonomy parses."""
-    if lemmas:
-        return _read(lambda: load_bundle(kb_path, lemmas=True))
-    return _read(lambda: load_bundle(kb_path))
+    return _read(lambda: load_bundle(kb_path, lemmas=lemmas))
 
 
 def _part_of_speech(ctx: click.Context, param: click.Parameter, tag: str) -> PartOfSpeech:
@@ -112,7 +102,10 @@ def build(source: str, lex_path: Optional[str], out_path: str) -> None:
     Diagnostics go to standard error; the bundle is written only when no
     error-severity diagnostic was produced.
     """
-    text = _read_text(source)
+    text, error = _try_read_text(source)
+    if text is None:
+        click.echo(error, err=True)
+        sys.exit(EXIT_IO)
     # The lexicon is read and checked while the source parses, but its
     # faults are reported after the parse's, in the order a sequential
     # build gives: parse errors, then an unreadable lexicon, then a
@@ -137,7 +130,7 @@ def build(source: str, lex_path: Optional[str], out_path: str) -> None:
     except OSError as exc:
         click.echo(f"error: cannot write {out_path}: {exc}", err=True)
         sys.exit(EXIT_IO)
-    counts = result.kb.count_nodes().total
+    counts = result.kb.count_nodes()
     click.echo(
         f"wrote {out_path}: {len(result.kb.classes)} classes, "
         f"{counts.heads} heads, {counts.entries} entries"

@@ -332,12 +332,6 @@ class SenseNeighbourhood:
     seed: Synset
     reached: tuple[tuple[RelationType, tuple[Synset, ...]], ...]
 
-    def via(self, relation: RelationType) -> tuple[Synset, ...]:
-        for rel, group in self.reached:
-            if rel is relation:
-                return group
-        return ()
-
 
 @dataclass(frozen=True)
 class MiniNet:

@@ -32,7 +32,6 @@ __all__ = [
     "AddressError",
     "Node",
     "CountRecord",
-    "CountReport",
     "HeadTally",
     "SG_LEVEL",
     "MAX_GROUP_DISTANCE",
@@ -132,14 +131,6 @@ class Head:
 
     def pos_paragraphs(self, pos: PartOfSpeech) -> tuple[Paragraph, ...]:
         return tuple(p for p in self.paragraphs if p.pos is pos)
-
-    def paragraph_positions(self) -> Iterator[tuple[PartOfSpeech, int, Paragraph]]:
-        """Yield each paragraph with its index within its POS group."""
-        counters: dict[PartOfSpeech, int] = {}
-        for para in self.paragraphs:
-            idx = counters.get(para.pos, 0)
-            counters[para.pos] = idx + 1
-            yield para.pos, idx, para
 
 
 @dataclass(frozen=True, slots=True)
@@ -288,21 +279,14 @@ class Address(_AddressFields):
 
 @dataclass(frozen=True, slots=True)
 class CountRecord:
-    """Node totals for one class, or for the whole KB when class_num is None.
-    ``entries`` counts every occurrence, repetitions included."""
+    """Node totals of a whole KB. ``entries`` counts every occurrence,
+    repetitions included."""
 
-    class_num: Optional[int]
     sections: int
     heads: int
     paragraphs: int
     groups: int
     entries: int
-
-
-@dataclass(frozen=True, slots=True)
-class CountReport:
-    per_class: tuple[CountRecord, ...]
-    total: CountRecord
 
 
 class HeadTally(NamedTuple):
@@ -398,21 +382,6 @@ class ThesaurusKB:
                 for head in sec.heads:
                     yield cls, sec, head
 
-    def walk_paragraphs(self) -> Iterator[tuple[Address, Paragraph]]:
-        for cls, sec, head in self.walk_heads():
-            for pos, idx, para in head.paragraph_positions():
-                yield Address(cls.number, sec.number, head.number, pos, idx), para
-
-    def walk_groups(self) -> Iterator[tuple[Address, SemicolonGroup]]:
-        for para_addr, para in self.walk_paragraphs():
-            for sg_idx, group in enumerate(para.groups):
-                yield Address(*para_addr[:5], sg_idx), group
-
-    def walk_entries(self) -> Iterator[tuple[Address, Entry]]:
-        for sg_addr, group in self.walk_groups():
-            for entry_idx, entry in enumerate(group.entries):
-                yield Address(*sg_addr[:SG_LEVEL], entry_idx), entry
-
     def entry_strings(self) -> frozenset[str]:
         """The distinct entry texts, from one walk."""
         return frozenset(entry.text for _, _, head in self.walk_heads() for para in head.paragraphs
@@ -442,14 +411,14 @@ class ThesaurusKB:
                 keyword_hits, entry_hits, tuple(pos_entries),
             )
 
-    def count_nodes(self) -> CountReport:
-        per_class = {cls.number: [len(cls.sections), 0, 0, 0, 0] for cls in self.classes}
-        for cls, _, tally in self.tally_heads():
-            row = per_class[cls.number]
-            row[1] += 1
-            row[2] += tally.paragraphs
-            row[3] += tally.groups
-            row[4] += tally.entries
-        rows = tuple(CountRecord(num, *row) for num, row in per_class.items())
-        total = CountRecord(None, *(sum(row[i] for row in per_class.values()) for i in range(5)))
-        return CountReport(per_class=rows, total=total)
+    def count_nodes(self) -> CountRecord:
+        """Node totals of the KB, summed over :meth:`tally_heads`. Per-class
+        counts are the rows of :func:`rogetkb.aligner.class_coverage`."""
+        heads = paragraphs = groups = entries = 0
+        for _, _, tally in self.tally_heads():
+            heads += 1
+            paragraphs += tally.paragraphs
+            groups += tally.groups
+            entries += tally.entries
+        sections = sum(len(cls.sections) for cls in self.classes)
+        return CountRecord(sections, heads, paragraphs, groups, entries)

@@ -3,30 +3,73 @@
 The BFS oracle materializes the taxonomy as an explicit node/edge graph
 and measures shortest paths by search, sharing no code with the arithmetic
 distance. The token counter recounts entries straight off the source text.
-The table recount rebuilds every count and coverage figure from the
-addresses the walks yield, without the nested tree loops the tables use.
-The reference index collects validated addresses in walk order and sorts
-each posting list, where ``build_index`` relies on the walk's order. The
-address rule is the check the original dataclass ``Address`` ran in
-``__post_init__``, kept verbatim. The reference lexicon loader is the
-interchange reader that built the synset graph record by record, before one
-reader served both the graph and the lemma set, kept verbatim except that it
-reads each tag and relation name through the enum's own constructor, as the
-enums' parsers then did, so that it shares no lookup table with the reader.
+The address walks read only the dataclass fields and number each paragraph
+within its part of speech with their own counter, where the library slices
+``Head.pos_paragraphs``; the graph, the table recount and the reference
+index take their addresses from them. The table recount rebuilds every
+count and coverage figure from the addresses the walks yield, without the
+nested tree loops the tables use. The reference index collects validated
+addresses in walk order and sorts each posting list, where ``build_index``
+relies on the walk's order. The address rule is the check the original
+dataclass ``Address`` ran in ``__post_init__``, kept verbatim. The
+reference lexicon loader is the interchange reader that built the synset
+graph record by record, before one reader served both the graph and the
+lemma set, kept verbatim except that it reads each tag and relation name
+through the enum's own constructor, as the enums' parsers then did, so that
+it shares no lookup table with the reader.
 """
 
 from __future__ import annotations
 
 import json
 from collections import Counter, deque
-from typing import Optional
+from typing import Iterator, Optional
 
 from rogetkb.aligner import class_coverage, common_strings, pos_distribution
 from rogetkb.bundle import _VERSION, KBBundle
 from rogetkb.index import LexicalIndex
-from rogetkb.lexnet import LexiconError, RelationType, Synset, SynsetResource
-from rogetkb.model import Address, PartOfSpeech, ThesaurusKB
+from rogetkb.lexnet import LexiconError, RelationType, SenseNeighbourhood, Synset, SynsetResource
+from rogetkb.model import (
+    SG_LEVEL, Address, Entry, Head, Paragraph, PartOfSpeech, SemicolonGroup, ThesaurusKB,
+)
 from rogetkb.text import normalize
+
+
+def paragraph_positions(head: Head) -> Iterator[tuple[PartOfSpeech, int, Paragraph]]:
+    """Each paragraph of ``head`` in source order, with its index within
+    its part of speech."""
+    counters: Counter = Counter()
+    for para in head.paragraphs:
+        yield para.pos, counters[para.pos], para
+        counters[para.pos] += 1
+
+
+def walk_paragraphs(kb: ThesaurusKB) -> Iterator[tuple[Address, Paragraph]]:
+    """Every paragraph with its address, in taxonomy order."""
+    for cls in kb.classes:
+        for sec in cls.sections:
+            for head in sec.heads:
+                for pos, idx, para in paragraph_positions(head):
+                    yield Address(cls.number, sec.number, head.number, pos, idx), para
+
+
+def walk_groups(kb: ThesaurusKB) -> Iterator[tuple[Address, SemicolonGroup]]:
+    """Every semicolon group with its address, in taxonomy order."""
+    for para_addr, para in walk_paragraphs(kb):
+        for sg_idx, group in enumerate(para.groups):
+            yield Address(*para_addr[:5], sg_idx), group
+
+
+def walk_entries(kb: ThesaurusKB) -> Iterator[tuple[Address, Entry]]:
+    """Every entry occurrence with its address, in taxonomy order."""
+    for sg_addr, group in walk_groups(kb):
+        for entry_idx, entry in enumerate(group.entries):
+            yield Address(*sg_addr[:SG_LEVEL], entry_idx), entry
+
+
+def via(sense: SenseNeighbourhood, relation: RelationType) -> tuple[Synset, ...]:
+    """The synsets ``sense`` reaches by ``relation``, or () when none."""
+    return next((group for rel, group in sense.reached if rel is relation), ())
 
 
 def materialize_graph(kb: ThesaurusKB) -> tuple[dict, dict]:
@@ -48,7 +91,7 @@ def materialize_graph(kb: ThesaurusKB) -> tuple[dict, dict]:
             for head in sec.heads:
                 h = s + ("head", head.number)
                 link(s, h)
-                for pos, para_idx, para in head.paragraph_positions():
+                for pos, para_idx, para in paragraph_positions(head):
                     g = h + ("posgroup", pos.value)
                     link(h, g)  # re-linking an existing POS group is a no-op
                     p = g + ("para", para_idx)
@@ -115,10 +158,13 @@ def recount_tables(
             name = name.split(":", 1)[0]
         return " ".join(name.split()).lower()
 
+    names = {
+        head.number: head.name for cls in kb.classes for sec in cls.sections for head in sec.heads
+    }
     heads: dict[int, dict] = {}
-    for addr, para in kb.walk_paragraphs():
+    for addr, para in walk_paragraphs(kb):
         if addr.head_num not in heads:
-            name = kb.resolve(Address(addr.class_num, addr.section_num, addr.head_num)).name
+            name = names[addr.head_num]
             heads[addr.head_num] = {
                 "class": addr.class_num, "section": addr.section_num, "name": name,
                 "in_lex": name_key(name) in lemmas, "in_common": name_key(name) in common,
@@ -127,7 +173,7 @@ def recount_tables(
         heads[addr.head_num]["paragraphs"] += 1
         heads[addr.head_num]["kw_in"] += para.keyword in common
     pos: Counter = Counter()
-    for addr, entry in kb.walk_entries():
+    for addr, entry in walk_entries(kb):
         row = heads[addr.head_num]
         row["strings"] += 1
         row["str_in"] += entry.text in common
@@ -156,7 +202,7 @@ def reference_index(kb: ThesaurusKB) -> LexicalIndex:
     """The index built from ``walk_entries``' validated addresses, each
     posting list sorted by ``Address.sort_key``."""
     table: dict[str, list[Address]] = {}
-    for address, entry in kb.walk_entries():
+    for address, entry in walk_entries(kb):
         table.setdefault(entry.text, []).append(address)
     return LexicalIndex({
         text: tuple(sorted(addresses, key=Address.sort_key))
@@ -200,7 +246,7 @@ def reference_structured_document(bundle: KBBundle, *, strip_gloss: bool = False
     streamed the document: full taxonomy, index statistics, and (when a
     resource is present) coverage rows. Key order is fixed."""
     kb = bundle.kb
-    counts = kb.count_nodes().total
+    counts = kb.count_nodes()
 
     taxonomy = [
         {

@@ -16,7 +16,7 @@ import pytest
 from click.testing import CliRunner
 
 from corpusgen import generate
-from oracles import bfs_distance, count_entry_tokens, materialize_graph
+from oracles import bfs_distance, count_entry_tokens, materialize_graph, via, walk_entries
 from rogetkb.aligner import (
     class_coverage,
     label_paragraph,
@@ -114,17 +114,17 @@ def test_mini_net_structure(announce, res_dec):
         problems.append(f"{len(net.senses)} senses != 2")
     else:
         s1, s2 = net.senses
-        hypo1 = {frozenset(s.lemmas) for s in s1.via(RelationType.HYPONYM)}
+        hypo1 = {frozenset(s.lemmas) for s in via(s1, RelationType.HYPONYM)}
         if hypo1 != {frozenset({"drop", "fall"}), frozenset({"shrinkage"})}:
             problems.append(f"sense-1 hyponyms {hypo1}")
-        hypo2 = {frozenset(s.lemmas) for s in s2.via(RelationType.HYPONYM)}
+        hypo2 = {frozenset(s.lemmas) for s in via(s2, RelationType.HYPONYM)}
         for needed in (frozenset({"slippage"}), frozenset({"decline", "diminution"})):
             if needed not in hypo2:
                 problems.append(f"sense-2 hyponyms missing {set(needed)}")
         coords = {
             frozenset(s.lemmas)
             for sense in net.senses
-            for s in sense.via(RelationType.COORDINATE)
+            for s in via(sense, RelationType.COORDINATE)
         }
         for needed in (
             frozenset({"amount"}),
@@ -171,7 +171,7 @@ def test_fixed_depth(announce, kb42, kb2):
     problems = []
     corpora = [kb42, kb2, parse_source(generate(99, n_classes=3).text).kb]
     for kb in corpora:
-        for addr, _ in kb.walk_entries():
+        for addr, _ in walk_entries(kb):
             if addr.level != 7:
                 problems.append(f"entry {addr} at level {addr.level}")
         adjacency, sg_nodes = materialize_graph(kb)
@@ -206,7 +206,7 @@ def test_index_completeness(announce):
             continue
         kb = parse_source(corpus.text).kb
         idx = build_index(kb)
-        for addr, entry in kb.walk_entries():
+        for addr, entry in walk_entries(kb):
             if addr not in idx.lookup(entry.text):
                 problems.append(f"seed {seed}: {entry.text} missing {addr}")
                 break
@@ -248,7 +248,7 @@ def test_statistics_consistency(announce):
         for row in cov.rows:
             occurrences = [
                 entry.text
-                for addr, entry in kb.walk_entries()
+                for addr, entry in walk_entries(kb)
                 if addr.class_num == row.class_num
             ]
             hits = sum(1 for t in occurrences if t in small)

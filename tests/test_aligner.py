@@ -211,9 +211,8 @@ def test_tables_against_address_recount(seed, strip):
     assert cov.total.pct_common_keywords == pct(whole["kw_in"], whole["paragraphs"])
     assert cov.total.pct_common_strings == pct(whole["str_in"], whole["strings"])
 
-    assert kb.count_nodes().per_class == tuple(
-        CountRecord(num, c["sections"], c["heads"], c["paragraphs"], c["groups"], c["strings"])
-        for num, c in sorted(classes.items())
+    assert kb.count_nodes() == CountRecord(
+        whole["sections"], whole["heads"], whole["paragraphs"], whole["groups"], whole["strings"]
     )
     assert pos_distribution(kb) == {p: pos[p] / whole["strings"] for p in PartOfSpeech}
 

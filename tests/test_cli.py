@@ -888,15 +888,22 @@ class TestLabel:
 
 
 class TestExport:
-    def test_canonical_round_trips(self, workdir, b42):
+    @pytest.mark.parametrize("lex", [True, False], ids=["lex", "no-lex"])
+    def test_canonical_round_trips(self, workdir, b42, b42_bare, lex):
         from rogetkb.parser import parse_source, serialize_kb
 
+        bundle = b42 if lex else b42_bare
         out = workdir / "canon.roget"
-        invoke("export", "canonical", "--kb", b42, "--out", str(out))
+        invoke("export", "canonical", "--kb", bundle, "--out", str(out))
         text = out.read_text(encoding="utf-8")
         kb = parse_source(text).kb
         assert serialize_kb(kb) == text
-        assert kb.count_nodes().total.entries == 27
+        assert kb.count_nodes().entries == 27
+        # build from the export, with the same lexicon, writes the same bundle
+        rebuilt = workdir / "rebuilt.kb"
+        lex_args = ["--lex", str(workdir / "decrement.lex")] if lex else []
+        invoke("build", str(out), *lex_args, "--out", str(rebuilt))
+        assert rebuilt.read_bytes() == Path(bundle).read_bytes()
 
     def test_canonical_is_deterministic(self, workdir, b42):
         out_a = workdir / "canon_a.roget"
@@ -1007,9 +1014,9 @@ class TestCollectorScope:
     def test_collector_is_off_while_a_command_runs(self, b2, monkeypatch):
         seen = []
 
-        def spy(path):
+        def spy(path, **kwargs):
             seen.append(gc.isenabled())
-            return load_bundle(path)
+            return load_bundle(path, **kwargs)
 
         monkeypatch.setattr("rogetkb.cli.load_bundle", spy)
         invoke("lookup", "void", "--kb", b2)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import soups
-from oracles import reference_load_resource
+from oracles import paragraph_positions, reference_load_resource, via
 from rogetkb.aligner import label_paragraph
 from rogetkb.bundle import BundleError, KBBundle
 from rogetkb.fixtures import fixture_text
@@ -260,19 +260,19 @@ class TestMiniNet:
         assert [rel for rel, _ in sense.reached] == [
             RelationType.HYPERNYM, RelationType.HYPONYM, RelationType.COORDINATE,
         ]
-        assert [s.id for s in sense.via(RelationType.HYPERNYM)] == ["amount.n.1"]
-        assert [s.id for s in sense.via(RelationType.HYPONYM)] == [
+        assert [s.id for s in via(sense, RelationType.HYPERNYM)] == ["amount.n.1"]
+        assert [s.id for s in via(sense, RelationType.HYPONYM)] == [
             "drop.n.1", "shrinkage.n.1",
         ]
-        assert sense.via(RelationType.ANTONYM) == ()
+        assert via(sense, RelationType.ANTONYM) == ()
 
     def test_coordinates_are_hypernym_plus_its_hyponyms(self, res_dec):
         net = build_mini_net(res_dec, "decrement", PartOfSpeech.NOUN)
-        assert [s.id for s in net.senses[0].via(RelationType.COORDINATE)] == [
+        assert [s.id for s in via(net.senses[0], RelationType.COORDINATE)] == [
             "amount.n.1", "quantity.n.1", "increase.n.1", "decrement.n.1",
             "insufficiency.n.1", "number.n.1",
         ]
-        coord2 = [s.id for s in net.senses[1].via(RelationType.COORDINATE)]
+        coord2 = [s.id for s in via(net.senses[1], RelationType.COORDINATE)]
         assert coord2[0] == "process.n.1"
         assert "decrement.n.2" in coord2
         assert len(coord2) == 15
@@ -284,7 +284,7 @@ class TestMiniNet:
             "REL coordinate a.n.1 d.n.1\n"
         )
         net = build_mini_net(res, "a", PartOfSpeech.NOUN)
-        assert [s.id for s in net.senses[0].via(RelationType.COORDINATE)] == [
+        assert [s.id for s in via(net.senses[0], RelationType.COORDINATE)] == [
             "b.n.1", "a.n.1", "c.n.1", "d.n.1",
         ]
 
@@ -297,13 +297,13 @@ class TestMiniNet:
             "REL coordinate a.n.1 x.n.1\n"
         )
         net = build_mini_net(res, "a", PartOfSpeech.NOUN)
-        assert [s.id for s in net.senses[0].via(RelationType.COORDINATE)] == [
+        assert [s.id for s in via(net.senses[0], RelationType.COORDINATE)] == [
             "h1.n.1", "a.n.1", "x.n.1", "h2.n.1", "y.n.1",
         ]
 
     def test_sense_two_hyponyms(self, res_dec):
         net = build_mini_net(res_dec, "decrement", PartOfSpeech.NOUN)
-        assert [s.id for s in net.senses[1].via(RelationType.HYPONYM)] == [
+        assert [s.id for s in via(net.senses[1], RelationType.HYPONYM)] == [
             "wastage.n.1", "decay.n.1", "slippage.n.1", "diminution.n.1",
             "desensitization.n.1", "narrowing.n.1",
         ]
@@ -395,7 +395,7 @@ def _paragraph_targets(kb: ThesaurusKB) -> list:
     return [
         Address(cls.number, sec.number, head.number, pos, idx)
         for cls in kb.classes for sec in cls.sections for head in sec.heads
-        for pos, idx, _ in head.paragraph_positions()
+        for pos, idx, _ in paragraph_positions(head)
     ]
 
 

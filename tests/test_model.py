@@ -7,7 +7,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import address_rule
+from oracles import (
+    address_rule, paragraph_positions, walk_entries, walk_groups, walk_paragraphs,
+)
+from rogetkb.aligner import class_coverage
 from rogetkb.model import (
     Address,
     AddressError,
@@ -261,11 +264,11 @@ class TestResolve:
             kb42.resolve(Address(1, 3, 42, PartOfSpeech.NOUN, 0, 0, 99))
 
     def test_round_trip_every_node(self, kb2):
-        for addr, group in kb2.walk_groups():
+        for addr, group in walk_groups(kb2):
             assert kb2.resolve(addr) is group
-        for addr, entry in kb2.walk_entries():
+        for addr, entry in walk_entries(kb2):
             assert kb2.resolve(addr) is entry
-        for addr, para in kb2.walk_paragraphs():
+        for addr, para in walk_paragraphs(kb2):
             assert kb2.resolve(addr) is para
 
 
@@ -282,29 +285,28 @@ class TestHeadByNumber:
 
 class TestCounts:
     def test_head42_totals(self, kb42):
-        total = kb42.count_nodes().total
+        total = kb42.count_nodes()
         assert (total.sections, total.heads, total.paragraphs) == (1, 1, 1)
         assert (total.groups, total.entries) == (11, 27)
 
     def test_two_class_rows(self, kb2):
-        report = kb2.count_nodes()
-        by_class = {r.class_num: r for r in report.per_class}
+        by_class = {r.class_num: r for r in class_coverage(kb2, frozenset()).rows}
         r1, r2 = by_class[1], by_class[2]
-        assert (r1.sections, r1.heads, r1.paragraphs, r1.groups, r1.entries) == (2, 3, 7, 10, 23)
-        assert (r2.sections, r2.heads, r2.paragraphs, r2.groups, r2.entries) == (1, 2, 5, 8, 16)
-        t = report.total
+        assert (r1.sections, r1.heads, r1.paragraphs, r1.groups, r1.strings) == (2, 3, 7, 10, 23)
+        assert (r2.sections, r2.heads, r2.paragraphs, r2.groups, r2.strings) == (1, 2, 5, 8, 16)
+        t = kb2.count_nodes()
         assert (t.sections, t.heads, t.paragraphs, t.groups, t.entries) == (3, 5, 12, 18, 39)
 
     def test_empty_kb(self):
-        report = ThesaurusKB(()).count_nodes()
-        assert report.per_class == ()
-        assert report.total.entries == 0
+        empty = ThesaurusKB(())
+        assert class_coverage(empty, frozenset()).rows == ()
+        assert empty.count_nodes().entries == 0
 
 
 class TestEntryStrings:
     def test_fixtures(self, kb42, kb2):
         for kb in (kb42, kb2):
-            assert kb.entry_strings() == {entry.text for _, entry in kb.walk_entries()}
+            assert kb.entry_strings() == {entry.text for _, entry in walk_entries(kb)}
 
     def test_empty_kb(self):
         assert ThesaurusKB(()).entry_strings() == frozenset()
@@ -312,15 +314,15 @@ class TestEntryStrings:
 
 def test_keyword_is_first_entry(kb2, kb42):
     for kb in (kb2, kb42):
-        for _, para in kb.walk_paragraphs():
+        for _, para in walk_paragraphs(kb):
             assert para.keyword == normalize(para.groups[0].entries[0].text)
 
 
 def test_fixed_depths(kb2, kb42):
     for kb in (kb2, kb42):
-        for addr, _ in kb.walk_groups():
+        for addr, _ in walk_groups(kb):
             assert addr.level == 6
-        for addr, _ in kb.walk_entries():
+        for addr, _ in walk_entries(kb):
             assert addr.level == 7
 
 
@@ -339,6 +341,6 @@ def test_checksum_ignores_formatting(kb42):
 
 def test_paragraph_positions_index_within_pos(kb2):
     head = kb2.resolve(kb2.head_address(184))
-    positions = list(head.paragraph_positions())
+    positions = list(paragraph_positions(head))
     noun_indices = [idx for pos, idx, _ in positions if pos is PartOfSpeech.NOUN]
     assert noun_indices == [0, 1]

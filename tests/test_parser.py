@@ -7,7 +7,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from corpusgen import generate
-from oracles import count_entry_tokens
+from oracles import count_entry_tokens, walk_entries, walk_paragraphs
 from soups import line_soups
 from rogetkb.model import CrossReference, PartOfSpeech
 from rogetkb.parser import (
@@ -35,15 +35,15 @@ class TestBasics:
     def test_minimal_document(self):
         result = parse_source(MINIMAL)
         assert result.diagnostics == ()
-        total = result.kb.count_nodes().total
+        total = result.kb.count_nodes()
         assert (total.sections, total.heads, total.paragraphs) == (1, 1, 1)
         assert (total.groups, total.entries) == (1, 1)
 
     def test_head42_fixture(self, kb42):
-        total = kb42.count_nodes().total
+        total = kb42.count_nodes()
         assert total.groups == 11
         assert total.entries == 27
-        refs = sum(len(e.cross_refs) for _, e in kb42.walk_entries())
+        refs = sum(len(e.cross_refs) for _, e in walk_entries(kb42))
         assert refs == 10
 
     def test_head42_dangling_refs_warn_but_build(self):
@@ -56,7 +56,7 @@ class TestBasics:
         assert all("unknown head" in d.message for d in result.warnings)
 
     def test_two_class_fixture(self, kb2):
-        total = kb2.count_nodes().total
+        total = kb2.count_nodes()
         assert (total.sections, total.heads, total.paragraphs) == (3, 5, 12)
         assert (total.groups, total.entries) == (18, 39)
 
@@ -70,12 +70,12 @@ class TestBasics:
 
     def test_entries_normalized(self):
         kb = parse_ok(doc("WORD,  Second   Word ;"))
-        texts = [e.text for _, e in kb.walk_entries()]
+        texts = [e.text for _, e in walk_entries(kb)]
         assert texts == ["word", "second word"]
 
     def test_comments_and_blank_lines_ignored(self):
         kb = parse_ok("// top\n\n" + MINIMAL + "\n// tail\n")
-        assert kb.count_nodes().total.entries == 1
+        assert kb.count_nodes().entries == 1
 
 
 class TestGroupsAndRefs:
@@ -94,19 +94,19 @@ class TestGroupsAndRefs:
 
     def test_inline_ref(self):
         kb = parse_ok(doc("cut @37 diminution;"))
-        (entry,) = [e for _, e in kb.walk_entries()]
+        (entry,) = [e for _, e in walk_entries(kb)]
         assert entry.text == "cut"
         assert entry.cross_refs == (CrossReference(37, "diminution"),)
 
     def test_bare_comma_ref_attaches_to_previous_entry(self):
         kb = parse_ok(doc("rebate, @810 discount;"))
-        (entry,) = [e for _, e in kb.walk_entries()]
+        (entry,) = [e for _, e in walk_entries(kb)]
         assert entry.text == "rebate"
         assert entry.cross_refs == (CrossReference(810, "discount"),)
 
     def test_two_refs_on_one_entry(self):
         kb = parse_ok(doc("defect @307 shortfall, @636 insufficiency;"))
-        (entry,) = [e for _, e in kb.walk_entries()]
+        (entry,) = [e for _, e in walk_entries(kb)]
         assert entry.cross_refs == (
             CrossReference(307, "shortfall"),
             CrossReference(636, "insufficiency"),
@@ -114,12 +114,12 @@ class TestGroupsAndRefs:
 
     def test_two_refs_without_comma(self):
         kb = parse_ok(doc("defect @307 shortfall @636 insufficiency;"))
-        (entry,) = [e for _, e in kb.walk_entries()]
+        (entry,) = [e for _, e in walk_entries(kb)]
         assert len(entry.cross_refs) == 2
 
     def test_ref_keyword_normalized(self):
         kb = parse_ok(doc("cut @37  Large  Cut ;"))
-        (entry,) = [e for _, e in kb.walk_entries()]
+        (entry,) = [e for _, e in walk_entries(kb)]
         assert entry.cross_refs == (CrossReference(37, "large cut"),)
 
 
@@ -257,13 +257,13 @@ class TestWarnings:
         msgs = self.warnings_of(doc("stray, pair"))
         assert msgs == ["semicolon group not terminated by ';'"]
         kb = parse_ok(doc("stray, pair"))
-        assert kb.count_nodes().total.entries == 2
+        assert kb.count_nodes().entries == 2
 
     def test_unterminated_group_at_directive(self):
         text = doc("first") + "#PARA VB\nsecond;\n"
         assert "semicolon group not terminated by ';'" in self.warnings_of(text)
         kb = parse_ok(text)
-        assert kb.count_nodes().total.groups == 2
+        assert kb.count_nodes().groups == 2
 
     def test_empty_entry_skipped(self):
         # a lone "@" starts no cross-reference and leaves no entry text
@@ -271,13 +271,13 @@ class TestWarnings:
             msgs = self.warnings_of(doc(line))
             assert msgs == ["empty entry skipped"]
             kb = parse_ok(doc(line))
-            assert kb.count_nodes().total.entries == 2
+            assert kb.count_nodes().entries == 2
 
     def test_empty_group_skipped(self):
         msgs = self.warnings_of(doc("a; ; b;"))
         assert msgs == ["empty semicolon group skipped"]
         kb = parse_ok(doc("a; ; b;"))
-        assert kb.count_nodes().total.groups == 2
+        assert kb.count_nodes().groups == 2
 
     def test_dangling_ref_line_number(self):
         text = doc("a @77 other;")
@@ -501,7 +501,7 @@ def test_generated_corpora_parse_to_ground_truth(seed):
     assert result.kb is not None, [str(d) for d in result.errors]
     assert result.errors == ()
 
-    total = result.kb.count_nodes().total
+    total = result.kb.count_nodes()
     assert total.sections == corpus.sections
     assert total.heads == corpus.heads
     assert total.paragraphs == corpus.paragraphs
@@ -509,9 +509,9 @@ def test_generated_corpora_parse_to_ground_truth(seed):
     assert total.entries == corpus.entries
     assert len(result.kb.classes) == corpus.classes
 
-    assert sum(len(e.cross_refs) for _, e in result.kb.walk_entries()) == corpus.cross_refs
+    assert sum(len(e.cross_refs) for _, e in walk_entries(result.kb)) == corpus.cross_refs
     assert [h.number for _, _, h in result.kb.walk_heads()] == corpus.head_numbers
-    assert [p.keyword for _, p in result.kb.walk_paragraphs()] == corpus.keywords
+    assert [p.keyword for _, p in walk_paragraphs(result.kb)] == corpus.keywords
 
     # independent recount straight off the raw text
     assert count_entry_tokens(corpus.text) == corpus.entries
