@@ -72,6 +72,11 @@ class CoverageRow:
     pct_common_strings: float
 
 
+# the column name of each CoverageRow field, in field order: `stats class`, `export structured`
+COVERAGE_COLUMNS = ("classNum", "sections", "heads", "paragraphs", "semicolonGroups", "strings",
+                    "pctCommonHeads", "pctCommonKeywords", "pctCommonStrings")
+
+
 @dataclass(frozen=True)
 class ClassCoverage:
     rows: tuple[CoverageRow, ...]

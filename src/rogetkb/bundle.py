@@ -6,6 +6,9 @@ both recorded checksums against sha256 of the stored texts, byte for byte;
 the index and the lexicon are built from them on first use. Output is
 byte-deterministic (no timestamps).
 
+``structured_document`` writes the structured export with one streaming
+writer: each of its objects is a layout template that its values fill.
+
 The lexicon check is the one read that needs nothing from the parse, so a
 caller that needs both (``build --lex`` and the coverage commands) can run
 it in a forked child while it parses: see ``_lemmas_alongside``.
@@ -18,13 +21,13 @@ import json
 import os
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from functools import cached_property
 from pathlib import Path
 from json.encoder import encode_basestring
 from typing import Any, BinaryIO, Callable, Iterable, Iterator, Optional, TextIO, Union
 
-from .aligner import class_coverage, common_strings, pos_distribution
+from .aligner import COVERAGE_COLUMNS, class_coverage, common_strings, pos_distribution
 from .index import LexicalIndex, build_index
 from .lexnet import LexiconError, SynsetResource, lexicon_lemmas, load_neighbourhood, load_resource
 from .model import PartOfSpeech, RogetClass, Section, ThesaurusKB
@@ -355,61 +358,44 @@ def _taxonomy(classes: tuple[RogetClass, ...]) -> Iterator[str]:
     yield "\n  ]" if classes else "[]"
 
 
+def _json(*values: Any) -> tuple[str, ...]:
+    """Each scalar encoded by ``json.dumps``: the header's and the coverage's."""
+    return tuple(map(json.dumps, values))
+
+
+# the document is streamed around its taxonomy: its template is cut there
+_DOCUMENT_OPEN, _DOCUMENT_COVERAGE, _DOCUMENT_CLOSE = _object(
+    1, "format", "version", "sourceChecksum", "counts", "index", "posDistribution",
+    "taxonomy", "coverage",
+).rsplit("%s", 2)
+_COUNTS = _object(2, "classes", "sections", "heads", "paragraphs", "semicolonGroups", "entries")
+_INDEX = _object(2, "uniqueStrings", "totalOccurrences")
+_POS_SHARES = _object(2, *(pos.value for pos in PartOfSpeech))
+_COVERAGE = _object(2, "keywordDenominator", "commonStrings", "classes", "total")
+_CLASS_ROW, _TOTAL_ROW = _object(4, *COVERAGE_COLUMNS), _object(3, *COVERAGE_COLUMNS)
+
+
 def structured_document(bundle: KBBundle, out: TextIO, *, strip_gloss: bool = False) -> None:
-    """Write the machine-readable export to the text stream ``out``: full
-    taxonomy, index statistics, and (when the bundle carries a lexicon) coverage rows,
-    laid out as ``json.dumps(indent=2)`` lays them out, in fixed key order. The
-    taxonomy is streamed a section at a time, never the whole document at once."""
+    """Write the machine-readable export to the text stream ``out``: whole-KB
+    counts (the coverage table's totals row), index statistics, POS shares,
+    the taxonomy and, with a lexicon, the coverage rows, laid out as
+    ``json.dumps(indent=2)`` lays them out. The taxonomy is streamed a
+    section at a time."""
     kb = bundle.kb
-    counts = kb.count_nodes()
-
-    coverage = None
-    if bundle.lemmas is not None:
-        common = common_strings(kb, bundle.lemmas)
-        report = class_coverage(kb, common, strip_gloss=strip_gloss)
-
-        def row(r) -> dict:
-            return {
-                "classNum": r.class_num,
-                "sections": r.sections,
-                "heads": r.heads,
-                "paragraphs": r.paragraphs,
-                "semicolonGroups": r.groups,
-                "strings": r.strings,
-                "pctCommonHeads": r.pct_common_heads,
-                "pctCommonKeywords": r.pct_common_keywords,
-                "pctCommonStrings": r.pct_common_strings,
-            }
-
-        coverage = {
-            "keywordDenominator": "paragraphs",
-            "commonStrings": len(common),
-            "classes": [row(r) for r in report.rows],
-            "total": row(report.total),
-        }
-
-    header = {
-        "format": "rogetkb-structured",
-        "version": _VERSION,
-        "sourceChecksum": bundle.meta.source_checksum,
-        "counts": {
-            "classes": len(kb.classes),
-            "sections": counts.sections,
-            "heads": counts.heads,
-            "paragraphs": counts.paragraphs,
-            "semicolonGroups": counts.groups,
-            "entries": counts.entries,
-        },
-        "index": {
-            "uniqueStrings": len(kb.entry_strings()),
-            "totalOccurrences": counts.entries,
-        },
-        "posDistribution": {
-            pos.value: share for pos, share in pos_distribution(kb).items()
-        },
-    }
-    # the header without its closing "\n}", so the taxonomy joins it
-    out.write(json.dumps(header, indent=2, ensure_ascii=False)[:-2] + ',\n  "taxonomy": ')
+    lemmas = bundle.lemmas
+    common = frozenset() if lemmas is None else common_strings(kb, lemmas)
+    report = class_coverage(kb, common, strip_gloss=strip_gloss)
+    total = report.total
+    out.write(_DOCUMENT_OPEN % (
+        *_json("rogetkb-structured", _VERSION, bundle.meta.source_checksum),
+        _COUNTS % _json(len(kb.classes), *astuple(total)[1:6]),  # sections to strings
+        _INDEX % _json(len(kb.entry_strings()), total.strings),
+        _POS_SHARES % _json(*pos_distribution(kb).values()),
+    ))
     out.writelines(_taxonomy(kb.classes))
-    nested = json.dumps(coverage, indent=2, ensure_ascii=False).replace("\n", "\n  ")
-    out.write(f',\n  "coverage": {nested}\n}}\n')
+    coverage = json.dumps(None) if lemmas is None else _COVERAGE % (
+        *_json("paragraphs", len(common)),
+        _array([_CLASS_ROW % _json(*astuple(row)) for row in report.rows], 3),
+        _TOTAL_ROW % _json(*astuple(total)),
+    )
+    out.write(_DOCUMENT_COVERAGE + coverage + _DOCUMENT_CLOSE + "\n")

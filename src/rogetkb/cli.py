@@ -16,6 +16,7 @@ from typing import Callable, Optional, TypeVar
 import click
 
 from .aligner import (
+    COVERAGE_COLUMNS,
     LabelledParagraph,
     class_coverage,
     common_strings,
@@ -195,8 +196,7 @@ def stats(mode: str, kb_path: str, top: Optional[int], strip: bool) -> None:
     common = common_strings(bundle.kb, lemmas) if lemmas is not None else frozenset()
     if mode == "class":
         report = class_coverage(bundle.kb, common, strip_gloss=strip)
-        click.echo("classNum\tsections\theads\tparagraphs\tsemicolonGroups\tstrings" + (
-            "\tpctCommonHeads\tpctCommonKeywords\tpctCommonStrings" if lemmas is not None else ""))
+        click.echo("\t".join(COVERAGE_COLUMNS if lemmas is not None else COVERAGE_COLUMNS[:6]))
         for row in report.rows + (report.total,):
             label_cell = "total" if row.class_num is None else str(row.class_num)
             line = (f"{label_cell}\t{row.sections}\t{row.heads}\t{row.paragraphs}\t"

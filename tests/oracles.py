@@ -8,15 +8,16 @@ within its part of speech with their own counter, where the library slices
 ``Head.pos_paragraphs``; the graph, the table recount and the reference
 index take their addresses from them. The table recount rebuilds every
 count and coverage figure from the addresses the walks yield, without the
-nested tree loops the tables use. The reference index collects validated
-addresses in walk order and sorts each posting list, where ``build_index``
-relies on the walk's order. The address rule is the check the original
-dataclass ``Address`` ran in ``__post_init__``, kept verbatim. The
-reference lexicon loader is the interchange reader that built the synset
-graph record by record, before one reader served both the graph and the
-lemma set, kept verbatim except that it reads each tag and relation name
-through the enum's own constructor, as the enums' parsers then did, so that
-it shares no lookup table with the reader.
+nested tree loops the tables use; the reference export takes every count,
+share and coverage figure from it and from the entry walk. The reference
+index collects validated addresses in walk order and sorts each posting
+list, where ``build_index`` relies on the walk's order. The address rule
+is the check the original dataclass ``Address`` ran in ``__post_init__``,
+kept verbatim. The reference lexicon loader is the interchange reader
+that built the synset graph record by record, before one reader served
+both the graph and the lemma set, kept verbatim except that it reads each
+tag and relation name through the enum's own constructor, as the enums'
+parsers then did, so that it shares no lookup table with the reader.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ import json
 from collections import Counter, deque
 from typing import Iterator, Optional
 
-from rogetkb.aligner import class_coverage, common_strings, pos_distribution
 from rogetkb.bundle import _VERSION, KBBundle
 from rogetkb.index import LexicalIndex
 from rogetkb.lexnet import LexiconError, RelationType, SenseNeighbourhood, Synset, SynsetResource
@@ -244,9 +244,15 @@ def reference_structured_document(bundle: KBBundle, *, strip_gloss: bool = False
     """The structured export built as nested dicts and encoded whole by
     ``json.dumps(indent=2)``, as ``structured_document`` did before it
     streamed the document: full taxonomy, index statistics, and (when a
-    resource is present) coverage rows. Key order is fixed."""
+    resource is present) coverage rows. Key order is fixed. Every count,
+    share and coverage figure comes from ``recount_tables`` and
+    ``walk_entries``, none from the library's tables; a class with no heads
+    gets a row of zeros."""
     kb = bundle.kb
-    counts = kb.count_nodes()
+    lemmas = bundle.resource.all_lemmas() if bundle.resource is not None else frozenset()
+    texts = [entry.text for _, entry in walk_entries(kb)]
+    common = frozenset(texts) & lemmas
+    _, classes, pos_entries = recount_tables(kb, common, lemmas, strip_gloss=strip_gloss)
 
     taxonomy = [
         {
@@ -292,29 +298,32 @@ def reference_structured_document(bundle: KBBundle, *, strip_gloss: bool = False
         for cls in kb.classes
     ]
 
+    def row(class_num: Optional[int], c: dict) -> dict:
+        return {
+            "classNum": class_num,
+            "sections": c["sections"],
+            "heads": c["heads"],
+            "paragraphs": c["paragraphs"],
+            "semicolonGroups": c["groups"],
+            "strings": c["strings"],
+            "pctCommonHeads": c["heads_in"] / c["heads"] if c["heads"] else 0.0,
+            "pctCommonKeywords": c["kw_in"] / c["paragraphs"] if c["paragraphs"] else 0.0,
+            "pctCommonStrings": c["str_in"] / c["strings"] if c["strings"] else 0.0,
+        }
+
+    zero = dict.fromkeys(
+        ("sections", "heads", "heads_in", "paragraphs", "groups", "strings", "kw_in", "str_in"), 0
+    )
+    rows = [row(cls.number, classes.get(cls.number, zero)) for cls in kb.classes]
+    total = {key: sum(c[key] for c in classes.values()) for key in zero}
+
     coverage = None
     if bundle.resource is not None:
-        common = common_strings(kb, bundle.resource.all_lemmas())
-        report = class_coverage(kb, common, strip_gloss=strip_gloss)
-
-        def row(r) -> dict:
-            return {
-                "classNum": r.class_num,
-                "sections": r.sections,
-                "heads": r.heads,
-                "paragraphs": r.paragraphs,
-                "semicolonGroups": r.groups,
-                "strings": r.strings,
-                "pctCommonHeads": r.pct_common_heads,
-                "pctCommonKeywords": r.pct_common_keywords,
-                "pctCommonStrings": r.pct_common_strings,
-            }
-
         coverage = {
             "keywordDenominator": "paragraphs",
             "commonStrings": len(common),
-            "classes": [row(r) for r in report.rows],
-            "total": row(report.total),
+            "classes": rows,
+            "total": row(None, total),
         }
 
     document = {
@@ -323,18 +332,18 @@ def reference_structured_document(bundle: KBBundle, *, strip_gloss: bool = False
         "sourceChecksum": bundle.meta.source_checksum,
         "counts": {
             "classes": len(kb.classes),
-            "sections": counts.sections,
-            "heads": counts.heads,
-            "paragraphs": counts.paragraphs,
-            "semicolonGroups": counts.groups,
-            "entries": counts.entries,
+            "sections": total["sections"],
+            "heads": total["heads"],
+            "paragraphs": total["paragraphs"],
+            "semicolonGroups": total["groups"],
+            "entries": len(texts),
         },
         "index": {
-            "uniqueStrings": len(kb.entry_strings()),
-            "totalOccurrences": counts.entries,
+            "uniqueStrings": len(set(texts)),
+            "totalOccurrences": len(texts),
         },
         "posDistribution": {
-            pos.value: share for pos, share in pos_distribution(kb).items()
+            pos.value: pos_entries[pos] / len(texts) if texts else 0.0 for pos in PartOfSpeech
         },
         "taxonomy": taxonomy,
         "coverage": coverage,

@@ -204,7 +204,10 @@ def _bundle(kb: ThesaurusKB, lex_text=None) -> KBBundle:
 def _assert_streams_the_reference(bundle: KBBundle, strip_gloss: bool) -> None:
     out = io.StringIO()
     assert structured_document(bundle, out, strip_gloss=strip_gloss) is None
-    assert out.getvalue() == reference_structured_document(bundle, strip_gloss=strip_gloss)
+    doc = out.getvalue()
+    assert doc == reference_structured_document(bundle, strip_gloss=strip_gloss)
+    # the README's layout promise, checked without a reference builder
+    assert json.dumps(json.loads(doc), indent=2, ensure_ascii=False) + "\n" == doc
 
 
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])

@@ -937,6 +937,30 @@ class TestExport:
         assert doc["counts"]["entries"] == int(stats[5])
         assert doc["coverage"] is None  # built without a resource
 
+    def test_stats_class_header_is_the_coverage_row_keys(self, workdir, b42, b42_bare):
+        def exported(bundle: str) -> dict:
+            out = workdir / "structured-columns.json"
+            invoke("export", "structured", "--kb", bundle, "--out", str(out))
+            return json.loads(out.read_text(encoding="utf-8"))
+
+        def header(bundle: str) -> list:
+            return invoke("stats", "class", "--kb", bundle).stdout.splitlines()[0].split("\t")
+
+        columns = list(exported(b42)["coverage"]["total"])
+        assert header(b42) == columns
+        assert exported(b42_bare)["coverage"] is None
+        assert header(b42_bare) == columns[:6]
+
+    @pytest.mark.parametrize("bundle", ["b42", "b42_bare"])
+    def test_structured_tallies_the_kb_once(self, workdir, monkeypatch, request, bundle):
+        calls = []
+        coverage = bundle_module.class_coverage
+        monkeypatch.setattr("rogetkb.bundle.class_coverage",
+                            lambda *args, **kwargs: calls.append(args) or coverage(*args, **kwargs))
+        monkeypatch.setattr("rogetkb.model.ThesaurusKB.count_nodes", _raise)
+        _call(_EXPORT_STRUCTURED, request.getfixturevalue(bundle), workdir / "tallied.json")
+        assert len(calls) == 1
+
     def test_structured_taxonomy_entry_count(self, workdir, b42):
         out = workdir / "structured3.json"
         invoke("export", "structured", "--kb", b42, "--out", str(out))
