@@ -25,7 +25,7 @@ from dataclasses import astuple, dataclass
 from functools import cached_property
 from pathlib import Path
 from json.encoder import encode_basestring
-from typing import Any, BinaryIO, Callable, Iterable, Iterator, Optional, TextIO, Union
+from typing import Any, Callable, Iterable, Iterator, Optional, TextIO, Union
 
 from .aligner import COVERAGE_COLUMNS, class_coverage, common_strings, pos_distribution
 from .index import LexicalIndex, build_index
@@ -97,8 +97,9 @@ class KBBundle:
         """The part of the embedded lexicon that ``build_mini_net`` reads for
         ``lemma`` at ``pos``, or None; raises BundleError when it is
         malformed. Read by one checked pass that keeps only that part, and
-        not cached: the path for a single query. Once ``resource`` is
-        built, that is the answer."""
+        not cached: the path for a single query. A lemma that no synset of
+        ``pos`` holds, "" included, is read as the checks alone. Once
+        ``resource`` is built, that is the answer."""
         if self._lex_text is None:  # no lexicon, or ``resource`` holds it now
             return self.resource
         return self._read_lexicon(lambda text: load_neighbourhood(text, lemma, pos))
@@ -180,53 +181,44 @@ def _verified(recorded: object, checksum: Callable[[str], str], text: str, what:
     raise BundleError(f"bundle {path} failed its {what} checksum")
 
 
-def _fork_lemmas(text: str) -> tuple[int, Optional[BinaryIO]]:
-    """The pid of a forked child that writes the outcome of
-    ``lexicon_lemmas(text)`` down a pipe, and the read end of that pipe.
-    The reply is "L" and the lemmas one a line (a normalized lemma holds
-    no line break), or "E", the line of the LexiconError, a line break and
-    its message. ``(0, None)`` when no child can be started: no
-    ``os.fork``, another live thread, or an OSError."""
-    if not hasattr(os, "fork") or threading.active_count() > 1:
-        return 0, None
-    try:
-        read_fd, write_fd = os.pipe()
-    except OSError:
-        return 0, None
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
-        return 0, None
-    if pid == 0:  # the child leaves only through os._exit, never back to the caller
-        code = 1
-        try:
-            os.close(read_fd)
-            try:
-                reply = "L" + "\n".join(lexicon_lemmas(text))
-            except LexiconError as exc:
-                reply = f"E{exc.line}\n{exc.message}"
-            with open(write_fd, "wb") as pipe:
-                pipe.write(reply.encode("utf-8", "surrogatepass"))
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(write_fd)
-    return pid, open(read_fd, "rb")
-
-
 @contextmanager
 def _lemmas_alongside(text: Optional[str]) -> Iterator[Callable[[], Optional[frozenset[str]]]]:
     """Start ``lexicon_lemmas(text)`` in a forked child, so that it runs
     while the caller parses, and yield the function that returns its
     result: the lemma set, or the same LexiconError (None when ``text`` is).
-    The child only saves time: when none could be started, or it died
-    before its whole reply was written, that function reads ``text``
-    itself. Fork before the parse, while the process is small: the child
-    starts as big as its parent. However the block ends, a child still
-    running is killed and reaped."""
-    pid, pipe = _fork_lemmas(text) if text is not None else (0, None)
+    The child replies down a pipe with "L" and the lemmas one a line (a
+    normalized lemma holds no line break), or "E", the line of the
+    LexiconError, a line break and its message, and leaves only through
+    ``os._exit``. The child only saves time: that function reads ``text``
+    itself when no child was started (no ``os.fork``, another live thread,
+    or an OSError from ``os.pipe`` or ``os.fork``) or the child exited
+    non-zero, before its whole reply was written. Fork before the parse,
+    while the process is small: the child starts as big as its parent.
+    However the block ends, a child still running is killed and reaped."""
+    pid, pipe = 0, None
+    if text is not None and hasattr(os, "fork") and threading.active_count() == 1:
+        fds: tuple[int, ...] = ()
+        try:
+            fds = read_fd, write_fd = os.pipe()
+            pid = os.fork()
+        except OSError:
+            for fd in fds:
+                os.close(fd)
+        else:
+            if pid == 0:  # the child, which never returns to the caller
+                try:
+                    os.close(read_fd)
+                    try:
+                        reply = "L" + "\n".join(lexicon_lemmas(text))
+                    except LexiconError as exc:
+                        reply = f"E{exc.line}\n{exc.message}"
+                    with open(write_fd, "wb") as out:
+                        out.write(reply.encode("utf-8", "surrogatepass"))
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            os.close(write_fd)
+            pipe = open(read_fd, "rb")
 
     def lemmas() -> Optional[frozenset[str]]:
         nonlocal pid

@@ -267,7 +267,7 @@ def label(head_num: int, pos: PartOfSpeech, para_idx: int, kb_path: str,
     # Only the keyword's neighbourhood of the lexicon is read, so the target
     # paragraph is found first. A missing target exits 3 only after the
     # lexicon is read: a malformed lexicon exits 2 and an absent one 4 first.
-    missing, keyword = None, ""  # "" is no lemma: the lexicon is only checked
+    missing, keyword = None, ""  # "" is no synset's lemma: the lexicon is only checked
     try:
         head_addr = bundle.kb.head_address(head_num)
         if head_addr is None:

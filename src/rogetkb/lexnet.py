@@ -295,6 +295,8 @@ def load_neighbourhood(text: str, lemma: str, pos: PartOfSpeech) -> SynsetResour
             candidates.append((src, rel, dst))
 
     _read_records(text, add_synset, add_edge)
+    if not seeds:  # no synset of ``pos`` holds the lemma: the checks were the whole read
+        return SynsetResource(synsets={}, edges=())
     # a hyponym edge of a seed, or of a seed hypernym when coordinates are followed
     hyponyms_of = set(seeds)
     if RelationType.COORDINATE in wanted:

@@ -11,14 +11,15 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from rogetkb.bundle import (
-    BuildMeta, BundleError, KBBundle, load_bundle, structured_document, write_bundle,
+    BuildMeta, BundleError, KBBundle, _lemmas_alongside, load_bundle, structured_document,
+    write_bundle,
 )
 from rogetkb.fixtures import fixture_text
-from rogetkb.lexnet import lexicon_lemmas, load_resource
+from rogetkb.lexnet import LexiconError, lexicon_lemmas, load_resource
 from rogetkb.model import RogetClass, ThesaurusKB
 from rogetkb.parser import parse_source
 from oracles import reference_structured_document
-from soups import line_soups
+from soups import lexicon_soups, line_soups
 
 
 def test_write_renders_the_canonical_text_once(tmp_path, monkeypatch, kb2):
@@ -142,6 +143,37 @@ def test_an_interrupted_load_leaves_no_child(tmp_path, monkeypatch, kb2):
     with pytest.raises(KeyboardInterrupt):
         load_bundle(tmp_path / "two.kb", lemmas=True)
     assert forks == [1]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _lemmas_or_error(read) -> object:
+    """``read()``, or the line and message of the LexiconError it raises."""
+    try:
+        return read()
+    except LexiconError as exc:
+        return exc.line, exc.message
+
+
+@settings(max_examples=100, deadline=None)
+@given(text=lexicon_soups())
+def test_the_worker_answers_as_lexicon_lemmas(text):
+    """Inside ``_lemmas_alongside``, one forked child reads ``text`` and the
+    parent does not; the answer is the lemma set, or the error, that
+    ``lexicon_lemmas`` gives, and no child is left."""
+    parent, forks, reads, fork = os.getpid(), [], [], os.fork
+
+    def read_in_parent(text):
+        if os.getpid() == parent:
+            reads.append(text)
+        return lexicon_lemmas(text)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        patch.setattr("rogetkb.bundle.lexicon_lemmas", read_in_parent)
+        with _lemmas_alongside(text) as read:
+            got = _lemmas_or_error(read)
+    assert (got, forks, reads) == (_lemmas_or_error(lambda: lexicon_lemmas(text)), [1], [])
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import errno
 import gc
 import hashlib
 import json
@@ -396,18 +397,20 @@ def _child_dies_before_writing(monkeypatch) -> None:
                         lambda text: os._exit(1) if os.getpid() != parent else read(text))
 
 
-def _fork_fails(monkeypatch) -> None:
-    def fork():
-        raise OSError(11, "Resource temporarily unavailable")
+def _fails(name: str, code: int):
+    """The way in which ``os.<name>`` raises the OSError of ``code``."""
+    def fail(*args):
+        raise OSError(code, os.strerror(code))
 
-    monkeypatch.setattr(os, "fork", fork)
+    return lambda monkeypatch: monkeypatch.setattr(os, name, fail)
 
 
 # ways the lexicon worker cannot deliver, each leaving the read to the parent
 _NO_WORKER = {
     "no-fork": lambda monkeypatch: monkeypatch.delattr(os, "fork"),
     "child-dies-before-writing": _child_dies_before_writing,
-    "fork-fails": _fork_fails,
+    "pipe-fails": _fails("pipe", errno.EMFILE),
+    "fork-fails": _fails("fork", errno.EAGAIN),
     "second-thread": lambda monkeypatch: monkeypatch.setattr(
         bundle_module.threading, "active_count", lambda: 2),
 }
@@ -482,6 +485,7 @@ class TestLexiconWorker:
         for (name, args, fill), want in zip(cases, shipped):
             assert self._outcome(args, out, **fill) == want, name
         assert {code for _, _, code, _ in shipped} == {0, 1, 2}
+        assert _no_children()
 
     def test_the_parent_never_reads_the_lexicon_itself(self, workdir, request, monkeypatch):
         parent, reads, read = os.getpid(), [], bundle_module.lexicon_lemmas

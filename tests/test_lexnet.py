@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import soups
 from oracles import paragraph_positions, reference_load_resource, via
+from rogetkb import lexnet
 from rogetkb.aligner import label_paragraph
 from rogetkb.bundle import BundleError, KBBundle
 from rogetkb.fixtures import fixture_text
@@ -17,6 +18,7 @@ from rogetkb.lexnet import (
     LABEL_PRECEDENCE,
     LexiconError,
     RelationType,
+    SynsetResource,
     _lines,
     build_mini_net,
     lexicon_lemmas,
@@ -467,3 +469,19 @@ class TestScopedRead:
         assert load_neighbourhood(text, "decrement", PartOfSpeech.VERB).synsets == {}
         # a blank lemma is no synset's, though a lemma field may hold a blank
         assert load_neighbourhood("SYN a.n.1 N x;;y\n", "", PartOfSpeech.NOUN).synsets == {}
+
+    @pytest.mark.parametrize("lemma, pos, passes", [
+        ("decrement", PartOfSpeech.NOUN, 2),
+        ("decrement", PartOfSpeech.VERB, 1),  # no verb synset holds it
+        ("zzz", PartOfSpeech.NOUN, 1),
+        ("", PartOfSpeech.NOUN, 1),
+    ])
+    def test_a_read_that_reaches_nothing_is_its_checks_alone(self, monkeypatch, lemma, pos,
+                                                            passes):
+        """The second pass, which reads the synsets the kept edges reach, is
+        made only when a synset of ``pos`` holds the lemma."""
+        text, calls, lines = fixture_text("decrement.lex"), [], lexnet._lines
+        monkeypatch.setattr(lexnet, "_lines", lambda text: calls.append(1) or lines(text))
+        part = load_neighbourhood(text, lemma, pos)
+        assert len(calls) == passes
+        assert (part == SynsetResource(synsets={}, edges=())) == (passes == 1)
