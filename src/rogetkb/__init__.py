@@ -13,8 +13,6 @@ from .aligner import (
     common_strings,
     head_coverage,
     label_paragraph,
-    mini_net_overlap_count,
-    paragraph_strings,
     pos_distribution,
 )
 from .bundle import BuildMeta, BundleError, KBBundle, load_bundle, structured_document, write_bundle

@@ -18,7 +18,6 @@ from typing import Optional
 
 from .lexnet import (
     LABEL_PRECEDENCE,
-    MiniNet,
     RelationType,
     Synset,
     SynsetResource,
@@ -47,8 +46,6 @@ __all__ = [
     "head_coverage",
     "pos_distribution",
     "label_paragraph",
-    "mini_net_overlap_count",
-    "paragraph_strings",
 ]
 
 
@@ -209,20 +206,11 @@ class LabelledParagraph:
     labelled: tuple[LabelledGroup, ...]
 
 
-def group_strings(group: SemicolonGroup, *, include_cross_refs: bool = True) -> frozenset[str]:
+def group_strings(group: SemicolonGroup, *, include_cross_refs: bool) -> frozenset[str]:
     out = {entry.text for entry in group.entries}
     if include_cross_refs:
         out.update(ref.keyword for entry in group.entries for ref in entry.cross_refs)
     return frozenset(out)
-
-
-def paragraph_strings(para: Paragraph) -> frozenset[str]:
-    """Every member string of the paragraph, cross-reference keywords
-    included."""
-    out: frozenset[str] = frozenset()
-    for group in para.groups:
-        out |= group_strings(group)
-    return out
 
 
 def _evidence_sort_key(ev: Evidence) -> tuple:
@@ -278,8 +266,3 @@ def label_paragraph(
         labelled.append(LabelledGroup(group=group, label=label, evidence=evidence))
 
     return LabelledParagraph(source=target, keyword=keyword, labelled=tuple(labelled))
-
-
-def mini_net_overlap_count(strings: frozenset[str], net: MiniNet) -> int:
-    """How many of the given strings occur anywhere in the mini-net."""
-    return len(strings & net.strings())

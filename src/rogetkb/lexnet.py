@@ -341,16 +341,6 @@ class MiniNet:
     pos: PartOfSpeech
     senses: tuple[SenseNeighbourhood, ...]
 
-    def strings(self) -> frozenset[str]:
-        """Every lemma of every synset in the net, seeds included."""
-        out: set[str] = set()
-        for sense in self.senses:
-            out.update(sense.seed.lemmas)
-            for _, group in sense.reached:
-                for synset in group:
-                    out.update(synset.lemmas)
-        return frozenset(out)
-
 
 def _coordinates(res: SynsetResource, seed: Synset) -> tuple[Synset, ...]:
     """Each direct hypernym plus all of that hypernym's direct hyponyms;

@@ -55,7 +55,6 @@ __all__ = [
     "parse_source",
     "parse_cross_ref",
     "serialize_kb",
-    "full_corpus_problems",
 ]
 
 
@@ -75,14 +74,6 @@ class ParseResult:
 
     kb: Optional[ThesaurusKB]
     diagnostics: tuple[ParseDiagnostic, ...]
-
-    @property
-    def errors(self) -> tuple[ParseDiagnostic, ...]:
-        return tuple(d for d in self.diagnostics if d.severity == "error")
-
-    @property
-    def warnings(self) -> tuple[ParseDiagnostic, ...]:
-        return tuple(d for d in self.diagnostics if d.severity == "warning")
 
 
 def _number(text: str) -> int:
@@ -303,16 +294,3 @@ def serialize_kb(kb: ThesaurusKB) -> str:
         return ""
     return kb.canonical_source()
 
-
-def full_corpus_problems(kb: ThesaurusKB) -> list[str]:
-    """Extra checks that only hold for the complete eight-class corpus."""
-    problems = []
-    present = [cls.number for cls in kb.classes]
-    if present != list(range(1, 9)):
-        problems.append(f"expected classes 1..8, found {present}")
-    heads = [head.number for _, _, head in kb.walk_heads()]
-    if heads and heads[-1] > 990:
-        problems.append(f"head numbers exceed 990 (max {heads[-1]})")
-    if len(heads) != 990:
-        problems.append(f"expected 990 heads, found {len(heads)}")
-    return problems

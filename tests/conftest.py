@@ -6,13 +6,22 @@ from pathlib import Path
 
 import pytest
 
-from rogetkb import build_index, fixtures
+from corpusgen import fixture_text
+from oracles import errors
+from rogetkb import build_index, load_resource
 from rogetkb.parser import parse_source
+
+
+def _parse_fixture(name: str):
+    result = parse_source(fixture_text(name))
+    assert result.kb is not None, [str(d) for d in errors(result)]
+    return result.kb
 
 
 @pytest.fixture(scope="session")
 def kb42():
-    return fixtures.head42_kb()
+    """One class, one section, head 42 with its noun paragraph."""
+    return _parse_fixture("head42.roget")
 
 
 @pytest.fixture(scope="session")
@@ -22,12 +31,14 @@ def idx42(kb42):
 
 @pytest.fixture(scope="session")
 def res_dec():
-    return fixtures.decrement_resource()
+    """Synset graph around the two noun senses of "decrement"."""
+    return load_resource(fixture_text("decrement.lex"))
 
 
 @pytest.fixture(scope="session")
 def kb2():
-    return fixtures.two_class_kb()
+    """Two classes, five heads; contains the maximum-distance group pair."""
+    return _parse_fixture("two_class.roget")
 
 
 @pytest.fixture(scope="session")
@@ -44,10 +55,3 @@ def perfbench_corpus():
         return importlib.import_module("corpus")
     finally:
         sys.path.remove(perfbench)
-
-
-def parse_ok(text: str):
-    """Parse that must succeed; returns the KB."""
-    result = parse_source(text)
-    assert result.kb is not None, [str(d) for d in result.errors]
-    return result.kb

@@ -5,6 +5,9 @@ expected node counts, string occurrences, and keywords come from the
 emission itself, not from the parser under test. Messy-but-legal surface
 forms (uppercase, doubled spaces, groups split across lines, refs after a
 comma) are injected to exercise normalization and grammar corners.
+
+``fixture_text`` reads the sample files shipped in ``rogetkb/data`` through
+the installed package, so the tests also show that the data ships with it.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass, field
+from importlib import resources
 
 from rogetkb.model import PartOfSpeech
 from rogetkb.text import normalize
@@ -30,6 +34,11 @@ WORDS = [
 ]
 
 _POS_CHOICES = list(PartOfSpeech)
+
+
+def fixture_text(name: str) -> str:
+    """The text of ``rogetkb/data/<name>``."""
+    return resources.files("rogetkb").joinpath("data", name).read_text(encoding="utf-8")
 
 
 @dataclass

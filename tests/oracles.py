@@ -18,6 +18,13 @@ that built the synset graph record by record, before one reader served
 both the graph and the lemma set, kept verbatim except that it reads each
 tag and relation name through the enum's own constructor, as the enums'
 parsers then did, so that it shares no lookup table with the reader.
+The diagnostic filters read each diagnostic's ``severity`` field. The
+paragraph string set reads each entry's ``text`` and each cross-reference's
+``keyword`` straight off the groups, not through the labeller's
+``group_strings``. The mini-net string set reads the lemmas of each seed
+and of every synset in each sense's ``reached`` groups. The full-corpus
+check reads class and head numbers off the dataclass fields, not through
+``ThesaurusKB.walk_heads``.
 """
 
 from __future__ import annotations
@@ -28,10 +35,13 @@ from typing import Iterator, Optional
 
 from rogetkb.bundle import _VERSION, KBBundle
 from rogetkb.index import LexicalIndex
-from rogetkb.lexnet import LexiconError, RelationType, SenseNeighbourhood, Synset, SynsetResource
+from rogetkb.lexnet import (
+    LexiconError, MiniNet, RelationType, SenseNeighbourhood, Synset, SynsetResource,
+)
 from rogetkb.model import (
     SG_LEVEL, Address, Entry, Head, Paragraph, PartOfSpeech, SemicolonGroup, ThesaurusKB,
 )
+from rogetkb.parser import ParseDiagnostic, ParseResult
 from rogetkb.text import normalize
 
 
@@ -70,6 +80,52 @@ def walk_entries(kb: ThesaurusKB) -> Iterator[tuple[Address, Entry]]:
 def via(sense: SenseNeighbourhood, relation: RelationType) -> tuple[Synset, ...]:
     """The synsets ``sense`` reaches by ``relation``, or () when none."""
     return next((group for rel, group in sense.reached if rel is relation), ())
+
+
+def errors(result: ParseResult) -> tuple[ParseDiagnostic, ...]:
+    """The error-severity diagnostics of ``result``, in order."""
+    return tuple(d for d in result.diagnostics if d.severity == "error")
+
+
+def warnings(result: ParseResult) -> tuple[ParseDiagnostic, ...]:
+    """The warning-severity diagnostics of ``result``, in order."""
+    return tuple(d for d in result.diagnostics if d.severity == "warning")
+
+
+def paragraph_strings(para: Paragraph) -> frozenset[str]:
+    """Every entry text and cross-reference keyword of ``para``."""
+    out: set[str] = set()
+    for group in para.groups:
+        for entry in group.entries:
+            out.add(entry.text)
+            out.update(ref.keyword for ref in entry.cross_refs)
+    return frozenset(out)
+
+
+def net_strings(net: MiniNet) -> frozenset[str]:
+    """Every lemma of every synset in the net, seeds included."""
+    out: set[str] = set()
+    for sense in net.senses:
+        out.update(sense.seed.lemmas)
+        for _, group in sense.reached:
+            for synset in group:
+                out.update(synset.lemmas)
+    return frozenset(out)
+
+
+def full_corpus_problems(kb: ThesaurusKB) -> list[str]:
+    """What keeps ``kb`` from being the complete eight-class corpus of 990
+    heads; empty when nothing does."""
+    problems = []
+    present = [cls.number for cls in kb.classes]
+    if present != list(range(1, 9)):
+        problems.append(f"expected classes 1..8, found {present}")
+    heads = [head.number for cls in kb.classes for sec in cls.sections for head in sec.heads]
+    if heads and heads[-1] > 990:
+        problems.append(f"head numbers exceed 990 (max {heads[-1]})")
+    if len(heads) != 990:
+        problems.append(f"expected 990 heads, found {len(heads)}")
+    return problems
 
 
 def materialize_graph(kb: ThesaurusKB) -> tuple[dict, dict]:

@@ -3,12 +3,16 @@ line soup.
 
 Source soups are shared by the parser's consistency property, the index
 oracle property, the bundle round-trip property and the CLI fuzz test;
-lexicon soups feed the lexicon reader's oracle property.
+lexicon soups feed the lexicon reader's oracle property. Signed bundles
+store both kinds of soup as drawn, each under its own correct checksum, so
+every one of them passes the load's checksum gate.
 """
 
 from __future__ import annotations
 
+import hashlib
 import itertools
+import json
 
 from hypothesis import strategies as st
 
@@ -207,3 +211,34 @@ def lexicon_soups(draw) -> str:
                     lines.append(earlier[:cut])
     text = draw(st.sampled_from(_LEXICON_LINE_ENDS)).join(lines)
     return text + draw(st.sampled_from(["", "\n"]))
+
+
+# -- bundles signed over their own texts ------------------------------------------
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+@st.composite
+def signed_bundles(draw) -> str:
+    """Bundle JSON holding a source soup and a lexicon soup (or none), both
+    as drawn, not in canonical form, with the checksums a bundle records
+    for them: sha256 of the UTF-8 text, where an empty source checksums a
+    single line break. The JSON itself is laid out as ``build`` writes it
+    or on one line, with non-ASCII characters raw or escaped."""
+    source = draw(line_soups())
+    lexicon = draw(st.one_of(st.none(), lexicon_soups()))
+    document = {
+        "format": "rogetkb-bundle",
+        "version": 1,
+        "meta": {
+            "sourceChecksum": _sha256(source or "\n"),
+            "lexChecksum": None if lexicon is None else _sha256(lexicon),
+            "diagnostics": {"errors": 0, "warnings": 0},
+        },
+        "source": source,
+        "lexicon": lexicon,
+    }
+    indent = draw(st.sampled_from([2, None]))
+    return json.dumps(document, indent=indent, ensure_ascii=draw(st.booleans())) + "\n"

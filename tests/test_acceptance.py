@@ -15,17 +15,17 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from corpusgen import generate
-from oracles import bfs_distance, count_entry_tokens, materialize_graph, via, walk_entries
+from corpusgen import fixture_text, generate
+from oracles import (
+    bfs_distance, count_entry_tokens, materialize_graph, net_strings, paragraph_strings, via,
+    walk_entries,
+)
 from rogetkb.aligner import (
     class_coverage,
     label_paragraph,
-    mini_net_overlap_count,
-    paragraph_strings,
     pos_distribution,
 )
 from rogetkb.cli import main
-from rogetkb.fixtures import fixture_text
 from rogetkb.index import build_index
 from rogetkb.lexnet import RelationType, build_mini_net
 from rogetkb.metrics import sg_distance
@@ -101,7 +101,7 @@ def test_mini_net_overlap_count(announce, kb42, res_dec):
     problems = []
     para = kb42.resolve(Address.parse("1.3.42:N:0"))
     net = build_mini_net(res_dec, "decrement", PartOfSpeech.NOUN)
-    count = mini_net_overlap_count(paragraph_strings(para), net)
+    count = len(paragraph_strings(para) & net_strings(net))
     if count != 6:
         problems.append(f"overlap {count} != 6")
     check(announce, 2, "mini-net overlap count", problems)

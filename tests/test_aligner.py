@@ -5,7 +5,7 @@ import random
 import pytest
 
 from corpusgen import WORDS, generate
-from oracles import recount_tables
+from oracles import net_strings, paragraph_strings, recount_tables
 from rogetkb.aligner import (
     CoverageRow,
     HeadCoverage,
@@ -13,8 +13,6 @@ from rogetkb.aligner import (
     common_strings,
     head_coverage,
     label_paragraph,
-    mini_net_overlap_count,
-    paragraph_strings,
     pos_distribution,
 )
 from rogetkb.lexnet import RelationType, build_mini_net, load_resource
@@ -299,8 +297,8 @@ class TestOverlap:
         para = kb42.resolve(PARA_42)
         net = build_mini_net(res_dec, "decrement", PartOfSpeech.NOUN)
         strings = paragraph_strings(para)
-        assert strings & net.strings() == frozenset({
+        assert strings & net_strings(net) == frozenset({
             "decrement", "diminution", "insufficiency",
             "shrinkage", "slippage", "wastage",
         })
-        assert mini_net_overlap_count(strings, net) == 6
+        assert len(strings & net_strings(net)) == 6

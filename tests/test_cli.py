@@ -17,10 +17,10 @@ from hypothesis import strategies as st
 from rogetkb import bundle as bundle_module
 from rogetkb.bundle import load_bundle
 from rogetkb.cli import main
-from rogetkb.fixtures import fixture_text
 from rogetkb.lexnet import load_neighbourhood
 from rogetkb.model import PartOfSpeech
-from soups import line_soups
+from corpusgen import fixture_text
+from soups import line_soups, signed_bundles
 
 runner = CliRunner()
 
@@ -1127,6 +1127,40 @@ def test_any_call_exits_with_a_table_code(workdir, b42, b42_bare, b2, data):
         result.exc_info
     )
     assert result.exit_code in {0, 1, 2, 3, 4}, result.output
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    bundle=signed_bundles(),
+    word=st.sampled_from(["word", "decrement", "Two  Words", "caf\u00e9", "zzz"]),
+    head=st.integers(1, 6),
+    tag=st.sampled_from(["N", "adj", "VB", "ADV", "INT"]),
+    evidence=_flags("--evidence"),
+)
+def test_a_signed_bundle_keeps_the_load_paths_promises(workdir, bundle, word, head, tag, evidence):
+    """Past the checksum gate, whatever the stored texts hold, every command
+    ends with an exit code from the table (0-4) and never with an uncaught
+    exception or a traceback; and when ``export canonical`` succeeds,
+    ``build`` of its text writes a bundle that loads to an equal KB."""
+    kb = workdir / "signed.kb"
+    kb.write_bytes(bundle.encode("utf-8"))
+    text, out = workdir / "signed.roget", str(workdir / "signed.out")
+    for argv in (
+        ["lookup", word], ["sim", word, "decrement"],
+        ["stats", "class"], ["stats", "head"], ["stats", "pos"],
+        ["label", str(head), tag, *evidence],
+        ["export", "structured", "--out", out], ["export", "canonical", "--out", str(text)],
+    ):
+        result = runner.invoke(main, [*argv, "--kb", str(kb)])
+        assert result.exception is None or isinstance(result.exception, SystemExit), (
+            argv, result.exc_info
+        )
+        assert result.exit_code in {0, 1, 2, 3, 4}, (argv, result.output)
+        assert "Traceback" not in result.output, argv
+    if result.exit_code == 0:  # export canonical, the last call, wrote the text
+        rebuilt = workdir / "rebuilt.kb"
+        invoke("build", str(text), "--out", str(rebuilt))
+        assert load_bundle(rebuilt).kb == load_bundle(kb).kb
 
 
 def test_module_entry_point_runs(tmp_path):

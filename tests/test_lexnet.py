@@ -8,11 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import soups
-from oracles import paragraph_positions, reference_load_resource, via
+from corpusgen import fixture_text
+from oracles import net_strings, paragraph_positions, reference_load_resource, via
 from rogetkb import lexnet
 from rogetkb.aligner import label_paragraph
 from rogetkb.bundle import BundleError, KBBundle
-from rogetkb.fixtures import fixture_text
 from rogetkb.lexnet import (
     DEFAULT_RELATIONS,
     LABEL_PRECEDENCE,
@@ -311,7 +311,7 @@ class TestMiniNet:
         ]
 
     def test_strings_cover_all_member_lemmas(self, res_dec):
-        strings = build_mini_net(res_dec, "decrement", PartOfSpeech.NOUN).strings()
+        strings = net_strings(build_mini_net(res_dec, "decrement", PartOfSpeech.NOUN))
         assert len(strings) == 41
         assert {"decrement", "fall", "natural process", "growth"} <= strings
         assert "leak" not in strings
@@ -319,7 +319,7 @@ class TestMiniNet:
     def test_unknown_lemma_gives_empty_net(self, res_dec):
         net = build_mini_net(res_dec, "unheard-of", PartOfSpeech.NOUN)
         assert net.senses == ()
-        assert net.strings() == frozenset()
+        assert net_strings(net) == frozenset()
 
     def test_pos_filters_seeds(self, res_dec):
         net = build_mini_net(res_dec, "decrement", PartOfSpeech.VERB)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from corpusgen import fixture_text
 from oracles import (
     address_rule, paragraph_positions, walk_entries, walk_groups, walk_paragraphs,
 )
@@ -327,7 +328,6 @@ def test_fixed_depths(kb2, kb42):
 
 
 def test_checksum_ignores_formatting(kb42):
-    from rogetkb.fixtures import fixture_text
     from rogetkb.parser import parse_source
 
     original = fixture_text("head42.roget")

@@ -6,12 +6,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from corpusgen import generate
-from oracles import count_entry_tokens, walk_entries, walk_paragraphs
+from corpusgen import fixture_text, generate
+from oracles import (
+    count_entry_tokens, errors, full_corpus_problems, walk_entries, walk_paragraphs, warnings,
+)
 from soups import line_soups
 from rogetkb.model import CrossReference, PartOfSpeech
 from rogetkb.parser import (
-    full_corpus_problems,
     parse_cross_ref,
     parse_source,
     serialize_kb,
@@ -20,7 +21,7 @@ from rogetkb.parser import (
 
 def parse_ok(text: str):
     result = parse_source(text)
-    assert result.kb is not None, [str(d) for d in result.errors]
+    assert result.kb is not None, [str(d) for d in errors(result)]
     return result.kb
 
 
@@ -47,13 +48,11 @@ class TestBasics:
         assert refs == 10
 
     def test_head42_dangling_refs_warn_but_build(self):
-        from rogetkb.fixtures import fixture_text
-
         result = parse_source(fixture_text("head42.roget"))
         assert result.kb is not None
-        assert result.errors == ()
-        assert len(result.warnings) == 10
-        assert all("unknown head" in d.message for d in result.warnings)
+        assert errors(result) == ()
+        assert len(warnings(result)) == 10
+        assert all("unknown head" in d.message for d in warnings(result))
 
     def test_two_class_fixture(self, kb2):
         total = kb2.count_nodes()
@@ -61,10 +60,8 @@ class TestBasics:
         assert (total.groups, total.entries) == (18, 39)
 
     def test_two_class_forward_ref_resolves_dangling_warns(self):
-        from rogetkb.fixtures import fixture_text
-
         result = parse_source(fixture_text("two_class.roget"))
-        assert [str(d) for d in result.warnings] == [
+        assert [str(d) for d in warnings(result)] == [
             "38:warning: cross-reference to unknown head 999"
         ]
 
@@ -126,7 +123,7 @@ class TestGroupsAndRefs:
 def errors_of(text: str) -> list[str]:
     result = parse_source(text)
     assert result.kb is None
-    return [d.message for d in result.errors]
+    return [d.message for d in errors(result)]
 
 
 class TestErrors:
@@ -176,7 +173,7 @@ class TestErrors:
 
     def test_empty_paragraph_error_cites_para_line(self):
         result = parse_source("#CLASS 1 C\n#SECTION 1 S\n#HEAD 1 H\n#PARA N\n")
-        (diag,) = [d for d in result.errors if "semicolon" in d.message]
+        (diag,) = [d for d in errors(result) if "semicolon" in d.message]
         assert diag.line == 4
 
     def test_malformed_directive_payloads(self):
@@ -205,14 +202,14 @@ class TestErrors:
     def test_numbers_past_the_digit_limit_are_not_numbers(self):
         # 5,000 digits are past Python's default limit on int-string conversion
         long = "7" * 5000
-        assert [str(d) for d in parse_source(f"#CLASS {long} C\n").errors] == [
+        assert [str(d) for d in errors(parse_source(f"#CLASS {long} C\n"))] == [
             f"1:error: class number '{long}' is not a positive integer"
         ]
         assert f"2:error: section number '{long}' is not a positive integer" in [
-            str(d) for d in parse_source(f"#CLASS 1 C\n#SECTION {long} S\n").errors
+            str(d) for d in errors(parse_source(f"#CLASS 1 C\n#SECTION {long} S\n"))
         ]
         assert f"3:error: head number '{long}' is not a positive integer" in [
-            str(d) for d in parse_source(f"#CLASS 1 C\n#SECTION 1 S\n#HEAD {long} H\n").errors
+            str(d) for d in errors(parse_source(f"#CLASS 1 C\n#SECTION 1 S\n#HEAD {long} H\n"))
         ]
         assert [str(d) for d in parse_source(doc(f"cut @{long} diminution;")).diagnostics] == [
             f"5:error: bad cross-reference head number '{long}'"
@@ -242,16 +239,16 @@ class TestErrors:
 
     def test_kb_is_none_iff_errors(self):
         bad = parse_source(doc("@1;"))
-        assert bad.kb is None and bad.errors
+        assert bad.kb is None and errors(bad)
         good = parse_source(MINIMAL)
-        assert good.kb is not None and not good.errors
+        assert good.kb is not None and not errors(good)
 
 
 class TestWarnings:
     def warnings_of(self, text: str) -> list[str]:
         result = parse_source(text)
         assert result.kb is not None
-        return [d.message for d in result.warnings]
+        return [d.message for d in warnings(result)]
 
     def test_unterminated_group_at_eof(self):
         msgs = self.warnings_of(doc("stray, pair"))
@@ -282,7 +279,7 @@ class TestWarnings:
     def test_dangling_ref_line_number(self):
         text = doc("a @77 other;")
         result = parse_source(text)
-        (diag,) = result.warnings
+        (diag,) = warnings(result)
         assert str(diag) == "5:warning: cross-reference to unknown head 77"
 
 
@@ -486,7 +483,6 @@ class TestRoundTrip:
 
     def test_checksum_changes_with_content(self, kb42, tmp_path):
         from rogetkb.bundle import write_bundle
-        from rogetkb.fixtures import fixture_text
 
         changed = fixture_text("head42.roget").replace("toll", "tolls")
         checksum = lambda kb, name: write_bundle(tmp_path / name, kb).source_checksum
@@ -498,8 +494,8 @@ class TestRoundTrip:
 def test_generated_corpora_parse_to_ground_truth(seed):
     corpus = generate(seed)
     result = parse_source(corpus.text)
-    assert result.kb is not None, [str(d) for d in result.errors]
-    assert result.errors == ()
+    assert result.kb is not None, [str(d) for d in errors(result)]
+    assert errors(result) == ()
 
     total = result.kb.count_nodes()
     assert total.sections == corpus.sections
