@@ -69,9 +69,13 @@ class CoverageRow:
     pct_common_strings: float
 
 
-# the column name of each CoverageRow field, in field order: `stats class`, `export structured`
+# the column name of each CoverageRow (`stats class`, `export structured`) and HeadCoverage
+# (`stats head`) field, in field order, and the four a table without a lexicon leaves out
 COVERAGE_COLUMNS = ("classNum", "sections", "heads", "paragraphs", "semicolonGroups", "strings",
                     "pctCommonHeads", "pctCommonKeywords", "pctCommonStrings")
+HEAD_COLUMNS = ("headNum", "headName", "headNameInLex", "paragraphs", "semicolonGroups", "strings",
+                "pctCommonStrings", "pctCommonKeywords")
+LEXICON_COLUMNS = {"pctCommonHeads", "pctCommonKeywords", "pctCommonStrings", "headNameInLex"}
 
 
 @dataclass(frozen=True)

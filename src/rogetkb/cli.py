@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import gc
 import sys
+from dataclasses import fields
 from pathlib import Path
 from typing import Callable, Optional, TypeVar
 
@@ -17,6 +18,8 @@ import click
 
 from .aligner import (
     COVERAGE_COLUMNS,
+    HEAD_COLUMNS,
+    LEXICON_COLUMNS,
     LabelledParagraph,
     class_coverage,
     common_strings,
@@ -196,31 +199,26 @@ def stats(mode: str, kb_path: str, top: Optional[int], strip: bool) -> None:
     common = common_strings(bundle.kb, lemmas) if lemmas is not None else frozenset()
     if mode == "class":
         report = class_coverage(bundle.kb, common, strip_gloss=strip)
-        click.echo("\t".join(COVERAGE_COLUMNS if lemmas is not None else COVERAGE_COLUMNS[:6]))
-        for row in report.rows + (report.total,):
-            label_cell = "total" if row.class_num is None else str(row.class_num)
-            line = (f"{label_cell}\t{row.sections}\t{row.heads}\t{row.paragraphs}\t"
-                    f"{row.groups}\t{row.strings}")
-            if lemmas is not None:
-                line += (f"\t{row.pct_common_heads:.2f}\t{row.pct_common_keywords:.2f}"
-                         f"\t{row.pct_common_strings:.2f}")
-            click.echo(line)
-        return
-    click.echo("headNum\theadName" + ("\theadNameInLex" if lemmas is not None else "")
-               + "\tparagraphs\tsemicolonGroups\tstrings"
-               + ("\tpctCommonStrings\tpctCommonKeywords" if lemmas is not None else ""))
-    for row in head_coverage(bundle.kb, lemmas or frozenset(), common, strip_gloss=strip)[:top]:
-        line = f"{row.head_num}\t{row.head_name}"
-        if lemmas is not None:
-            line += "\tyes" if row.head_name_in_lex else "\tno"
-        line += f"\t{row.paragraphs}\t{row.groups}\t{row.strings}"
-        if lemmas is not None:
-            line += f"\t{row.pct_common_strings:.2f}\t{row.pct_common_keywords:.2f}"
-        click.echo(line)
+        columns, rows = COVERAGE_COLUMNS, report.rows + (report.total,)
+    else:
+        columns = HEAD_COLUMNS
+        rows = head_coverage(bundle.kb, lemmas or frozenset(), common, strip_gloss=strip)[:top]
+    shown = [i for i, name in enumerate(columns)
+             if lemmas is not None or name not in LEXICON_COLUMNS]
+    click.echo("\t".join(columns[i] for i in shown))
+    for row in rows:
+        values = [getattr(row, field.name) for field in fields(row)]
+        click.echo("\t".join(_cell(values[i]) for i in shown))
 
 
-def _label_name(label: Optional[RelationType]) -> str:
-    return "No label" if label is None else label.value.capitalize()
+def _cell(value: object) -> str:
+    """A ``stats`` table cell: the totals row's missing class number, a
+    yes/no flag, a share to two places, or a count or name as it is."""
+    if value is None:
+        return "total"
+    if isinstance(value, bool):
+        return "yes" if value else "no"
+    return f"{value:.2f}" if isinstance(value, float) else str(value)
 
 
 def render_labelled(result: LabelledParagraph, pos: PartOfSpeech, show_evidence: bool) -> list[str]:
@@ -228,26 +226,21 @@ def render_labelled(result: LabelledParagraph, pos: PartOfSpeech, show_evidence:
     that label's groups in source order. The keyword entry itself is shown
     only in the header; a group left empty by that removal is covered by
     the header alone."""
-    lines = [f"{pos.display} {result.keyword}"]
-    for label in list(LABEL_PRECEDENCE) + [None]:
-        rendered = []
-        for sg_idx, item in enumerate(result.labelled):
-            if item.label is not label:
-                continue
-            entries = item.group.entries[1:] if sg_idx == 0 else item.group.entries
-            text = ", ".join(entry.render() for entry in entries)
-            if text:
-                rendered.append(text)
-        if rendered:
-            lines.append(f"{_label_name(label)}: " + "; ".join(rendered))
-    if show_evidence:
-        for sg_idx, item in enumerate(result.labelled):
-            if item.evidence:
-                triples = " ".join(
-                    f"{ev.string}->{ev.synset_id}({ev.relation.value})" for ev in item.evidence
-                )
-                lines.append(f"evidence: sg={sg_idx} {triples}")
-    return lines
+    texts: dict[Optional[RelationType], list[str]] = {}
+    evidence = []
+    for sg_idx, item in enumerate(result.labelled):
+        entries = item.group.entries[1:] if sg_idx == 0 else item.group.entries
+        text = ", ".join(entry.render() for entry in entries)
+        if text:
+            texts.setdefault(item.label, []).append(text)
+        if show_evidence and item.evidence:
+            evidence.append(f"evidence: sg={sg_idx} " + " ".join(
+                f"{ev.string}->{ev.synset_id}({ev.relation.value})" for ev in item.evidence
+            ))
+    return [f"{pos.display} {result.keyword}"] + [
+        f"{'No label' if label is None else label.value.capitalize()}: " + "; ".join(texts[label])
+        for label in (*LABEL_PRECEDENCE, None) if label in texts
+    ] + evidence
 
 
 @main.command()

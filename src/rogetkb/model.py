@@ -232,16 +232,11 @@ class Address(_AddressFields):
         return len(self) - self.count(None)
 
     def sort_key(self) -> tuple:
-        """Deterministic ordering key, usable across addresses of any depth.
-        Within a head, paragraphs order by canonical POS order then index."""
-        def num(value: Optional[int]) -> int:
-            return -1 if value is None else value
-
-        pos_rank = -1 if self.pos is None else _POS_RANK[self.pos]
-        return (
-            self.class_num, num(self.section_num), num(self.head_num),
-            pos_rank, num(self.para_idx), num(self.sg_idx), num(self.entry_idx),
-        )
+        """Deterministic ordering key, usable across addresses of any depth:
+        the seven components in order, an unset one as -1, the part of
+        speech as its rank in ``PartOfSpeech`` and a number as itself. So
+        within a head, paragraphs order by canonical POS order then index."""
+        return tuple(-1 if value is None else _POS_RANK.get(value, value) for value in self)
 
     def group_prefix(self) -> "Address":
         """This address truncated to semicolon-group depth."""
@@ -250,18 +245,12 @@ class Address(_AddressFields):
         return Address(*self[:SG_LEVEL])
 
     def __str__(self) -> str:
+        # every component in place, cut before the first unset one ("None", in no number or
+        # tag): unlike a join of the set ones, it allocates nothing the collector tracks
         class_num, section, head, pos, para, group, entry = self
-        if entry is not None:
-            return f"{class_num}.{section}.{head}:{pos.value}:{para}:{group}:{entry}"
-        if group is not None:
-            return f"{class_num}.{section}.{head}:{pos.value}:{para}:{group}"
-        if pos is not None:
-            return f"{class_num}.{section}.{head}:{pos.value}:{para}"
-        if head is not None:
-            return f"{class_num}.{section}.{head}"
-        if section is not None:
-            return f"{class_num}.{section}"
-        return f"{class_num}"
+        text = f"{class_num}.{section}.{head}:{pos and pos.value}:{para}:{group}:{entry}"
+        unset = text.find("None")
+        return text if unset < 0 else text[:unset - 1]
 
     @classmethod
     def parse(cls, text: str) -> "Address":

@@ -24,19 +24,27 @@ paragraph string set reads each entry's ``text`` and each cross-reference's
 ``group_strings``. The mini-net string set reads the lemmas of each seed
 and of every synset in each sense's ``reached`` groups. The full-corpus
 check reads class and head numbers off the dataclass fields, not through
-``ThesaurusKB.walk_heads``.
+``ThesaurusKB.walk_heads``. The reference renderers are the CLI's and the
+address's printing code as it was before one rule per form replaced it,
+kept verbatim: the ``stats`` formatting that wrote each table column by
+column (fed with rows rebuilt from the table recount), ``render_labelled``
+with one pass per label, and ``Address.__str__`` and ``sort_key`` with a
+branch or an expression per component.
 """
 
 from __future__ import annotations
 
 import json
 from collections import Counter, deque
+from types import SimpleNamespace
 from typing import Iterator, Optional
 
+from rogetkb.aligner import LabelledParagraph
 from rogetkb.bundle import _VERSION, KBBundle
 from rogetkb.index import LexicalIndex
 from rogetkb.lexnet import (
-    LexiconError, MiniNet, RelationType, SenseNeighbourhood, Synset, SynsetResource,
+    LABEL_PRECEDENCE, LexiconError, MiniNet, RelationType, SenseNeighbourhood, Synset,
+    SynsetResource,
 )
 from rogetkb.model import (
     SG_LEVEL, Address, Entry, Head, Paragraph, PartOfSpeech, SemicolonGroup, ThesaurusKB,
@@ -458,3 +466,155 @@ def reference_load_resource(text: str) -> SynsetResource:
                 raise LexiconError(line_no, f"unknown synset {endpoint}")
         edges.append((src, rel, dst))
     return SynsetResource(synsets=synsets, edges=tuple(edges))
+
+
+def stats_rows(
+    kb: ThesaurusKB, lemmas: Optional[frozenset[str]], *, strip_gloss: bool = False
+) -> SimpleNamespace:
+    """The rows of every ``stats`` table of ``kb`` against a lexicon with
+    ``lemmas`` (None: no lexicon), each rebuilt from ``recount_tables`` and
+    ``walk_entries``, none from the library's tables: ``report`` holds the
+    class rows and the totals row, ``head_rows`` the sorted head rows and
+    ``shares`` the part-of-speech shares."""
+    texts = [entry.text for _, entry in walk_entries(kb)]
+    common = frozenset(texts) & lemmas if lemmas is not None else frozenset()
+    heads, classes, pos_entries = recount_tables(
+        kb, common, lemmas or frozenset(), strip_gloss=strip_gloss
+    )
+
+    def pct(part: int, whole: int) -> float:
+        return part / whole if whole else 0.0
+
+    def class_row(class_num: Optional[int], c: dict) -> SimpleNamespace:
+        return SimpleNamespace(
+            class_num=class_num, sections=c["sections"], heads=c["heads"],
+            paragraphs=c["paragraphs"], groups=c["groups"], strings=c["strings"],
+            pct_common_heads=pct(c["heads_in"], c["heads"]),
+            pct_common_keywords=pct(c["kw_in"], c["paragraphs"]),
+            pct_common_strings=pct(c["str_in"], c["strings"]),
+        )
+
+    zero = dict.fromkeys(
+        ("sections", "heads", "heads_in", "paragraphs", "groups", "strings", "kw_in", "str_in"), 0
+    )
+    report = SimpleNamespace(
+        rows=tuple(class_row(cls.number, classes.get(cls.number, zero)) for cls in kb.classes),
+        total=class_row(None, {key: sum(c[key] for c in classes.values()) for key in zero}),
+    )
+    head_rows = sorted(
+        (
+            SimpleNamespace(
+                head_num=num, head_name=h["name"], head_name_in_lex=h["in_lex"],
+                paragraphs=h["paragraphs"], groups=h["groups"], strings=h["strings"],
+                pct_common_strings=pct(h["str_in"], h["strings"]),
+                pct_common_keywords=pct(h["kw_in"], h["paragraphs"]),
+            )
+            for num, h in heads.items()
+        ),
+        key=lambda r: (-r.pct_common_strings, r.head_num),
+    )
+    shares = {pos: pct(pos_entries[pos], len(texts)) for pos in PartOfSpeech}
+    return SimpleNamespace(lemmas=lemmas, report=report, head_rows=head_rows, shares=shares)
+
+
+def reference_stats(rows: SimpleNamespace, mode: str, *, top: Optional[int] = None) -> str:
+    """The standard output of ``stats MODE`` for the ``stats_rows`` in
+    ``rows``, written by the ``stats`` formatting that built each line column
+    by column, kept verbatim except that ``echo`` collects the lines."""
+    lemmas, report, shares = rows.lemmas, rows.report, rows.shares
+    lines: list[str] = []
+    echo = lines.append
+    # the `stats class` header as the formatting below knew it, spelled out
+    COVERAGE_COLUMNS = ("classNum", "sections", "heads", "paragraphs", "semicolonGroups",
+                        "strings", "pctCommonHeads", "pctCommonKeywords", "pctCommonStrings")
+
+    if mode == "pos":
+        echo("pos\tfraction")
+        for pos in PartOfSpeech:
+            echo(f"{pos.value}\t{shares[pos]:.4f}")
+    elif mode == "class":
+        echo("\t".join(COVERAGE_COLUMNS if lemmas is not None else COVERAGE_COLUMNS[:6]))
+        for row in report.rows + (report.total,):
+            label_cell = "total" if row.class_num is None else str(row.class_num)
+            line = (f"{label_cell}\t{row.sections}\t{row.heads}\t{row.paragraphs}\t"
+                    f"{row.groups}\t{row.strings}")
+            if lemmas is not None:
+                line += (f"\t{row.pct_common_heads:.2f}\t{row.pct_common_keywords:.2f}"
+                         f"\t{row.pct_common_strings:.2f}")
+            echo(line)
+    else:
+        echo("headNum\theadName" + ("\theadNameInLex" if lemmas is not None else "")
+             + "\tparagraphs\tsemicolonGroups\tstrings"
+             + ("\tpctCommonStrings\tpctCommonKeywords" if lemmas is not None else ""))
+        for row in rows.head_rows[:top]:
+            line = f"{row.head_num}\t{row.head_name}"
+            if lemmas is not None:
+                line += "\tyes" if row.head_name_in_lex else "\tno"
+            line += f"\t{row.paragraphs}\t{row.groups}\t{row.strings}"
+            if lemmas is not None:
+                line += f"\t{row.pct_common_strings:.2f}\t{row.pct_common_keywords:.2f}"
+            echo(line)
+    return "".join(line + "\n" for line in lines)
+
+
+def _label_name(label: Optional[RelationType]) -> str:
+    return "No label" if label is None else label.value.capitalize()
+
+
+def reference_render_labelled(
+    result: LabelledParagraph, pos: PartOfSpeech, show_evidence: bool
+) -> list[str]:
+    """``render_labelled`` as it was, one pass over the groups per label,
+    kept verbatim."""
+    lines = [f"{pos.display} {result.keyword}"]
+    for label in list(LABEL_PRECEDENCE) + [None]:
+        rendered = []
+        for sg_idx, item in enumerate(result.labelled):
+            if item.label is not label:
+                continue
+            entries = item.group.entries[1:] if sg_idx == 0 else item.group.entries
+            text = ", ".join(entry.render() for entry in entries)
+            if text:
+                rendered.append(text)
+        if rendered:
+            lines.append(f"{_label_name(label)}: " + "; ".join(rendered))
+    if show_evidence:
+        for sg_idx, item in enumerate(result.labelled):
+            if item.evidence:
+                triples = " ".join(
+                    f"{ev.string}->{ev.synset_id}({ev.relation.value})" for ev in item.evidence
+                )
+                lines.append(f"evidence: sg={sg_idx} {triples}")
+    return lines
+
+
+_POS_RANK = {pos: rank for rank, pos in enumerate(PartOfSpeech)}
+
+
+def reference_sort_key(self: Address) -> tuple:
+    """``Address.sort_key`` as it was, one expression per component, kept
+    verbatim."""
+    def num(value: Optional[int]) -> int:
+        return -1 if value is None else value
+
+    pos_rank = -1 if self.pos is None else _POS_RANK[self.pos]
+    return (
+        self.class_num, num(self.section_num), num(self.head_num),
+        pos_rank, num(self.para_idx), num(self.sg_idx), num(self.entry_idx),
+    )
+
+
+def reference_address_str(self: Address) -> str:
+    """``Address.__str__`` as it was, one branch per depth, kept verbatim."""
+    class_num, section, head, pos, para, group, entry = self
+    if entry is not None:
+        return f"{class_num}.{section}.{head}:{pos.value}:{para}:{group}:{entry}"
+    if group is not None:
+        return f"{class_num}.{section}.{head}:{pos.value}:{para}:{group}"
+    if pos is not None:
+        return f"{class_num}.{section}.{head}:{pos.value}:{para}"
+    if head is not None:
+        return f"{class_num}.{section}.{head}"
+    if section is not None:
+        return f"{class_num}.{section}"
+    return f"{class_num}"

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from typing import Optional
 
 import pytest
 from click.testing import CliRunner
@@ -15,11 +16,17 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from rogetkb import bundle as bundle_module
-from rogetkb.bundle import load_bundle
-from rogetkb.cli import main
-from rogetkb.lexnet import load_neighbourhood
-from rogetkb.model import PartOfSpeech
+from rogetkb.aligner import label_paragraph
+from rogetkb.bundle import BundleError, load_bundle
+from rogetkb.cli import main, render_labelled
+from rogetkb.lexnet import load_neighbourhood, load_resource
+from rogetkb.model import Address, PartOfSpeech
+from rogetkb.parser import parse_source
 from corpusgen import fixture_text
+from oracles import (
+    reference_load_resource, reference_render_labelled, reference_stats,
+    reference_structured_document, stats_rows, walk_paragraphs,
+)
 from soups import line_soups, signed_bundles
 
 runner = CliRunner()
@@ -771,6 +778,51 @@ class TestStats:
         assert result.stdout == ""
 
 
+class TestPrintedFormsOnACanonicalCorpus:
+    """The coverage tables and the labelled paragraphs of canonical
+    ``generate(3, scale=0.02)`` print what the reference renderers print."""
+
+    @pytest.fixture(scope="class")
+    def corpus(self, perfbench_corpus):
+        return perfbench_corpus.generate(3, scale=0.02)
+
+    @pytest.fixture(scope="class", params=[False, True], ids=["bare", "lex"])
+    def built(self, request, workdir, corpus) -> tuple[str, Optional[frozenset]]:
+        (workdir / "gen3.roget").write_text(corpus.canonical, encoding="utf-8")
+        (workdir / "gen3.lex").write_text(corpus.lexicon, encoding="utf-8")
+        out = workdir / f"gen3-{request.param_index}.kb"
+        lex = ["--lex", str(workdir / "gen3.lex")] if request.param else []
+        invoke("build", str(workdir / "gen3.roget"), *lex, "--out", str(out))
+        lemmas = reference_load_resource(corpus.lexicon).all_lemmas() if request.param else None
+        return str(out), lemmas
+
+    @pytest.fixture(scope="class")
+    def rows(self, built) -> dict:
+        kb, lemmas = built
+        tree = load_bundle(kb).kb
+        return {strip: stats_rows(tree, lemmas, strip_gloss=strip) for strip in (False, True)}
+
+    @pytest.mark.parametrize("mode", ["class", "head", "pos"])
+    def test_stats_prints_the_reference_tables(self, built, rows, mode):
+        for strip in (False, True):
+            for top in (None, 0, 3):
+                options = ["--strip-gloss"] * strip + ([] if top is None else ["--top", str(top)])
+                result = invoke("stats", mode, "--kb", built[0], *options)
+                assert result.stdout == reference_stats(rows[strip], mode, top=top), (strip, top)
+
+    def test_render_labelled_prints_the_reference_lines(self, corpus):
+        kb = parse_source(corpus.canonical).kb
+        resource = load_resource(corpus.lexicon)
+        targets = [address for address, _ in walk_paragraphs(kb)]
+        assert len(targets) > 100
+        for target in targets:
+            result = label_paragraph(kb, resource, target)
+            for evidence in (False, True):
+                assert render_labelled(result, target.pos, evidence) == (
+                    reference_render_labelled(result, target.pos, evidence)
+                ), (target, evidence)
+
+
 LABEL_HYPONYM_LINE = (
     "Hyponym: deduction, depreciation, cut @37 diminution; "
     "refund, shortage, slippage, defect @307 shortfall @636 insufficiency; "
@@ -1140,15 +1192,27 @@ def test_any_call_exits_with_a_table_code(workdir, b42, b42_bare, b2, data):
 def test_a_signed_bundle_keeps_the_load_paths_promises(workdir, bundle, word, head, tag, evidence):
     """Past the checksum gate, whatever the stored texts hold, every command
     ends with an exit code from the table (0-4) and never with an uncaught
-    exception or a traceback; and when ``export canonical`` succeeds,
-    ``build`` of its text writes a bundle that loads to an equal KB."""
+    exception or a traceback; a ``stats`` table, a labelled paragraph or a
+    structured export that succeeds is the oracles' answer; and when
+    ``export canonical`` succeeds, ``build`` of its text writes a bundle
+    that loads to an equal KB."""
     kb = workdir / "signed.kb"
     kb.write_bytes(bundle.encode("utf-8"))
     text, out = workdir / "signed.roget", str(workdir / "signed.out")
+    lexicon = json.loads(bundle)["lexicon"]
+    try:
+        loaded = load_bundle(kb)
+    except BundleError:
+        loaded = None
+    # the drawn paragraph, which seldom exists, and the first one, if any
+    labels = [["label", str(head), tag, "0", *evidence]]
+    first = next(walk_paragraphs(loaded.kb), None) if loaded is not None else None
+    if first is not None:
+        at = first[0]
+        labels.append(["label", str(at.head_num), at.pos.value, str(at.para_idx), *evidence])
     for argv in (
         ["lookup", word], ["sim", word, "decrement"],
-        ["stats", "class"], ["stats", "head"], ["stats", "pos"],
-        ["label", str(head), tag, *evidence],
+        ["stats", "class"], ["stats", "head"], ["stats", "pos"], *labels,
         ["export", "structured", "--out", out], ["export", "canonical", "--out", str(text)],
     ):
         result = runner.invoke(main, [*argv, "--kb", str(kb)])
@@ -1157,6 +1221,25 @@ def test_a_signed_bundle_keeps_the_load_paths_promises(workdir, bundle, word, he
         )
         assert result.exit_code in {0, 1, 2, 3, 4}, (argv, result.output)
         assert "Traceback" not in result.output, argv
+        if result.exit_code != 0 or argv[0] in ("lookup", "sim") or argv[1] == "canonical":
+            continue
+        if argv[:2] == ["stats", "pos"]:  # the one table that never reads the lexicon
+            want = reference_stats(stats_rows(loaded.kb, None), "pos")
+        elif argv[0] == "stats":
+            lemmas = None if lexicon is None else reference_load_resource(lexicon).all_lemmas()
+            want = reference_stats(stats_rows(loaded.kb, lemmas), argv[1])
+        elif argv[0] == "label":
+            num, pos = int(argv[1]), PartOfSpeech.parse(argv[2])
+            place = loaded.kb.head_address(num)
+            target = Address(place.class_num, place.section_num, num, pos, int(argv[3]))
+            labelled = label_paragraph(loaded.kb, reference_load_resource(lexicon), target)
+            want = "".join(line + "\n" for line in reference_render_labelled(
+                labelled, pos, bool(evidence)
+            ))
+        else:
+            assert Path(out).read_text(encoding="utf-8") == reference_structured_document(loaded)
+            continue
+        assert result.stdout == want, argv
     if result.exit_code == 0:  # export canonical, the last call, wrote the text
         rebuilt = workdir / "rebuilt.kb"
         invoke("build", str(text), "--out", str(rebuilt))

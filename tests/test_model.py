@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from corpusgen import fixture_text
 from oracles import (
-    address_rule, paragraph_positions, walk_entries, walk_groups, walk_paragraphs,
+    address_rule, paragraph_positions, reference_address_str, reference_sort_key, walk_entries,
+    walk_groups, walk_paragraphs,
 )
 from rogetkb.aligner import class_coverage
 from rogetkb.model import (
@@ -79,6 +80,14 @@ def _text_numbers(minimum: int):
     return st.integers(minimum, 10**4300 - 1) | st.just(10**4300 - 1)
 
 
+# addresses of every depth with such numbers
+_ADDRESSES = st.builds(
+    lambda components, depth: Address(*components[:depth]),
+    st.tuples(*[_text_numbers(1)] * 3, st.sampled_from(PartOfSpeech), *[_text_numbers(0)] * 3),
+    st.sampled_from([1, 2, 3, 5, 6, 7]),
+)
+
+
 class TestAddress:
     def test_str_and_parse_round_trip_all_depths(self):
         samples = [
@@ -93,13 +102,14 @@ class TestAddress:
         for text in samples:
             assert str(Address.parse(text)) == text
 
-    @given(st.builds(
-        lambda components, depth: Address(*components[:depth]),
-        st.tuples(*[_text_numbers(1)] * 3, st.sampled_from(PartOfSpeech), *[_text_numbers(0)] * 3),
-        st.sampled_from([1, 2, 3, 5, 6, 7]),
-    ))
+    @given(_ADDRESSES)
     def test_parse_inverts_str(self, address):
         assert Address.parse(str(address)) == address
+
+    @given(_ADDRESSES)
+    def test_str_and_sort_key_print_what_the_reference_prints(self, address):
+        assert str(address) == reference_address_str(address)
+        assert address.sort_key() == reference_sort_key(address)
 
     @given(st.text(alphabet="0123456789.:+_- NADJVBIT٣²"))
     def test_parse_reads_only_what_str_writes(self, text):
