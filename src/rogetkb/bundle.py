@@ -1,10 +1,13 @@
 """Bundle persistence: one JSON file carrying the canonical source text,
 the optional lexicon text, and integrity checksums.
 
-Nothing opaque is stored. A load parses the embedded source text and checks
-both recorded checksums against sha256 of the stored texts, byte for byte;
-the index and the lexicon are built from them on first use. Output is
-byte-deterministic (no timestamps).
+Nothing opaque is stored. A load checks both recorded checksums against
+sha256 of the stored texts, byte for byte, and parses the embedded source
+text, with one exception: a scoped load of a source in the canonical form
+``build`` writes only proves that the parse would succeed, and then parses
+just the heads each query reads (see ``load_bundle``). The index and the
+lexicon are built from the texts on first use. Output is byte-deterministic
+(no timestamps).
 
 ``structured_document`` writes the structured export with one streaming
 writer: each of its objects is a layout template that its values fill.
@@ -19,7 +22,9 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import threading
+from bisect import bisect_right
 from contextlib import contextmanager
 from dataclasses import astuple, dataclass
 from functools import cached_property
@@ -31,7 +36,8 @@ from .aligner import COVERAGE_COLUMNS, class_coverage, common_strings, pos_distr
 from .index import LexicalIndex, build_index
 from .lexnet import LexiconError, SynsetResource, lexicon_lemmas, load_neighbourhood, load_resource
 from .model import PartOfSpeech, RogetClass, Section, ThesaurusKB
-from .parser import ParseDiagnostic, parse_source, serialize_kb
+from .parser import HeadSlice, ParseDiagnostic, canonical_heads, parse_source, serialize_kb
+from .text import normalize
 
 __all__ = ["BuildMeta", "KBBundle", "BundleError", "write_bundle", "load_bundle", "structured_document"]
 
@@ -71,10 +77,21 @@ class KBBundle:
         """The full index, built once: the path for many queries."""
         return build_index(self.kb)
 
+    def kb_of(self, words: Iterable[str] = (), heads: Iterable[int] = ()) -> ThesaurusKB:
+        """A knowledge base holding at least every head with an entry that
+        normalizes to one of ``words`` and every head numbered in ``heads``,
+        so that it answers their index lookups, ``resolve`` and
+        ``head_address`` calls as ``kb`` does. This is ``kb`` itself, unless
+        the bundle was loaded scoped from a canonical source and ``kb`` is
+        not built yet."""
+        return self.kb
+
     def index_of(self, words: Iterable[str]) -> LexicalIndex:
-        """An index of ``words`` alone, built by one walk that keeps only
-        their postings and not cached: the path for a single query."""
-        return build_index(self.kb, words)
+        """An index of ``words`` alone, built from ``kb_of(words)`` by one
+        walk that keeps only their postings and not cached: the path for a
+        single query."""
+        words = tuple(words)
+        return build_index(self.kb_of(words=words), words)
 
     def _read_lexicon(self, read: Callable[[str], Any]) -> Any:
         """``read`` of the embedded lexicon text; BundleError when it is malformed."""
@@ -112,6 +129,48 @@ class KBBundle:
         if self._lex_text is None:  # no lexicon, or ``resource`` holds it now
             return None if self.resource is None else self.resource.all_lemmas()
         return self._read_lexicon(lexicon_lemmas)
+
+
+class _ScopedBundle(KBBundle):
+    """A bundle loaded scoped whose source text ``canonical_heads``
+    accepted. Its whole parse cannot fail, so it runs only when ``kb`` is
+    first read; until then ``kb_of`` parses only the heads it keeps. The
+    last answer of ``kb_of`` is kept, so that a query's ``index_of`` and
+    ``kb_of`` share one parse."""
+
+    def __init__(self, source: str, heads: list[HeadSlice], meta: BuildMeta,
+                 lex_text: Optional[str], path: str) -> None:
+        self.meta, self._lex_text, self._path = meta, lex_text, path
+        self._source, self._heads, self._last = source, heads, (None, None)
+
+    @cached_property
+    def kb(self) -> ThesaurusKB:
+        return parse_source(self._source).kb
+
+    def kb_of(self, words: Iterable[str] = (), heads: Iterable[int] = ()) -> ThesaurusKB:
+        if "kb" in self.__dict__:
+            return self.kb
+        key = (tuple(words), tuple(heads))
+        if self._last[0] != key:
+            self._last = (key, self._parse_heads(*key))
+        return self._last[1]
+
+    def _parse_heads(self, words: tuple[str, ...], numbers: tuple[int, ...]) -> ThesaurusKB:
+        """Parse the pieces of the heads numbered in ``numbers`` or holding
+        one of ``words``, in file order. A raw entry is its normalized text
+        and runs from a line start or ", " to ",", ";" or " @", so a search
+        for each normalized word finds every head holding it, and maybe more."""
+        text, heads = self._source, self._heads
+        starts = [head.pieces[-1][0] for head in heads]
+        kept = {i for i, head in enumerate(heads) if head.number in numbers}
+        for query in filter(None, map(normalize, words)):
+            for hit in re.finditer(re.escape(query) + "(?=[,;]| @)", text):
+                at = hit.start()
+                if at > starts[0] and (text[at - 1] == "\n" or text[at - 2:at] == ", "):
+                    kept.add(bisect_right(starts, at) - 1)
+        # heads of one section share its lines, which are parsed once
+        pieces = dict.fromkeys(piece for i in sorted(kept) for piece in heads[i].pieces)
+        return parse_source("".join(text[start:end] for start, end in pieces)).kb
 
 
 def _sha256(text: str) -> str:
@@ -250,12 +309,16 @@ def _lemmas_alongside(text: Optional[str]) -> Iterator[Callable[[], Optional[fro
             os.waitpid(pid, 0)
 
 
-def load_bundle(path: Union[str, Path], *, lemmas: bool = False) -> KBBundle:
+def load_bundle(path: Union[str, Path], *, lemmas: bool = False, scoped: bool = False) -> KBBundle:
     """Read, parse and check the bundle at ``path``. With ``lemmas``, the
     embedded lexicon's lemma set is read too, in a child process while the
     taxonomy parses when one can be started, so that ``lemmas`` is already
     built and a malformed lexicon raises BundleError here, after every
-    other check."""
+    other check. With ``scoped``, a source text in the canonical form that
+    ``build`` writes is checked by ``canonical_heads`` instead of parsed:
+    ``kb_of`` then parses only the heads a query reads, and ``kb`` the
+    whole text when it is first read. Any other source is parsed here, so
+    the load raises the same errors, in the same order, either way."""
     try:
         raw = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
@@ -276,10 +339,12 @@ def load_bundle(path: Union[str, Path], *, lemmas: bool = False) -> KBBundle:
     lex_text = _field(document, "lexicon", (str, type(None)), None, path)
 
     source = _field(document, "source", str, "", path)
+    heads = canonical_heads(source) if scoped else None
     with _lemmas_alongside(lex_text if lemmas else None) as read_lemmas:
-        result = parse_source(source)
-        if result.kb is None:
-            raise BundleError(f"bundle {path} contains an unparseable source document")
+        if heads is None:
+            result = parse_source(source)
+            if result.kb is None:
+                raise BundleError(f"bundle {path} contains an unparseable source document")
 
         meta = BuildMeta(
             source_checksum=_verified(
@@ -291,7 +356,10 @@ def load_bundle(path: Union[str, Path], *, lemmas: bool = False) -> KBBundle:
             errors=_count(diag, "errors", path),
             warnings=_count(diag, "warnings", path),
         )
-        bundle = KBBundle(kb=result.kb, meta=meta, lex_text=lex_text, path=str(path))
+        if heads is None:
+            bundle = KBBundle(kb=result.kb, meta=meta, lex_text=lex_text, path=str(path))
+        else:
+            bundle = _ScopedBundle(source, heads, meta, lex_text, str(path))
         if lemmas:
             bundle.lemmas = bundle._read_lexicon(lambda text: read_lemmas())
     return bundle

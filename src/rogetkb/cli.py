@@ -68,10 +68,11 @@ def _read(read: Callable[[], _T]) -> _T:
         sys.exit(EXIT_IO)
 
 
-def _load(kb_path: str, lemmas: bool = False) -> KBBundle:
+def _load(kb_path: str, lemmas: bool = False, scoped: bool = False) -> KBBundle:
     """Load the bundle; with ``lemmas``, also the lemma set of its lexicon,
-    read while the taxonomy parses."""
-    return _read(lambda: load_bundle(kb_path, lemmas=lemmas))
+    read while the taxonomy parses; with ``scoped``, parsing only the heads
+    the command's ``kb_of`` reads when the source is canonical."""
+    return _read(lambda: load_bundle(kb_path, lemmas=lemmas, scoped=scoped))
 
 
 def _part_of_speech(ctx: click.Context, param: click.Parameter, tag: str) -> PartOfSpeech:
@@ -149,10 +150,12 @@ def lookup(word: str, kb_path: str) -> None:
 
     A miss prints nothing and still exits 0.
     """
-    bundle = _load(kb_path)
-    for addr in bundle.index_of([word]).lookup(word):
-        head = bundle.kb.resolve(Address(*addr[:3]))
-        para = bundle.kb.resolve(Address(*addr[:5]))
+    bundle = _load(kb_path, scoped=True)
+    # one scoped parse: kb_of keeps the knowledge base index_of was built from
+    index, kb = bundle.index_of([word]), bundle.kb_of(words=[word])
+    for addr in index.lookup(word):
+        head = kb.resolve(Address(*addr[:3]))
+        para = kb.resolve(Address(*addr[:5]))
         click.echo(f"{addr}\t{head.name}\t{para.keyword}")
 
 
@@ -162,14 +165,14 @@ def lookup(word: str, kb_path: str) -> None:
 @_KB_OPTION
 def sim(word_a: str, word_b: str, kb_path: str) -> None:
     """Edge-counting distance and similarity between two words."""
-    bundle = _load(kb_path)
+    bundle = _load(kb_path, scoped=True)
     index = bundle.index_of([word_a, word_b])
     missing = [w for w in (word_a, word_b) if not index.lookup(w)]
     if missing:
         for word in missing:
             click.echo(f"error: word not indexed: {word}", err=True)
         sys.exit(EXIT_MISSING)
-    result = word_distance(bundle.kb, index, word_a, word_b)
+    result = word_distance(bundle.kb_of(words=[word_a, word_b]), index, word_a, word_b)
     click.echo(
         f"distance={result.distance} similarity={result.similarity:.4f} "
         f"lca={result.lca_level} a={result.witness_a} b={result.witness_b}"
@@ -256,17 +259,18 @@ def label(head_num: int, pos: PartOfSpeech, para_idx: int, kb_path: str,
           show_evidence: bool, no_xref: bool) -> None:
     """Label the semicolon groups of one paragraph against the keyword's
     mini-net and print the paragraph regrouped by relation."""
-    bundle = _load(kb_path)
+    bundle = _load(kb_path, scoped=True)
+    kb = bundle.kb_of(heads=[head_num])
     # Only the keyword's neighbourhood of the lexicon is read, so the target
     # paragraph is found first. A missing target exits 3 only after the
     # lexicon is read: a malformed lexicon exits 2 and an absent one 4 first.
     missing, keyword = None, ""  # "" is no synset's lemma: the lexicon is only checked
     try:
-        head_addr = bundle.kb.head_address(head_num)
+        head_addr = kb.head_address(head_num)
         if head_addr is None:
             raise AddressError(f"head {head_num} not found")
         target = Address(head_addr.class_num, head_addr.section_num, head_num, pos, para_idx)
-        keyword = bundle.kb.resolve(target).keyword
+        keyword = kb.resolve(target).keyword
     except AddressError as exc:
         missing = exc
     resource = _read(lambda: bundle.resource_of(keyword, pos))
@@ -276,7 +280,7 @@ def label(head_num: int, pos: PartOfSpeech, para_idx: int, kb_path: str,
     if missing is not None:
         click.echo(f"error: {missing}", err=True)
         sys.exit(EXIT_MISSING)
-    result = label_paragraph(bundle.kb, resource, target, match_cross_refs=not no_xref)
+    result = label_paragraph(kb, resource, target, match_cross_refs=not no_xref)
     for line in render_labelled(result, pos, show_evidence):
         click.echo(line)
 

@@ -28,15 +28,21 @@ decimal digits or longer than 4,300 digits. No construct may be empty: a
 class needs a section, a section a head, a head a paragraph, a paragraph a
 semicolon group. Diagnostics are collected rather than raised; a knowledge
 base is returned only when no error-severity diagnostic was produced.
+
+:func:`canonical_heads` recognises the canonical form ``serialize_kb``
+writes, in which a head can be parsed on its own under its class and
+section lines.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .model import (
     MAX_DIGITS,
+    POS_BY_TAG,
     CrossReference,
     Entry,
     Head,
@@ -50,8 +56,10 @@ from .model import (
 from .text import normalize
 
 __all__ = [
+    "HeadSlice",
     "ParseDiagnostic",
     "ParseResult",
+    "canonical_heads",
     "parse_source",
     "parse_cross_ref",
     "serialize_kb",
@@ -286,6 +294,74 @@ def parse_source(text: str) -> ParseResult:
     if any(d.severity == "error" for d in diagnostics):
         return ParseResult(None, diagnostics)
     return ParseResult(ThesaurusKB(tuple(builder.classes)), diagnostics)
+
+
+# The canonical form, line by line, with the line each directive must be
+# followed by. A text of these lines holds no line break but "\n" (every
+# other one is whitespace), no comment, blank line or unterminated group,
+# and no empty construct. Entries and cross-reference keywords are
+# single-spaced runs free of ",", ";" and "@"; a number has no leading zero.
+_WORD = r"[^\s,;@]+(?: [^\s,;@]+)*"
+_NUM = rf"[1-9][0-9]{{0,{MAX_DIGITS - 1}}}"
+_NAME = r"\S+(?: \S+)*"
+_ENTRY = rf"{_WORD}(?: @{_NUM} {_WORD})*"
+_CANONICAL_LINE = (
+    rf"#CLASS [1-8] {_NAME}\n(?=#SECTION )|#SECTION {_NUM} {_NAME}\n(?=#HEAD )"
+    rf"|#HEAD {_NUM} {_NAME}\n(?=#PARA )|#PARA (?:{'|'.join(POS_BY_TAG)})\n(?!#)"
+    rf"|(?!#|//){_ENTRY}(?:, {_ENTRY})*;\n"
+)
+# each searched for after a "\n", so that the search skips to line breaks
+_NON_CANONICAL_LINE = re.compile(rf"\n(?!\Z|{_CANONICAL_LINE})")
+_DIRECTIVE_LINE = re.compile(r"\n#[^\n]*")
+_OPENING = re.compile(r"\n(?=(#(CLASS|SECTION|HEAD) ([0-9]+)[^\n]*\n))")
+
+
+class HeadSlice(NamedTuple):
+    """A head of a canonical text: its number, and the ``(start, end)``
+    offsets of the text that parses it alone: its ``#CLASS`` line, its
+    ``#SECTION`` line, and its own lines up to the next such directive."""
+
+    number: int
+    pieces: tuple[tuple[int, int], ...]
+
+
+def canonical_heads(text: str) -> Optional[list[HeadSlice]]:
+    """The heads of ``text``, in file order, when it is in the canonical form
+    that ``serialize_kb`` writes; otherwise None. Such a text parses with no
+    error-severity diagnostic, as does any text made of some of its heads'
+    pieces in file order, and every group line is its own ``str.lower()``,
+    so each raw entry is its normalized text. The check is sufficient, not
+    necessary: it refuses some texts that parse (the empty one, a comment,
+    a messy spacing or case), never one that does not. It costs a few
+    searches of the whole text plus one step per class, section and head."""
+    lines = "\n" + text
+    if not (text.startswith("#CLASS ") and text.endswith(";\n")):
+        return None
+    if _NON_CANONICAL_LINE.search(lines):
+        return None
+    groups = _DIRECTIVE_LINE.sub("", lines)
+    if groups != groups.lower():
+        return None
+    # ``lines`` is ``text`` shifted by one: the "\n" a match starts at sits
+    # where its line starts in ``text``
+    openings = list(_OPENING.finditer(lines))
+    ends = [match.start() for match in openings[1:]] + [len(text)]
+    heads: list[HeadSlice] = []
+    floors = dict.fromkeys(("CLASS", "SECTION", "HEAD"), (0, ""))
+    above: dict[str, tuple[int, int]] = {}
+    for match, end in zip(openings, ends):
+        kind, number = match.group(2, 3)
+        key = (len(number), number)  # numeric order: no number has a leading zero
+        if key <= floors[kind]:
+            return None
+        floors[kind] = key
+        above[kind] = (match.start(), match.end(1) - 1)
+        if kind == "CLASS":
+            floors["SECTION"] = (0, "")
+        elif kind == "HEAD":
+            pieces = (above["CLASS"], above["SECTION"], (match.start(), end))
+            heads.append(HeadSlice(int(number), pieces))
+    return heads
 
 
 def serialize_kb(kb: ThesaurusKB) -> str:

@@ -3,9 +3,11 @@ line soup.
 
 Source soups are shared by the parser's consistency property, the index
 oracle property, the bundle round-trip property and the CLI fuzz test;
-lexicon soups feed the lexicon reader's oracle property. Signed bundles
-store both kinds of soup as drawn, each under its own correct checksum, so
-every one of them passes the load's checksum gate.
+lexicon soups feed the lexicon reader's oracle property. Canonical sources
+are the text ``build`` stores for a well-formed soup, as it is or after one
+edit. Signed bundles store a source and a lexicon soup as drawn, each under
+its own correct checksum, so every one of them passes the load's checksum
+gate.
 """
 
 from __future__ import annotations
@@ -13,8 +15,12 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import re
 
 from hypothesis import strategies as st
+
+from oracles import walk_paragraphs
+from rogetkb.parser import parse_source, serialize_kb
 
 # str.splitlines breaks a line at each of these; an entry token never holds one
 _LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
@@ -119,6 +125,48 @@ def line_soups(draw) -> str:
     return text + draw(st.sampled_from(["", "\n"]))
 
 
+# -- canonical sources and single edits of them -----------------------------------
+
+_EDITS = ["space", "upper", "break", "semicolon", "swap", "repeat", "para", "ref"]
+
+
+@st.composite
+def canonical_sources(draw, edited: bool = True) -> str:
+    """``serialize_kb`` of a well-formed document, as it is or, when
+    ``edited``, maybe with one edit: a doubled space, a letter in upper
+    case, a "\\r", "\\x85" or "\\u2028", a dropped ";", two head numbers
+    swapped, a head number repeated, an empty "#PARA", or a "@0" or bare
+    "@" reference. An edit that finds no place to act leaves the text as
+    it is."""
+    text = serialize_kb(parse_source("\n".join(draw(_well_formed()))).kb)
+    edit = draw(st.sampled_from([None, *_EDITS])) if edited else None
+    if edit in ("swap", "repeat"):
+        heads = list(re.finditer(r"#HEAD ([0-9]+)", text))
+        if len(heads) < 2:
+            return text
+        i = draw(st.integers(1, len(heads) - 1))
+        a, b = heads[draw(st.integers(0, i - 1))], heads[i]
+        first, second = (b[1], a[1]) if edit == "swap" else (a[1], a[1])
+        return text[:a.start(1)] + first + text[a.end(1):b.start(1)] + second + text[b.end(1):]
+    if edit == "break":
+        at = draw(st.integers(0, len(text)))
+        return text[:at] + draw(st.sampled_from(["\r", "\x85", "\u2028"])) + text[at:]
+    if edit is None:
+        return text
+    pattern, new = {
+        "space": (" ", lambda m: "  "),
+        "upper": ("[a-z]", lambda m: m[0].upper()),
+        "semicolon": (";", lambda m: ""),
+        "para": ("\n(?=#|\\Z)", lambda m: "\n#PARA N\n"),
+        "ref": ("[,;]", lambda m: draw(st.sampled_from([" @0 x", " @"])) + m[0]),
+    }[edit]
+    found = list(re.finditer(pattern, text))
+    if not found:
+        return text
+    match = draw(st.sampled_from(found))
+    return text[:match.start()] + new(match) + text[match.end():]
+
+
 # -- lexicon interchange documents ----------------------------------------------
 
 _SYN_IDS = ["a.n.1", "b.n.1", "c.v.1", "A.n.1", "d.a.1"]
@@ -170,12 +218,19 @@ _LEXICON_LINE_ENDS = ["\n", "\r\n", "\r", "\x85", "\u2028"]
 
 
 @st.composite
-def _valid_records(draw) -> list[str]:
+def _valid_records(draw, words: tuple[str, ...], tags: tuple[str, ...]) -> list[str]:
     """A SYN record for each of some distinct ids and REL records between
     them, in any order, so edges may refer forward; comments and blank
-    lines in between."""
+    lines in between. Given ``words`` and ``tags``, a record may hold some
+    of the words under one of the tags."""
+    syn = _GOOD_SYN
+    if words:
+        syn = st.one_of(syn, st.builds(
+            "SYN {{}} {} {}".format, st.sampled_from(tags),
+            st.lists(st.sampled_from(words), min_size=1, max_size=2).map(";".join),
+        ))
     ids = draw(st.lists(st.sampled_from(_SYN_IDS), min_size=1, unique=True))
-    lines = [draw(_GOOD_SYN).format(syn_id) for syn_id in ids]
+    lines = [draw(syn).format(syn_id) for syn_id in ids]
     for _ in range(draw(st.integers(0, 4))):
         pair = draw(st.sampled_from(ids)), draw(st.sampled_from(ids))
         lines.append(draw(_GOOD_REL).format(*pair))
@@ -184,18 +239,26 @@ def _valid_records(draw) -> list[str]:
 
 
 @st.composite
-def lexicon_soups(draw) -> str:
+def lexicon_soups(draw, words: tuple[str, ...] = (), tags: tuple[str, ...] = ()) -> str:
     """One of: a valid document; a valid document followed by records
     that are cut short, repeat an earlier line, or carry a mistyped token,
     an unknown id or a malformed shape, or with edges to undeclared ids
-    slipped in anywhere; or a soup of all of these lines."""
-    kind = draw(st.sampled_from(["valid", "damaged", "soup"]))
-    if kind == "soup":
+    slipped in anywhere; or a soup of all of these lines. Given ``words``
+    and the part-of-speech ``tags`` of the paragraphs that hold them, the
+    valid records may take their lemmas and tags from them, and a valid
+    document may hold the first two words under the first tag, in two
+    synsets, the first word's the hyponym."""
+    kind = draw(st.sampled_from([*["keyed"] * 3 * bool(words), "valid", "damaged", "soup"]))
+    if kind == "keyed":
+        lines = [f"SYN k.n.1 {tags[0]} {words[0]}",
+                 f"SYN h.n.1 {tags[0]} {words[min(1, len(words) - 1)]}",
+                 "REL hypernym k.n.1 h.n.1"]
+    elif kind == "soup":
         line = st.one_of(_GOOD_SYN.map(lambda r: r.format("a.n.1")), _FAULTY, _LEXICON_NOISE,
                          _GOOD_REL.map(lambda r: r.format("a.n.1", "b.n.1")))
         lines = draw(st.lists(line, max_size=12))
     else:
-        lines = draw(_valid_records())
+        lines = draw(_valid_records(words, tags))
         if kind == "damaged":
             for _ in range(draw(st.integers(1, 3))):
                 fault = draw(st.sampled_from(["cut", "repeat", "faulty", "dangling"]))
@@ -220,15 +283,29 @@ def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+def widest_paragraph(kb):
+    """The address and paragraph of ``kb``'s first paragraph with the most
+    semicolon groups."""
+    return max(walk_paragraphs(kb), key=lambda found: len(found[1].groups))
+
+
 @st.composite
 def signed_bundles(draw) -> str:
-    """Bundle JSON holding a source soup and a lexicon soup (or none), both
-    as drawn, not in canonical form, with the checksums a bundle records
-    for them: sha256 of the UTF-8 text, where an empty source checksums a
-    single line break. The JSON itself is laid out as ``build`` writes it
-    or on one line, with non-ASCII characters raw or escaped."""
-    source = draw(line_soups())
-    lexicon = draw(st.one_of(st.none(), lexicon_soups()))
+    """Bundle JSON holding a source soup or a canonical source (maybe
+    edited) and, three times in four, a lexicon soup, both as drawn, with
+    the checksums a bundle records for them: sha256 of the UTF-8 text,
+    where an empty source checksums a single line break. The lexicon's
+    valid records may take their lemmas from the keyword's group in the
+    source's widest paragraph, so that the paragraph can be labelled by
+    relation. The JSON itself is laid out as ``build`` writes it or on one
+    line, with non-ASCII characters raw or escaped."""
+    source = draw(st.one_of(line_soups(), canonical_sources()))
+    kb = parse_source(source).kb
+    para = widest_paragraph(kb)[1] if kb is not None and kb.classes else None
+    words = tuple(dict.fromkeys(entry.text for entry in para.groups[0].entries)) if para else ()
+    tags = (para.pos.value,) if para else ()
+    with_lexicon = draw(st.sampled_from([True, True, True, False]))
+    lexicon = draw(lexicon_soups(words, tags)) if with_lexicon else None
     document = {
         "format": "rogetkb-bundle",
         "version": 1,

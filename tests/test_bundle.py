@@ -14,12 +14,13 @@ from rogetkb.bundle import (
     BuildMeta, BundleError, KBBundle, _lemmas_alongside, load_bundle, structured_document,
     write_bundle,
 )
+from rogetkb.index import build_index
 from rogetkb.lexnet import LexiconError, lexicon_lemmas, load_resource
-from rogetkb.model import RogetClass, ThesaurusKB
-from rogetkb.parser import parse_source
+from rogetkb.model import Address, AddressError, PartOfSpeech, RogetClass, ThesaurusKB
+from rogetkb.parser import canonical_heads, parse_source, serialize_kb
 from corpusgen import fixture_text
-from oracles import reference_structured_document, warnings
-from soups import lexicon_soups, line_soups
+from oracles import reference_structured_document, walk_paragraphs, warnings
+from soups import canonical_sources, lexicon_soups, line_soups
 
 
 def test_write_renders_the_canonical_text_once(tmp_path, monkeypatch, kb2):
@@ -269,3 +270,127 @@ def test_structured_document_of_a_generated_corpus(perfbench_corpus, seed):
     for lex_text in (None, corpus.lexicon):
         for strip_gloss in (False, True):
             _assert_streams_the_reference(_bundle(kb, lex_text), strip_gloss)
+
+
+# -- the scoped load ------------------------------------------------------------
+
+
+def _signed(path, source: str) -> None:
+    """A bundle storing ``source`` as it is, under its own checksum."""
+    checksum = hashlib.sha256((source or "\n").encode("utf-8")).hexdigest()
+    path.write_text(json.dumps({
+        "format": "rogetkb-bundle", "version": 1,
+        "meta": {"sourceChecksum": checksum, "lexChecksum": None},
+        "source": source, "lexicon": None,
+    }), encoding="utf-8")
+
+
+def _resolved(kb: ThesaurusKB, address: Address):
+    try:
+        return kb.resolve(address)
+    except AddressError as exc:
+        return str(exc)
+
+
+def _assert_scoped_answers_as_the_whole(path, words) -> None:
+    """Each ``kb_of`` of a scoped load answers the index lookup and both
+    ``resolve`` calls of every word, and every paragraph address of every
+    head, present or not, as the whole KB does; none of it parses the
+    whole text, and once ``kb`` is read ``kb_of`` is ``kb``."""
+    whole = load_bundle(path).kb
+    index = build_index(whole)
+    bundle = load_bundle(path, scoped=True)
+    for word in words:
+        kb = bundle.kb_of(words=[word])
+        found = build_index(kb, [word]).lookup(word)
+        assert found == bundle.index_of([word]).lookup(word) == index.lookup(word), word
+        for address in found:
+            for depth in (3, 5):
+                prefix = Address(*address[:depth])
+                assert kb.resolve(prefix) == whole.resolve(prefix)
+    numbers = [head.number for _, _, head in whole.walk_heads()]
+    for number in [*numbers, max(numbers, default=0) + 1]:
+        kb = bundle.kb_of(heads=[number])
+        place = whole.head_address(number)
+        assert kb.head_address(number) == place
+        if place is None:
+            continue
+        head = whole.resolve(place)
+        for pos in PartOfSpeech:
+            for index_ in range(len(head.pos_paragraphs(pos)) + 1):
+                target = Address(*place[:3], pos, index_)
+                assert _resolved(kb, target) == _resolved(whole, target)
+    assert "kb" not in vars(bundle)
+    assert bundle.kb == whole
+    assert bundle.kb_of(words=words[:1]) is bundle.kb is bundle.kb_of(heads=numbers[:1])
+
+
+def _queries(kb: ThesaurusKB) -> list[str]:
+    """Every entry string, spelled as stored, in upper case and padded with
+    whitespace, a substring of each, and misses."""
+    words = []
+    for text in sorted(kb.entry_strings()):
+        words += [text, text.upper(), f" \t{text.replace(' ', '  ')} ", text[1:], text[:-1]]
+    return words + ["", " ", "zeppelin", "a, b", "x @1 y", ";", "@"]
+
+
+@pytest.fixture(scope="module")
+def signed_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("scoped") / "signed.kb"
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(text=st.one_of(canonical_sources(edited=False), canonical_sources()))
+def test_a_scoped_load_answers_as_the_whole_kb(signed_path, text):
+    if canonical_heads(text) is None:
+        return
+    _signed(signed_path, text)
+    _assert_scoped_answers_as_the_whole(signed_path, _queries(parse_source(text).kb))
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_a_scoped_load_of_a_generated_corpus_answers_as_the_whole_kb(
+    perfbench_corpus, tmp_path, seed
+):
+    corpus = perfbench_corpus.generate(seed, scale=0.02)
+    _signed(tmp_path / "corpus.kb", corpus.canonical)
+    # the hottest words, some rare ones and their spellings: every word
+    # would parse a thousand scoped KBs
+    queries = _queries(parse_source(corpus.canonical).kb)
+    _assert_scoped_answers_as_the_whole(tmp_path / "corpus.kb", queries[:40] + queries[-200:] + [
+        spelling for word in corpus.words[:10] for spelling in (word, word.upper(), f" {word}")
+    ])
+
+
+def test_a_scoped_load_parses_a_non_canonical_source_as_the_eager_load(tmp_path, kb2):
+    for source in (fixture_text("two_class.roget"), serialize_kb(kb2).replace(", ", ",  ", 1)):
+        _signed(tmp_path / "two.kb", source)
+        bundle = load_bundle(tmp_path / "two.kb", scoped=True)
+        assert "kb" in vars(bundle) and bundle.kb == kb2
+        assert bundle.kb_of(words=["void"]) is bundle.kb_of(heads=[1]) is bundle.kb
+
+
+def test_an_eager_load_keeps_nothing_new(tmp_path, kb2):
+    write_bundle(tmp_path / "two.kb", kb2)
+    bundle = load_bundle(tmp_path / "two.kb")
+    assert type(bundle) is KBBundle
+    assert set(vars(bundle)) == {"kb", "meta", "_lex_text", "_path"}
+    assert bundle.kb_of(words=["void"]) is bundle.kb
+
+
+def test_one_query_makes_one_scoped_parse(tmp_path, monkeypatch, kb2):
+    write_bundle(tmp_path / "two.kb", kb2)
+    parsed = []
+    parse = parse_source
+    monkeypatch.setattr(
+        "rogetkb.bundle.parse_source", lambda text: parsed.append(text) or parse(text)
+    )
+    bundle = load_bundle(tmp_path / "two.kb", scoped=True)
+    assert parsed == []
+    index = bundle.index_of(["void", "being"])
+    kb = bundle.kb_of(words=["void", "being"])
+    assert [head.number for _, _, head in kb.walk_heads()] == [1, 2, 183]
+    assert index.lookup("void") == build_index(kb2).lookup("void")
+    assert len(parsed) == 1
+    bundle.kb_of(heads=[9])
+    assert len(parsed) == 2 and parsed[1].startswith("#CLASS 1 Abstract Relations\n#SECTION 2 ")

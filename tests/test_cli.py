@@ -20,14 +20,15 @@ from rogetkb.aligner import label_paragraph
 from rogetkb.bundle import BundleError, load_bundle
 from rogetkb.cli import main, render_labelled
 from rogetkb.lexnet import load_neighbourhood, load_resource
+from rogetkb.metrics import word_distance
 from rogetkb.model import Address, PartOfSpeech
 from rogetkb.parser import parse_source
 from corpusgen import fixture_text
 from oracles import (
-    reference_load_resource, reference_render_labelled, reference_stats,
+    reference_index, reference_load_resource, reference_render_labelled, reference_stats,
     reference_structured_document, stats_rows, walk_paragraphs,
 )
-from soups import line_soups, signed_bundles
+from soups import line_soups, signed_bundles, widest_paragraph
 
 runner = CliRunner()
 
@@ -70,6 +71,16 @@ def b42_bare(workdir) -> str:
 def b2(workdir) -> str:
     out = workdir / "two_class.kb"
     invoke("build", str(workdir / "two_class.roget"), "--out", str(out))
+    return str(out)
+
+
+@pytest.fixture(scope="module")
+def b2_lex(workdir) -> str:
+    out = workdir / "two_class_lex.kb"
+    invoke(
+        "build", str(workdir / "two_class.roget"),
+        "--lex", str(workdir / "decrement.lex"), "--out", str(out),
+    )
     return str(out)
 
 
@@ -246,6 +257,20 @@ def test_malformed_bundle_exits_2(workdir, b42, mutate):
     assert result.stdout == ""
 
 
+def _load_error(path: str, **options) -> Optional[str]:
+    try:
+        load_bundle(path, **options)
+    except BundleError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("mutate", MALFORMED_BUNDLES.values(), ids=MALFORMED_BUNDLES.keys())
+def test_malformed_bundle_fails_the_scoped_load_alike(workdir, b42, mutate):
+    bad = _rewritten(workdir, b42, mutate)
+    assert _load_error(bad, scoped=True) == _load_error(bad)
+
+
 def test_non_utf8_bundle_exits_2(workdir):
     bad = workdir / "latin1.kb"
     bad.write_bytes('{"format": "rogetkb-bundle", "source": "caf\u00e9"}'.encode("latin-1"))
@@ -321,6 +346,26 @@ class TestLazyLayers:
         monkeypatch.setattr("rogetkb.bundle.KBBundle.index", property(_raise))
         result = _call(args, b42, workdir / "lazy.out", expect=expect)
         assert (result.stdout, result.stderr) == (stdout, stderr)
+
+    @pytest.mark.parametrize("args, expect, heads", [
+        (("lookup", "void", "--kb", "{kb}"), 0, [2, 183]),
+        (("lookup", "zzzz", "--kb", "{kb}"), 0, []),
+        (("sim", "void", "being", "--kb", "{kb}"), 0, [1, 2, 183]),
+        (("sim", "void", "zzzz", "--kb", "{kb}"), 3, [2, 183]),
+        (("label", "9", "N", "--kb", "{kb}"), 0, [9]),
+        (("label", "10", "N", "--kb", "{kb}"), 3, []),
+    ], ids=["lookup", "lookup-miss", "sim", "sim-exit-3", "label", "label-exit-3"])
+    def test_single_queries_parse_only_the_heads_they_read(
+        self, workdir, b2_lex, monkeypatch, args, expect, heads
+    ):
+        parsed = []
+        parse = parse_source
+        monkeypatch.setattr(
+            "rogetkb.bundle.parse_source", lambda text: parsed.append(parse(text)) or parsed[-1]
+        )
+        monkeypatch.setattr("rogetkb.bundle._ScopedBundle.kb", property(_raise))
+        _call(args, b2_lex, workdir / "lazy.out", expect=expect)
+        assert [[h.number for _, _, h in result.kb.walk_heads()] for result in parsed] == [heads]
 
     @pytest.mark.parametrize("args", [_LOOKUP, _SIM, _STATS_POS, _STATS_CLASS, _STATS_HEAD,
                                       _LABEL, _EXPORT_STRUCTURED],
@@ -1192,8 +1237,9 @@ def test_any_call_exits_with_a_table_code(workdir, b42, b42_bare, b2, data):
 def test_a_signed_bundle_keeps_the_load_paths_promises(workdir, bundle, word, head, tag, evidence):
     """Past the checksum gate, whatever the stored texts hold, every command
     ends with an exit code from the table (0-4) and never with an uncaught
-    exception or a traceback; a ``stats`` table, a labelled paragraph or a
-    structured export that succeeds is the oracles' answer; and when
+    exception or a traceback; a ``lookup`` or ``sim`` answer (the sorting
+    index's), a ``stats`` table, a labelled paragraph or a structured export
+    that succeeds is the oracles' answer; and when
     ``export canonical`` succeeds, ``build`` of its text writes a bundle
     that loads to an equal KB."""
     kb = workdir / "signed.kb"
@@ -1204,12 +1250,13 @@ def test_a_signed_bundle_keeps_the_load_paths_promises(workdir, bundle, word, he
         loaded = load_bundle(kb)
     except BundleError:
         loaded = None
-    # the drawn paragraph, which seldom exists, and the first one, if any
+    # the drawn paragraph, which seldom exists, and the widest one, if any,
+    # whose words the lexicon may hold, with and without cross-references
     labels = [["label", str(head), tag, "0", *evidence]]
-    first = next(walk_paragraphs(loaded.kb), None) if loaded is not None else None
-    if first is not None:
-        at = first[0]
-        labels.append(["label", str(at.head_num), at.pos.value, str(at.para_idx), *evidence])
+    if loaded is not None and loaded.kb.classes:
+        at = widest_paragraph(loaded.kb)[0]
+        widest = ["label", str(at.head_num), at.pos.value, str(at.para_idx), *evidence]
+        labels += [widest, [*widest, "--no-xref-match"]]
     for argv in (
         ["lookup", word], ["sim", word, "decrement"],
         ["stats", "class"], ["stats", "head"], ["stats", "pos"], *labels,
@@ -1221,9 +1268,19 @@ def test_a_signed_bundle_keeps_the_load_paths_promises(workdir, bundle, word, he
         )
         assert result.exit_code in {0, 1, 2, 3, 4}, (argv, result.output)
         assert "Traceback" not in result.output, argv
-        if result.exit_code != 0 or argv[0] in ("lookup", "sim") or argv[1] == "canonical":
+        if result.exit_code != 0 or argv[1] == "canonical":
             continue
-        if argv[:2] == ["stats", "pos"]:  # the one table that never reads the lexicon
+        if argv[0] == "lookup":
+            want = "".join(
+                f"{addr}\t{loaded.kb.resolve(Address(*addr[:3])).name}\t"
+                f"{loaded.kb.resolve(Address(*addr[:5])).keyword}\n"
+                for addr in reference_index(loaded.kb).lookup(word)
+            )
+        elif argv[0] == "sim":
+            found = word_distance(loaded.kb, reference_index(loaded.kb), word, "decrement")
+            want = (f"distance={found.distance} similarity={found.similarity:.4f} "
+                    f"lca={found.lca_level} a={found.witness_a} b={found.witness_b}\n")
+        elif argv[:2] == ["stats", "pos"]:  # the one table that never reads the lexicon
             want = reference_stats(stats_rows(loaded.kb, None), "pos")
         elif argv[0] == "stats":
             lemmas = None if lexicon is None else reference_load_resource(lexicon).all_lemmas()
@@ -1232,7 +1289,10 @@ def test_a_signed_bundle_keeps_the_load_paths_promises(workdir, bundle, word, he
             num, pos = int(argv[1]), PartOfSpeech.parse(argv[2])
             place = loaded.kb.head_address(num)
             target = Address(place.class_num, place.section_num, num, pos, int(argv[3]))
-            labelled = label_paragraph(loaded.kb, reference_load_resource(lexicon), target)
+            labelled = label_paragraph(
+                loaded.kb, reference_load_resource(lexicon), target,
+                match_cross_refs="--no-xref-match" not in argv,
+            )
             want = "".join(line + "\n" for line in reference_render_labelled(
                 labelled, pos, bool(evidence)
             ))

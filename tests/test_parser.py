@@ -10,9 +10,10 @@ from corpusgen import fixture_text, generate
 from oracles import (
     count_entry_tokens, errors, full_corpus_problems, walk_entries, walk_paragraphs, warnings,
 )
-from soups import line_soups
+from soups import canonical_sources, line_soups
 from rogetkb.model import CrossReference, PartOfSpeech
 from rogetkb.parser import (
+    canonical_heads,
     parse_cross_ref,
     parse_source,
     serialize_kb,
@@ -531,3 +532,94 @@ def test_full_corpus_problems_flag_a_head_numbered_above_990():
         "head numbers exceed 990 (max 991)",
         "expected 990 heads, found 1",
     ]
+
+
+class TestCanonicalHeads:
+    """``canonical_heads`` accepts only texts that parse with no error, and
+    every canonical text that ``build`` writes; each head's pieces parse to
+    that head alone."""
+
+    @staticmethod
+    def assert_sound(text: str) -> bool:
+        """When the check accepts ``text``, the parse has no error, and the
+        heads it lists are the parsed heads, each parsed alone from its own
+        pieces. Returns whether it accepted."""
+        heads = canonical_heads(text)
+        if heads is None:
+            return False
+        result = parse_source(text)
+        assert errors(result) == (), text
+        whole = list(result.kb.walk_heads())
+        assert [head.number for head in heads] == [head.number for _, _, head in whole]
+        for head, (cls, sec, parsed) in zip(heads, whole):
+            alone = parse_ok("".join(text[start:end] for start, end in head.pieces))
+            assert list(alone.walk_heads()) == [(
+                type(cls)(cls.number, cls.name, (type(sec)(sec.number, sec.name, (parsed,)),)),
+                type(sec)(sec.number, sec.name, (parsed,)),
+                parsed,
+            )]
+        return True
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(text=st.one_of(line_soups(), canonical_sources()))
+    def test_an_accepted_text_parses_without_error(self, text):
+        self.assert_sound(text)
+
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(text=line_soups())
+    def test_every_canonical_text_is_accepted(self, text):
+        kb = parse_source(text).kb
+        if kb is not None and kb.classes:
+            assert self.assert_sound(serialize_kb(kb))
+
+    @pytest.mark.parametrize("name", ["head42.roget", "two_class.roget"])
+    def test_the_fixtures_canonical_texts_are_accepted(self, name):
+        text = fixture_text(name)
+        assert not self.assert_sound(text)  # as written, with comments
+        assert self.assert_sound(serialize_kb(parse_ok(text)))
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_generated_corpora_are_accepted_in_canonical_form_only(self, perfbench_corpus, seed):
+        corpus = perfbench_corpus.generate(seed, scale=0.02)
+        assert self.assert_sound(corpus.canonical)
+        assert not self.assert_sound(corpus.messy)
+        assert self.assert_sound(serialize_kb(parse_ok(corpus.messy)))
+        messy = generate(seed).text
+        assert not self.assert_sound(messy)
+        assert self.assert_sound(serialize_kb(parse_ok(messy)))
+
+    @pytest.mark.parametrize("text", [
+        "",
+        MINIMAL.replace("\n", "\r\n"),
+        MINIMAL[:-1],
+        MINIMAL + "\n",
+        MINIMAL.replace("word", "Word"),
+        MINIMAL.replace("word", "w  ord"),
+        MINIMAL.replace("Start", "Two  Words"),
+        MINIMAL.replace("#HEAD 1", "#HEAD 01"),
+        MINIMAL.replace("#SECTION 1", "#SECTION \u00b2"),
+        MINIMAL.replace("#CLASS 1", "#CLASS 9"),
+        MINIMAL.replace("#PARA N", "#PARA adj"),
+        MINIMAL.replace("word;", "word @0 x;"),
+        MINIMAL.replace("word;", "word @;"),
+        MINIMAL.replace("word;", "//word;"),
+        MINIMAL.replace("word;", "word,x;"),
+        MINIMAL + "#HEAD 1 Again\n#PARA N\nx;\n",
+        MINIMAL + "#SECTION 2 Empty\n",
+        "// comment\n" + MINIMAL,
+    ], ids=[
+        "empty", "crlf", "no-final-break", "blank-line", "upper-entry", "doubled-space-entry",
+        "doubled-space-name", "leading-zero", "superscript-digit", "class-9", "lower-tag",
+        "ref-0", "bare-ref", "comment-group", "unspaced-comma", "repeated-head",
+        "empty-section", "comment",
+    ])
+    def test_refuses(self, text):
+        assert canonical_heads(text) is None
+
+    def test_pieces_of_heads_that_share_a_section(self, kb2):
+        text = serialize_kb(kb2)
+        heads = canonical_heads(text)
+        assert [head.number for head in heads] == [1, 2, 9, 183, 184]
+        assert heads[0].pieces[:2] == heads[1].pieces[:2]  # class 1, section 1
+        assert text[slice(*heads[-1].pieces[-1])].startswith("#HEAD 184 ")
+        assert heads[-1].pieces[-1][1] == len(text)
