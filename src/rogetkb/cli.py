@@ -8,7 +8,6 @@ inputs. All I/O is UTF-8.
 
 from __future__ import annotations
 
-import gc
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -33,7 +32,7 @@ from .bundle import (
 from .lexnet import LABEL_PRECEDENCE, LexiconError, RelationType
 from .lexnet import load_resource  # unused; perfbench/tracer.py binds it here
 from .metrics import word_distance
-from .model import POS_BY_TAG, Address, AddressError, PartOfSpeech
+from .model import POS_BY_TAG, Address, AddressError, PartOfSpeech, _collector_paused
 from .parser import parse_source, serialize_kb
 
 EXIT_PARSE = 1
@@ -86,13 +85,11 @@ def _part_of_speech(ctx: click.Context, param: click.Parameter, tag: str) -> Par
 @click.pass_context
 def main(ctx: click.Context) -> None:
     """Roget-structured thesaurus knowledge base."""
-    # A command loads millions of acyclic, immutable objects and frees none
-    # of them, so the cyclic collector's full passes over them find nothing.
-    # It is switched off for the command only: an in-process caller gets
+    # The builders pause the collector themselves, but after a paused build
+    # the first collection would scan everything built, once per command.
+    # So it stays off for the whole command, and an in-process caller gets
     # its own setting back when the context closes, on success or exit.
-    if gc.isenabled():
-        gc.disable()
-        ctx.call_on_close(gc.enable)
+    ctx.with_resource(_collector_paused())
 
 
 @main.command()

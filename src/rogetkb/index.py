@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .model import Address, PartOfSpeech, ThesaurusKB
+from .model import Address, PartOfSpeech, ThesaurusKB, _collector_paused
 from .text import normalize
 
 __all__ = ["LexicalIndex", "build_index"]
@@ -26,6 +26,7 @@ class LexicalIndex:
         return self.entries.get(normalize(query), ())
 
 
+@_collector_paused()
 def build_index(kb: ThesaurusKB, words: Optional[Iterable[str]] = None) -> LexicalIndex:
     """One walk in taxonomy order: per head, parts of speech in canonical
     order, then each one's paragraphs, groups and entries. Numbers ascend

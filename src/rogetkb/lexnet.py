@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterator, Optional
 
-from .model import POS_BY_TAG, PartOfSpeech
+from .model import POS_BY_TAG, PartOfSpeech, _collector_paused
 from .text import normalize
 
 __all__ = [
@@ -123,6 +123,7 @@ class SynsetResource:
     edges: tuple[tuple[str, RelationType, str], ...]
 
     @cached_property
+    @_collector_paused()
     def lemma_index(self) -> dict[str, tuple[str, ...]]:
         index: dict[str, list[str]] = {}
         for synset in self.synsets.values():
@@ -131,6 +132,7 @@ class SynsetResource:
         return {lemma: tuple(ids) for lemma, ids in index.items()}
 
     @cached_property
+    @_collector_paused()
     def _neighbour_ids(self) -> dict[tuple[str, RelationType], list[str]]:
         """Neighbour ids per ``(synset, relation)``. Each hypernym edge is
         also filed in reverse as a hyponym edge. The lists are kept as built:
@@ -240,6 +242,7 @@ def _read_records(
                 raise LexiconError(line_no, f"unknown synset {endpoint}")
 
 
+@_collector_paused()
 def load_resource(text: str) -> SynsetResource:
     """Parse an interchange document into the synset graph. Raises
     :class:`LexiconError` on the first malformed record."""

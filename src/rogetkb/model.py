@@ -14,7 +14,9 @@ not depend on the parser.
 from __future__ import annotations
 
 import enum
+import gc
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Optional, Union
 
@@ -42,6 +44,25 @@ __all__ = [
 # paragraph=5, semicolon group=6, entry=7.
 SG_LEVEL = 6
 MAX_GROUP_DISTANCE = 2 * SG_LEVEL
+
+
+@contextmanager
+def _collector_paused() -> Iterator[None]:
+    """Switch the cyclic collector off while a builder allocates what its
+    caller keeps, and back on however the builder ends; a collector that is
+    already off stays off. The built layers are acyclic and freed by
+    reference counting, so the collections their allocation would start
+    scan all of them and free nothing. The switch is process-wide: other
+    threads pause too, and a setting another thread makes during the pause
+    is overwritten when it ends."""
+    if not gc.isenabled():
+        yield
+        return
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
 
 
 class PartOfSpeech(enum.Enum):

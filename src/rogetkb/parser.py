@@ -52,6 +52,7 @@ from .model import (
     Section,
     SemicolonGroup,
     ThesaurusKB,
+    _collector_paused,
 )
 from .text import normalize
 
@@ -255,6 +256,7 @@ def _feed_entry_line(text: str, line: int, builder: _Builder) -> None:
                 builder.warn(line, "empty semicolon group skipped")
 
 
+@_collector_paused()
 def parse_source(text: str) -> ParseResult:
     """Parse a whole source document. Never raises on bad input; every
     problem becomes a diagnostic and ``kb`` is None when any is an error."""

@@ -1,26 +1,31 @@
 from __future__ import annotations
 
+import gc
 import hashlib
+import inspect
 import io
 import json
 import os
 import re
+import sys
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from rogetkb.aligner import label_paragraph
 from rogetkb.bundle import (
     BuildMeta, BundleError, KBBundle, _lemmas_alongside, load_bundle, structured_document,
     write_bundle,
 )
 from rogetkb.index import build_index
-from rogetkb.lexnet import LexiconError, lexicon_lemmas, load_resource
+from rogetkb.lexnet import LexiconError, SynsetResource, lexicon_lemmas, load_resource
 from rogetkb.model import Address, AddressError, PartOfSpeech, RogetClass, ThesaurusKB
 from rogetkb.parser import canonical_heads, parse_source, serialize_kb
 from corpusgen import fixture_text
 from oracles import reference_structured_document, walk_paragraphs, warnings
 from soups import canonical_sources, lexicon_soups, line_soups
+from test_cli import MALFORMED_BUNDLES
 
 
 def test_write_renders_the_canonical_text_once(tmp_path, monkeypatch, kb2):
@@ -394,3 +399,110 @@ def test_one_query_makes_one_scoped_parse(tmp_path, monkeypatch, kb2):
     assert len(parsed) == 1
     bundle.kb_of(heads=[9])
     assert len(parsed) == 2 and parsed[1].startswith("#CLASS 1 Abstract Relations\n#SECTION 2 ")
+
+
+# -- the collector ---------------------------------------------------------------
+
+
+# the bodies of the builders that allocate what the library keeps
+_BUILDERS = {
+    inspect.unwrap(build).__code__ for build in (
+        parse_source, build_index, load_resource,
+        SynsetResource.lemma_index.func, SynsetResource._neighbour_ids.func,
+    )
+}
+
+
+def _label_once(path):
+    """``resource`` and one ``label_paragraph``, which fills both tables of
+    the resource, ``lemma_index`` and ``_neighbour_ids``."""
+    bundle = load_bundle(path)
+    target = Address(1, 3, 42, PartOfSpeech.NOUN, 0)
+    assert label_paragraph(bundle.kb, bundle.resource, target).keyword == "decrement"
+    assert {"lemma_index", "_neighbour_ids"} <= bundle.resource.__dict__.keys()
+
+
+_LIBRARY_CALLS = {
+    "load_bundle": lambda path: load_bundle(path),
+    "load_bundle-scoped-kb_of": lambda path: load_bundle(path, scoped=True).kb_of(words=["toll"]),
+    "load_bundle-lemmas": lambda path: load_bundle(path, lemmas=True),
+    "index": lambda path: load_bundle(path).index,
+    "resource-label": _label_once,
+    "parse_source": lambda path: parse_source(fixture_text("head42.roget")),
+    "build_index": lambda path: build_index(parse_source(fixture_text("two_class.roget")).kb),
+    "load_resource": lambda path: load_resource(fixture_text("decrement.lex")),
+}
+
+
+class TestLibraryCollectorScope:
+    """Every builder of a library layer runs with the cyclic collector
+    paused and hands the caller's setting back, however it ends. The
+    calls' own few allocations outside the builders are not paused."""
+
+    @pytest.fixture(scope="class")
+    def path(self, tmp_path_factory, kb42):
+        path = tmp_path_factory.mktemp("collector") / "head42.kb"
+        write_bundle(path, kb42, lex_text=fixture_text("decrement.lex"))
+        return path
+
+    @pytest.fixture
+    def collections(self):
+        """The builder in whose body each collection started, with a
+        threshold that starts one at almost every allocation."""
+        seen = []
+
+        def count(phase, info):
+            frame = sys._getframe(1)
+            while phase == "start" and frame is not None:
+                if frame.f_code in _BUILDERS:
+                    seen.append(frame.f_code.co_name)
+                    break
+                frame = frame.f_back
+
+        enabled, threshold = gc.isenabled(), gc.get_threshold()
+        gc.set_threshold(1)
+        gc.callbacks.append(count)
+        try:
+            yield seen
+        finally:
+            gc.callbacks.remove(count)
+            gc.set_threshold(*threshold)
+            (gc.enable if enabled else gc.disable)()
+
+    def test_the_counter_sees_a_builder_run_with_the_collector_on(self, collections):
+        inspect.unwrap(parse_source)(fixture_text("head42.roget"))
+        assert "parse_source" in collections
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+    @pytest.mark.parametrize("call", _LIBRARY_CALLS.values(), ids=_LIBRARY_CALLS.keys())
+    def test_no_collection_starts_in_a_builder(self, path, collections, call, enabled):
+        (gc.enable if enabled else gc.disable)()
+        call(path)
+        assert gc.isenabled() is enabled
+        assert collections == []
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+    def test_a_malformed_lexicon_hands_the_setting_back(self, path, collections, kb42, enabled):
+        (gc.enable if enabled else gc.disable)()
+        with pytest.raises(LexiconError):
+            load_resource(fixture_text("decrement.lex") + "REL hypernym ghost.n.1 decrement.n.1\n")
+        assert gc.isenabled() is enabled
+        bogus = path.with_name("bogus.kb")
+        write_bundle(bogus, kb42, lex_text="SYN a.n.1 N a\nBOGUS record\n")
+        with pytest.raises(BundleError):
+            load_bundle(bogus).resource
+        assert gc.isenabled() is enabled
+        assert collections == []
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+    @pytest.mark.parametrize("mutate", MALFORMED_BUNDLES.values(), ids=MALFORMED_BUNDLES.keys())
+    def test_a_malformed_bundle_hands_the_setting_back(self, path, collections, mutate, enabled):
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        mutate(doc)
+        bad = path.with_name("malformed.kb")
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        (gc.enable if enabled else gc.disable)()
+        with pytest.raises(BundleError):
+            load_bundle(bad, lemmas=True)
+        assert gc.isenabled() is enabled
+        assert collections == []

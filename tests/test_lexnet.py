@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import itertools
 import random
 
@@ -162,21 +163,25 @@ class TestLoadResource:
 def _assert_reads_as_the_reference(text: str) -> None:
     """``load_resource`` builds the reference loader's graph and
     ``lexicon_lemmas`` its lemma set, or both raise its error: the same
-    line and message."""
+    line and message. Either way each read leaves the collector on."""
     try:
         want = reference_load_resource(text)
     except LexiconError as exc:
         for read in (load_resource, lexicon_lemmas):
             with pytest.raises(LexiconError) as exc_info:
                 read(text)
+            assert gc.isenabled()
             assert (exc_info.value.line, exc_info.value.message) == (exc.line, exc.message)
         return
     got = load_resource(text)
+    assert gc.isenabled()
     assert [(i, s.id, s.pos, s.lemmas, s.gloss) for i, s in got.synsets.items()] == [
         (i, s.id, s.pos, s.lemmas, s.gloss) for i, s in want.synsets.items()
     ]
     assert got.edges == want.edges
-    assert lexicon_lemmas(text) == got.all_lemmas() == want.all_lemmas()
+    lemmas = lexicon_lemmas(text)
+    assert gc.isenabled()
+    assert lemmas == got.all_lemmas() == want.all_lemmas()
 
 
 class TestReaderAgainstTheReference:
