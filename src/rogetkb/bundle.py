@@ -2,12 +2,12 @@
 the optional lexicon text, and integrity checksums.
 
 Nothing opaque is stored. A load checks both recorded checksums against
-sha256 of the stored texts, byte for byte, and parses the embedded source
-text, with one exception: a scoped load of a source in the canonical form
-``build`` writes only proves that the parse would succeed, and then parses
-just the heads each query reads (see ``load_bundle``). The index and the
-lexicon are built from the texts on first use. Output is byte-deterministic
-(no timestamps).
+sha256 of the stored texts, byte for byte, and proves or parses the
+embedded source text. A source in the canonical form ``build`` writes is
+proven so by ``canonical_heads``, and is then built without the general
+parser, only when and as far as a command reads it (see ``load_bundle``);
+any other source is parsed at load. The index and the lexicon are built
+from the texts on first use. Output is byte-deterministic (no timestamps).
 
 ``structured_document`` writes the structured export with one streaming
 writer: each of its objects is a layout template that its values fill.
@@ -36,7 +36,9 @@ from .aligner import COVERAGE_COLUMNS, class_coverage, common_strings, pos_distr
 from .index import LexicalIndex, build_index
 from .lexnet import LexiconError, SynsetResource, lexicon_lemmas, load_neighbourhood, load_resource
 from .model import PartOfSpeech, RogetClass, Section, ThesaurusKB
-from .parser import HeadSlice, ParseDiagnostic, canonical_heads, parse_source, serialize_kb
+from .parser import (
+    HeadSlice, ParseDiagnostic, _canonical_kb, canonical_heads, parse_source, serialize_kb,
+)
 from .text import normalize
 
 __all__ = ["BuildMeta", "KBBundle", "BundleError", "write_bundle", "load_bundle", "structured_document"]
@@ -58,19 +60,38 @@ class BuildMeta:
 
 
 class KBBundle:
-    """A loaded bundle: the parsed knowledge base and its checked metadata.
-    The index and the lexicon are built on first access, so a command pays
-    only for the layers it reads. A single query reads a scoped layer: it
-    indexes only its words, or keeps only its keyword's neighbourhood of
-    the lexicon. A command that counts lemmas keeps only the lemma set."""
+    """A loaded bundle: its knowledge base and checked metadata. Every layer
+    is built on first access, so a command pays only for the layers it
+    reads. A source text in the canonical form ``build`` writes is proven
+    so by ``canonical_heads``, and its ``kb`` is built without the general
+    parser; until then ``kb_of`` builds only the heads a query reads. A
+    single query reads a scoped layer: it indexes only its words, or keeps
+    only its keyword's neighbourhood of the lexicon. A command that counts
+    lemmas keeps only the lemma set."""
 
-    def __init__(
-        self, kb: ThesaurusKB, meta: BuildMeta, lex_text: Optional[str], path: str
-    ) -> None:
-        self.kb = kb
-        self.meta = meta
-        self._lex_text = lex_text
-        self._path = path
+    def __init__(self, source: str, heads: Optional[list[HeadSlice]], meta: Optional[BuildMeta],
+                 lex_text: Optional[str], path: str) -> None:
+        """The bundle of the stored ``source``, where ``heads`` is
+        ``canonical_heads(source)``: None when the form is not proven."""
+        self.meta, self._lex_text, self._path = meta, lex_text, path
+        self._source, self._heads, self._last = source, heads, (None, None)
+
+    @cached_property
+    def kb(self) -> Optional[ThesaurusKB]:
+        """The whole knowledge base: of a proven source, built by the
+        builder that trusts the proof; of any other, by ``parse_source``
+        (None when it does not parse). From then on it answers for the
+        stored text, which is let go."""
+        source = self._source
+        kb = parse_source(source).kb if self._heads is None else _canonical_kb(source)
+        self._source, self._heads, self._last = "", None, (None, None)
+        return kb
+
+    @property
+    def canonical_text(self) -> Optional[str]:
+        """The stored source while it is proven canonical and ``kb`` is not
+        built, None otherwise: ``serialize_kb(kb)``, byte for byte."""
+        return None if self._heads is None else self._source
 
     @cached_property
     def index(self) -> LexicalIndex:
@@ -82,9 +103,33 @@ class KBBundle:
         normalizes to one of ``words`` and every head numbered in ``heads``,
         so that it answers their index lookups, ``resolve`` and
         ``head_address`` calls as ``kb`` does. This is ``kb`` itself, unless
-        the bundle was loaded scoped from a canonical source and ``kb`` is
-        not built yet."""
-        return self.kb
+        the source is proven canonical and ``kb`` is not built yet. The last
+        answer is kept, so that a query's ``index_of`` and ``kb_of`` share
+        one build."""
+        if self._heads is None:
+            return self.kb
+        key = (tuple(words), tuple(heads))
+        if self._last[0] != key:
+            self._last = (key, self._kb_of_heads(*key))
+        return self._last[1]
+
+    def _kb_of_heads(self, words: tuple[str, ...], numbers: tuple[int, ...]) -> ThesaurusKB:
+        """The pieces of the heads numbered in ``numbers`` or holding one of
+        ``words``, in file order, built as ``kb`` is. A raw entry is its
+        normalized text and runs from a line start or ", " to ",", ";" or
+        " @", so a search for each normalized word finds every head holding
+        it, and maybe more."""
+        text, heads = self._source, self._heads
+        starts = [head.pieces[-1][0] for head in heads]
+        kept = {i for i, head in enumerate(heads) if head.number in numbers}
+        for query in filter(None, map(normalize, words)):
+            for hit in re.finditer(re.escape(query) + "(?=[,;]| @)", text):
+                at = hit.start()
+                if at > starts[0] and (text[at - 1] == "\n" or text[at - 2:at] == ", "):
+                    kept.add(bisect_right(starts, at) - 1)
+        # heads of one section share its lines, which are built once
+        pieces = dict.fromkeys(piece for i in sorted(kept) for piece in heads[i].pieces)
+        return _canonical_kb("".join(text[start:end] for start, end in pieces))
 
     def index_of(self, words: Iterable[str]) -> LexicalIndex:
         """An index of ``words`` alone, built from ``kb_of(words)`` by one
@@ -129,48 +174,6 @@ class KBBundle:
         if self._lex_text is None:  # no lexicon, or ``resource`` holds it now
             return None if self.resource is None else self.resource.all_lemmas()
         return self._read_lexicon(lexicon_lemmas)
-
-
-class _ScopedBundle(KBBundle):
-    """A bundle loaded scoped whose source text ``canonical_heads``
-    accepted. Its whole parse cannot fail, so it runs only when ``kb`` is
-    first read; until then ``kb_of`` parses only the heads it keeps. The
-    last answer of ``kb_of`` is kept, so that a query's ``index_of`` and
-    ``kb_of`` share one parse."""
-
-    def __init__(self, source: str, heads: list[HeadSlice], meta: BuildMeta,
-                 lex_text: Optional[str], path: str) -> None:
-        self.meta, self._lex_text, self._path = meta, lex_text, path
-        self._source, self._heads, self._last = source, heads, (None, None)
-
-    @cached_property
-    def kb(self) -> ThesaurusKB:
-        return parse_source(self._source).kb
-
-    def kb_of(self, words: Iterable[str] = (), heads: Iterable[int] = ()) -> ThesaurusKB:
-        if "kb" in self.__dict__:
-            return self.kb
-        key = (tuple(words), tuple(heads))
-        if self._last[0] != key:
-            self._last = (key, self._parse_heads(*key))
-        return self._last[1]
-
-    def _parse_heads(self, words: tuple[str, ...], numbers: tuple[int, ...]) -> ThesaurusKB:
-        """Parse the pieces of the heads numbered in ``numbers`` or holding
-        one of ``words``, in file order. A raw entry is its normalized text
-        and runs from a line start or ", " to ",", ";" or " @", so a search
-        for each normalized word finds every head holding it, and maybe more."""
-        text, heads = self._source, self._heads
-        starts = [head.pieces[-1][0] for head in heads]
-        kept = {i for i, head in enumerate(heads) if head.number in numbers}
-        for query in filter(None, map(normalize, words)):
-            for hit in re.finditer(re.escape(query) + "(?=[,;]| @)", text):
-                at = hit.start()
-                if at > starts[0] and (text[at - 1] == "\n" or text[at - 2:at] == ", "):
-                    kept.add(bisect_right(starts, at) - 1)
-        # heads of one section share its lines, which are parsed once
-        pieces = dict.fromkeys(piece for i in sorted(kept) for piece in heads[i].pieces)
-        return parse_source("".join(text[start:end] for start, end in pieces)).kb
 
 
 def _sha256(text: str) -> str:
@@ -309,16 +312,15 @@ def _lemmas_alongside(text: Optional[str]) -> Iterator[Callable[[], Optional[fro
             os.waitpid(pid, 0)
 
 
-def load_bundle(path: Union[str, Path], *, lemmas: bool = False, scoped: bool = False) -> KBBundle:
-    """Read, parse and check the bundle at ``path``. With ``lemmas``, the
-    embedded lexicon's lemma set is read too, in a child process while the
-    taxonomy parses when one can be started, so that ``lemmas`` is already
-    built and a malformed lexicon raises BundleError here, after every
-    other check. With ``scoped``, a source text in the canonical form that
-    ``build`` writes is checked by ``canonical_heads`` instead of parsed:
-    ``kb_of`` then parses only the heads a query reads, and ``kb`` the
-    whole text when it is first read. Any other source is parsed here, so
-    the load raises the same errors, in the same order, either way."""
+def load_bundle(path: Union[str, Path], *, lemmas: bool = False) -> KBBundle:
+    """Read and check the bundle at ``path``. A source text in the canonical
+    form that ``build`` writes is proven so by ``canonical_heads``, and
+    ``kb`` is built from it on first access; any other source is parsed
+    here, so that an unparseable one raises BundleError before the checksums
+    are checked. With ``lemmas``, the embedded lexicon's lemma set is read
+    too, in a child process when one can be started, while ``kb`` is built,
+    so that both are built and a malformed lexicon raises BundleError here,
+    after every other check."""
     try:
         raw = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
@@ -339,14 +341,13 @@ def load_bundle(path: Union[str, Path], *, lemmas: bool = False, scoped: bool = 
     lex_text = _field(document, "lexicon", (str, type(None)), None, path)
 
     source = _field(document, "source", str, "", path)
-    heads = canonical_heads(source) if scoped else None
     with _lemmas_alongside(lex_text if lemmas else None) as read_lemmas:
-        if heads is None:
-            result = parse_source(source)
-            if result.kb is None:
-                raise BundleError(f"bundle {path} contains an unparseable source document")
+        bundle = KBBundle(source, canonical_heads(source), None, lex_text, str(path))
+        # a source that is not proven is parsed here, so its error comes first
+        if bundle.canonical_text is None and bundle.kb is None:
+            raise BundleError(f"bundle {path} contains an unparseable source document")
 
-        meta = BuildMeta(
+        bundle.meta = BuildMeta(
             source_checksum=_verified(
                 meta_doc.get("sourceChecksum"), _source_checksum, source, "source", path
             ),
@@ -356,11 +357,8 @@ def load_bundle(path: Union[str, Path], *, lemmas: bool = False, scoped: bool = 
             errors=_count(diag, "errors", path),
             warnings=_count(diag, "warnings", path),
         )
-        if heads is None:
-            bundle = KBBundle(kb=result.kb, meta=meta, lex_text=lex_text, path=str(path))
-        else:
-            bundle = _ScopedBundle(source, heads, meta, lex_text, str(path))
         if lemmas:
+            bundle.kb  # the callers read the whole KB: build it while the child reads
             bundle.lemmas = bundle._read_lexicon(lambda text: read_lemmas())
     return bundle
 

@@ -67,11 +67,10 @@ def _read(read: Callable[[], _T]) -> _T:
         sys.exit(EXIT_IO)
 
 
-def _load(kb_path: str, lemmas: bool = False, scoped: bool = False) -> KBBundle:
-    """Load the bundle; with ``lemmas``, also the lemma set of its lexicon,
-    read while the taxonomy parses; with ``scoped``, parsing only the heads
-    the command's ``kb_of`` reads when the source is canonical."""
-    return _read(lambda: load_bundle(kb_path, lemmas=lemmas, scoped=scoped))
+def _load(kb_path: str, lemmas: bool = False) -> KBBundle:
+    """Load the bundle; with ``lemmas``, also its knowledge base and the
+    lemma set of its lexicon, read while the knowledge base is built."""
+    return _read(lambda: load_bundle(kb_path, lemmas=lemmas))
 
 
 def _part_of_speech(ctx: click.Context, param: click.Parameter, tag: str) -> PartOfSpeech:
@@ -147,8 +146,8 @@ def lookup(word: str, kb_path: str) -> None:
 
     A miss prints nothing and still exits 0.
     """
-    bundle = _load(kb_path, scoped=True)
-    # one scoped parse: kb_of keeps the knowledge base index_of was built from
+    bundle = _load(kb_path)
+    # one scoped build: kb_of keeps the knowledge base index_of was built from
     index, kb = bundle.index_of([word]), bundle.kb_of(words=[word])
     for addr in index.lookup(word):
         head = kb.resolve(Address(*addr[:3]))
@@ -162,7 +161,7 @@ def lookup(word: str, kb_path: str) -> None:
 @_KB_OPTION
 def sim(word_a: str, word_b: str, kb_path: str) -> None:
     """Edge-counting distance and similarity between two words."""
-    bundle = _load(kb_path, scoped=True)
+    bundle = _load(kb_path)
     index = bundle.index_of([word_a, word_b])
     missing = [w for w in (word_a, word_b) if not index.lookup(w)]
     if missing:
@@ -256,7 +255,7 @@ def label(head_num: int, pos: PartOfSpeech, para_idx: int, kb_path: str,
           show_evidence: bool, no_xref: bool) -> None:
     """Label the semicolon groups of one paragraph against the keyword's
     mini-net and print the paragraph regrouped by relation."""
-    bundle = _load(kb_path, scoped=True)
+    bundle = _load(kb_path)
     kb = bundle.kb_of(heads=[head_num])
     # Only the keyword's neighbourhood of the lexicon is read, so the target
     # paragraph is found first. A missing target exits 3 only after the
@@ -296,7 +295,8 @@ def export(fmt: str, kb_path: str, out_path: str, strip: bool) -> None:
     try:
         with open(out_path, "w", encoding="utf-8") as out:
             if fmt == "canonical":
-                out.write(serialize_kb(bundle.kb))
+                text = bundle.canonical_text
+                out.write(serialize_kb(bundle.kb) if text is None else text)
             else:
                 structured_document(bundle, out, strip_gloss=strip)
     except OSError as exc:

@@ -270,6 +270,7 @@ def lexicon_lemmas(text: str) -> frozenset[str]:
     return frozenset(lemmas)
 
 
+@_collector_paused()
 def load_neighbourhood(text: str, lemma: str, pos: PartOfSpeech) -> SynsetResource:
     """The part of an interchange document that ``build_mini_net(res, lemma,
     pos)`` reads, checked as :func:`load_resource` checks the whole (the

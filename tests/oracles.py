@@ -29,7 +29,8 @@ address's printing code as it was before one rule per form replaced it,
 kept verbatim: the ``stats`` formatting that wrote each table column by
 column (fed with rows rebuilt from the table recount), ``render_labelled``
 with one pass per label, and ``Address.__str__`` and ``sort_key`` with a
-branch or an expression per component.
+branch or an expression per component. The reference parser is
+``parse_source`` with its helpers, kept verbatim.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from __future__ import annotations
 import json
 from collections import Counter, deque
 from types import SimpleNamespace
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from rogetkb.aligner import LabelledParagraph
 from rogetkb.bundle import _VERSION, KBBundle
@@ -47,7 +48,8 @@ from rogetkb.lexnet import (
     SynsetResource,
 )
 from rogetkb.model import (
-    SG_LEVEL, Address, Entry, Head, Paragraph, PartOfSpeech, SemicolonGroup, ThesaurusKB,
+    MAX_DIGITS, SG_LEVEL, Address, CrossReference, Entry, Head, Paragraph, PartOfSpeech,
+    RogetClass, Section, SemicolonGroup, ThesaurusKB,
 )
 from rogetkb.parser import ParseDiagnostic, ParseResult
 from rogetkb.text import normalize
@@ -618,3 +620,222 @@ def reference_address_str(self: Address) -> str:
     if section is not None:
         return f"{class_num}.{section}"
     return f"{class_num}"
+
+
+# -- the general parser ---------------------------------------------------------
+# ``parse_source`` and its helpers, kept verbatim from the commit that added
+# the canonical builder, but for the name and the collector pause (which
+# changes no result): the builder, and any later change to the general
+# parser, is checked against a parser that shares no code with either.
+
+
+def _number(text: str) -> int:
+    """``text`` read as a decimal number, or 0 (which no construct accepts)
+    when it is not one of at most :data:`MAX_DIGITS` (4,300) digits: Python's
+    default limit on int-string conversion, past which int() raises where it
+    is enforced."""
+    return int(text) if text.isdecimal() and len(text) <= MAX_DIGITS else 0
+
+
+def parse_cross_ref(token: str) -> Optional[CrossReference]:
+    """Read one ``@<headnum> <keyword>`` annotation; None when the token is
+    not a cross-reference. Raises ValueError for ``@`` with a bad number."""
+    token = token.strip()
+    if not token.startswith("@"):
+        return None
+    body = token[1:].strip()
+    num_part, _, keyword = body.partition(" ")
+    head_num = _number(num_part)
+    if head_num < 1:
+        raise ValueError(f"bad cross-reference head number {num_part!r}")
+    keyword = normalize(keyword)
+    if not keyword:
+        raise ValueError("cross-reference is missing its keyword")
+    return CrossReference(head_num, keyword)
+
+
+# Depths of the open constructs. A directive opens one a level below its
+# parent, closing whatever was open at its own depth or deeper.
+_CLASS, _SECTION, _HEAD, _PARA = range(4)
+_DIRECTIVES = {"#CLASS": _CLASS, "#SECTION": _SECTION, "#HEAD": _HEAD, "#PARA": _PARA}
+_LEVELS = ("class", "section", "head", "paragraph")
+_NODES = (RogetClass, Section, Head, Paragraph)
+_CHILDREN = ("sections", "heads", "paragraphs")
+
+
+class _Open(NamedTuple):
+    """A construct whose closing line is still to come: the fields of its
+    node other than the children, the line of its directive, and the
+    children finished so far."""
+
+    fields: tuple
+    line: int
+    children: list
+
+
+class _Builder:
+    """Accumulates the tree while the line loop below drives it."""
+
+    def __init__(self) -> None:
+        self.diagnostics: list[ParseDiagnostic] = []
+        self.classes: list[RogetClass] = []
+        self.open: list[_Open] = []  # outermost first, so the index is the depth
+        self.entries: list[Entry] = []  # current, unterminated group
+        self.last_class_num = 0
+        self.last_head_num = 0
+        self.declared_heads: set[int] = set()
+        self.ref_sites: list[tuple[int, int]] = []  # (line, referenced head)
+
+    def error(self, line: int, message: str) -> None:
+        self.diagnostics.append(ParseDiagnostic(line, "error", message))
+
+    def warn(self, line: int, message: str) -> None:
+        self.diagnostics.append(ParseDiagnostic(line, "warning", message))
+
+    def flush_group(self, line: int, *, implicit: bool) -> None:
+        if self.entries:
+            if implicit:
+                self.warn(line, "semicolon group not terminated by ';'")
+            self.open[-1].children.append(SemicolonGroup(tuple(self.entries)))
+            self.entries = []
+
+    def close(self, depth: int, line: int) -> None:
+        """Close every construct open at ``depth`` or deeper, innermost
+        first, keeping each one that has children. An empty class or section
+        is reported at ``line``, an empty head or paragraph at its own."""
+        self.flush_group(line, implicit=True)
+        while len(self.open) > depth:
+            node = self.open.pop()
+            level = len(self.open)
+            if node.children:
+                parent = self.open[-1].children if self.open else self.classes
+                parent.append(_NODES[level](*node.fields, tuple(node.children)))
+            elif level == _PARA:
+                self.error(node.line, "paragraph has no semicolon groups")
+            else:
+                where = node.line if level == _HEAD else line
+                self.error(where, f"{_LEVELS[level]} {node.fields[0]} has no {_CHILDREN[level]}")
+
+    def begin(self, depth: int, rest: str, line: int) -> None:
+        """Open the construct a directive at ``depth`` begins, unless its
+        payload or its number is rejected. Classes and heads ascend across
+        the file, past the last one opened; sections ascend within their
+        class from 1, past the last one kept."""
+        if depth == _PARA:
+            try:
+                self.open.append(_Open((PartOfSpeech.parse(rest),), line, []))
+            except ValueError as exc:
+                self.error(line, str(exc))
+            return
+        if depth == _CLASS:
+            floor = self.last_class_num
+        elif depth == _SECTION:
+            kept = self.open[-1].children
+            floor = kept[-1].number if kept else 0
+        else:
+            floor = self.last_head_num
+        num_part, _, name = rest.partition(" ")
+        name = " ".join(name.split())
+        number = _number(num_part)
+        if number < 1:
+            self.error(line, f"{_LEVELS[depth]} number {num_part!r} is not a positive integer")
+        elif not name:
+            self.error(line, f"{_LEVELS[depth]} has no name")
+        elif depth == _CLASS and number > 8:
+            self.error(line, f"class number {number} outside 1..8")
+        elif number <= floor:
+            self.error(line, f"{_LEVELS[depth]} number {number} not ascending")
+        else:
+            self.open.append(_Open((number, name), line, []))
+            if depth == _CLASS:
+                self.last_class_num = number
+            elif depth == _HEAD:
+                self.last_head_num = number
+                self.declared_heads.add(number)
+
+
+def _feed_entry_line(text: str, line: int, builder: _Builder) -> None:
+    if len(builder.open) <= _PARA:
+        builder.error(line, "semicolon group outside paragraph")
+        return
+    segments = text.split(";")
+    for i, segment in enumerate(segments):
+        closes = i < len(segments) - 1
+        segment = segment.strip()
+        if segment:
+            for token in segment.split(","):
+                # the entry text runs up to the first "@"; each "@" starts one
+                # ref reaching to the next "@" or the token's end
+                raw_text, at, ref_text = token.partition("@")
+                entry_text = normalize(raw_text)
+                refs: list[CrossReference] = []
+                bad = False
+                for part in ref_text.split("@") if at else ():
+                    if not part.strip():
+                        continue
+                    try:
+                        ref = parse_cross_ref("@" + part)
+                    except ValueError as exc:
+                        builder.error(line, str(exc))
+                        bad = True
+                        continue
+                    refs.append(ref)
+                    builder.ref_sites.append((line, ref.head_num))
+                if entry_text:
+                    if not builder.entries and entry_text.startswith(("#", "//")):
+                        builder.error(line, f"semicolon group cannot start with {entry_text!r}")
+                    builder.entries.append(Entry(entry_text, tuple(refs)))
+                elif refs:
+                    if builder.entries:
+                        prev = builder.entries[-1]
+                        builder.entries[-1] = Entry(prev.text, prev.cross_refs + tuple(refs))
+                    else:
+                        builder.error(line, "cross-reference with no entry to attach to")
+                elif not bad:
+                    builder.warn(line, "empty entry skipped")
+        if closes:
+            if builder.entries:
+                builder.flush_group(line, implicit=False)
+            else:
+                builder.warn(line, "empty semicolon group skipped")
+
+
+def reference_parse_source(text: str) -> ParseResult:
+    """Parse a whole source document. Never raises on bad input; every
+    problem becomes a diagnostic and ``kb`` is None when any is an error."""
+    builder = _Builder()
+
+    lines = text.splitlines()
+    for line_no, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("//"):
+            continue
+        if not line.startswith("#"):
+            _feed_entry_line(line, line_no, builder)
+            continue
+        directive, _, rest = line.partition(" ")
+        depth = _DIRECTIVES.get(directive)
+        if depth is None:
+            builder.error(line_no, f"unknown directive {directive!r}")
+        elif len(builder.open) < depth:
+            builder.error(line_no, f"{_LEVELS[depth]} outside {_LEVELS[depth - 1]}")
+        else:
+            builder.close(depth, line_no)
+            builder.begin(depth, rest.strip(), line_no)
+
+    # the line after a final line break counts, as it does in an editor;
+    # lines break where splitlines breaks them, "\r" and "\r\n" included
+    ends_with_break = text[-1:].splitlines() == [""]
+    last_line = max(1, len(lines) + ends_with_break)
+    builder.close(_CLASS, last_line)
+
+    # dangling cross-references are warnings: fixtures are sparse subsets of
+    # the full head space by design
+    for line_no, head_num in builder.ref_sites:
+        if head_num not in builder.declared_heads:
+            builder.warn(line_no, f"cross-reference to unknown head {head_num}")
+
+    diagnostics = tuple(builder.diagnostics)
+    if any(d.severity == "error" for d in diagnostics):
+        return ParseResult(None, diagnostics)
+    return ParseResult(ThesaurusKB(tuple(builder.classes)), diagnostics)

@@ -19,9 +19,11 @@ from rogetkb.bundle import (
     write_bundle,
 )
 from rogetkb.index import build_index
-from rogetkb.lexnet import LexiconError, SynsetResource, lexicon_lemmas, load_resource
+from rogetkb.lexnet import (
+    LexiconError, SynsetResource, lexicon_lemmas, load_neighbourhood, load_resource,
+)
 from rogetkb.model import Address, AddressError, PartOfSpeech, RogetClass, ThesaurusKB
-from rogetkb.parser import canonical_heads, parse_source, serialize_kb
+from rogetkb.parser import _canonical_kb, canonical_heads, parse_source, serialize_kb
 from corpusgen import fixture_text
 from oracles import reference_structured_document, walk_paragraphs, warnings
 from soups import canonical_sources, lexicon_soups, line_soups
@@ -137,15 +139,22 @@ def test_load_with_lemmas_raises_a_malformed_lexicon_after_the_checksums(tmp_pat
         load_bundle(path, lemmas=True)
 
 
-def test_an_interrupted_load_leaves_no_child(tmp_path, monkeypatch, kb2):
-    write_bundle(tmp_path / "two.kb", kb2, lex_text=fixture_text("decrement.lex"))
+@pytest.mark.parametrize("builder", ["_canonical_kb", "parse_source"],
+                         ids=["canonical", "not-canonical"])
+def test_an_interrupted_load_leaves_no_child(tmp_path, monkeypatch, kb2, builder):
+    """The knowledge base is built while the child reads: by the canonical
+    builder, or for a re-signed copy that is not canonical by the parse."""
+    source = serialize_kb(kb2)
+    if builder == "parse_source":
+        source = source.replace(", ", ",  ", 1)
+    _signed(tmp_path / "two.kb", source, fixture_text("decrement.lex"))
     forks, fork = [], os.fork
     monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
 
     def interrupt(text):
         raise KeyboardInterrupt
 
-    monkeypatch.setattr("rogetkb.bundle.parse_source", interrupt)
+    monkeypatch.setattr(f"rogetkb.bundle.{builder}", interrupt)
     with pytest.raises(KeyboardInterrupt):
         load_bundle(tmp_path / "two.kb", lemmas=True)
     assert forks == [1]
@@ -236,7 +245,9 @@ def test_lone_surrogate_fails_the_checksum(tmp_path, kb2, field):
 
 def _bundle(kb: ThesaurusKB, lex_text=None) -> KBBundle:
     meta = BuildMeta(source_checksum="0" * 64, lex_checksum=None, errors=0, warnings=0)
-    return KBBundle(kb=kb, meta=meta, lex_text=lex_text, path="<memory>")
+    bundle = KBBundle("", None, meta, lex_text, "<memory>")
+    bundle.kb = kb  # any KB, even one that no text parses to
+    return bundle
 
 
 def _assert_streams_the_reference(bundle: KBBundle, strip_gloss: bool) -> None:
@@ -277,17 +288,24 @@ def test_structured_document_of_a_generated_corpus(perfbench_corpus, seed):
             _assert_streams_the_reference(_bundle(kb, lex_text), strip_gloss)
 
 
-# -- the scoped load ------------------------------------------------------------
+# -- the proven load ------------------------------------------------------------
 
 
-def _signed(path, source: str) -> None:
-    """A bundle storing ``source`` as it is, under its own checksum."""
+def _signed(path, source: str, lex_text=None) -> None:
+    """A bundle storing ``source`` and ``lex_text`` as they are, under their
+    own checksums."""
     checksum = hashlib.sha256((source or "\n").encode("utf-8")).hexdigest()
+    lex_checksum = (None if lex_text is None
+                    else hashlib.sha256(lex_text.encode("utf-8")).hexdigest())
     path.write_text(json.dumps({
         "format": "rogetkb-bundle", "version": 1,
-        "meta": {"sourceChecksum": checksum, "lexChecksum": None},
-        "source": source, "lexicon": None,
+        "meta": {"sourceChecksum": checksum, "lexChecksum": lex_checksum},
+        "source": source, "lexicon": lex_text,
     }), encoding="utf-8")
+
+
+def _never(*args):
+    raise AssertionError("the general parser must not run")
 
 
 def _resolved(kb: ThesaurusKB, address: Address):
@@ -298,13 +316,13 @@ def _resolved(kb: ThesaurusKB, address: Address):
 
 
 def _assert_scoped_answers_as_the_whole(path, words) -> None:
-    """Each ``kb_of`` of a scoped load answers the index lookup and both
-    ``resolve`` calls of every word, and every paragraph address of every
-    head, present or not, as the whole KB does; none of it parses the
-    whole text, and once ``kb`` is read ``kb_of`` is ``kb``."""
+    """Each ``kb_of`` of a load of a canonical source answers the index
+    lookup and both ``resolve`` calls of every word, and every paragraph
+    address of every head, present or not, as the whole KB does; none of it
+    builds the whole KB, and once ``kb`` is read ``kb_of`` is ``kb``."""
     whole = load_bundle(path).kb
     index = build_index(whole)
-    bundle = load_bundle(path, scoped=True)
+    bundle = load_bundle(path)
     for word in words:
         kb = bundle.kb_of(words=[word])
         found = build_index(kb, [word]).lookup(word)
@@ -370,27 +388,30 @@ def test_a_scoped_load_of_a_generated_corpus_answers_as_the_whole_kb(
 def test_a_scoped_load_parses_a_non_canonical_source_as_the_eager_load(tmp_path, kb2):
     for source in (fixture_text("two_class.roget"), serialize_kb(kb2).replace(", ", ",  ", 1)):
         _signed(tmp_path / "two.kb", source)
-        bundle = load_bundle(tmp_path / "two.kb", scoped=True)
+        bundle = load_bundle(tmp_path / "two.kb")
         assert "kb" in vars(bundle) and bundle.kb == kb2
         assert bundle.kb_of(words=["void"]) is bundle.kb_of(heads=[1]) is bundle.kb
 
 
-def test_an_eager_load_keeps_nothing_new(tmp_path, kb2):
+def test_a_load_of_a_canonical_source_builds_no_layer(tmp_path, kb2):
     write_bundle(tmp_path / "two.kb", kb2)
     bundle = load_bundle(tmp_path / "two.kb")
     assert type(bundle) is KBBundle
-    assert set(vars(bundle)) == {"kb", "meta", "_lex_text", "_path"}
-    assert bundle.kb_of(words=["void"]) is bundle.kb
+    assert not {"kb", "index", "resource", "lemmas"} & set(vars(bundle))
+    assert bundle.canonical_text == serialize_kb(kb2)
+    assert bundle.kb_of(words=["void"]) != kb2
+    assert bundle.kb == kb2 and bundle.kb_of(words=["void"]) is bundle.kb
 
 
 def test_one_query_makes_one_scoped_parse(tmp_path, monkeypatch, kb2):
     write_bundle(tmp_path / "two.kb", kb2)
     parsed = []
-    parse = parse_source
+    build = _canonical_kb
+    monkeypatch.setattr("rogetkb.bundle.parse_source", _never)
     monkeypatch.setattr(
-        "rogetkb.bundle.parse_source", lambda text: parsed.append(text) or parse(text)
+        "rogetkb.bundle._canonical_kb", lambda text: parsed.append(text) or build(text)
     )
-    bundle = load_bundle(tmp_path / "two.kb", scoped=True)
+    bundle = load_bundle(tmp_path / "two.kb")
     assert parsed == []
     index = bundle.index_of(["void", "being"])
     kb = bundle.kb_of(words=["void", "being"])
@@ -407,7 +428,7 @@ def test_one_query_makes_one_scoped_parse(tmp_path, monkeypatch, kb2):
 # the bodies of the builders that allocate what the library keeps
 _BUILDERS = {
     inspect.unwrap(build).__code__ for build in (
-        parse_source, build_index, load_resource,
+        parse_source, _canonical_kb, build_index, load_resource, load_neighbourhood,
         SynsetResource.lemma_index.func, SynsetResource._neighbour_ids.func,
     )
 }
@@ -424,10 +445,12 @@ def _label_once(path):
 
 _LIBRARY_CALLS = {
     "load_bundle": lambda path: load_bundle(path),
-    "load_bundle-scoped-kb_of": lambda path: load_bundle(path, scoped=True).kb_of(words=["toll"]),
+    "load_bundle-kb": lambda path: load_bundle(path).kb,
+    "load_bundle-kb_of": lambda path: load_bundle(path).kb_of(words=["toll"]),
     "load_bundle-lemmas": lambda path: load_bundle(path, lemmas=True),
     "index": lambda path: load_bundle(path).index,
     "resource-label": _label_once,
+    "resource_of": lambda path: load_bundle(path).resource_of("decrement", PartOfSpeech.NOUN),
     "parse_source": lambda path: parse_source(fixture_text("head42.roget")),
     "build_index": lambda path: build_index(parse_source(fixture_text("two_class.roget")).kb),
     "load_resource": lambda path: load_resource(fixture_text("decrement.lex")),

@@ -22,13 +22,13 @@ from rogetkb.cli import main, render_labelled
 from rogetkb.lexnet import load_neighbourhood, load_resource
 from rogetkb.metrics import word_distance
 from rogetkb.model import Address, PartOfSpeech
-from rogetkb.parser import parse_source
+from rogetkb.parser import _canonical_kb, canonical_heads, parse_source, serialize_kb
 from corpusgen import fixture_text
 from oracles import (
-    reference_index, reference_load_resource, reference_render_labelled, reference_stats,
-    reference_structured_document, stats_rows, walk_paragraphs,
+    reference_index, reference_load_resource, reference_parse_source, reference_render_labelled,
+    reference_stats, reference_structured_document, stats_rows, walk_paragraphs,
 )
-from soups import line_soups, signed_bundles, widest_paragraph
+from soups import canonical_sources, line_soups, signed_bundles, widest_paragraph
 
 runner = CliRunner()
 
@@ -257,18 +257,22 @@ def test_malformed_bundle_exits_2(workdir, b42, mutate):
     assert result.stdout == ""
 
 
-def _load_error(path: str, **options) -> Optional[str]:
+def _load_error(path: str) -> Optional[str]:
     try:
-        load_bundle(path, **options)
+        load_bundle(path)
     except BundleError as exc:
         return str(exc)
     return None
 
 
 @pytest.mark.parametrize("mutate", MALFORMED_BUNDLES.values(), ids=MALFORMED_BUNDLES.keys())
-def test_malformed_bundle_fails_the_scoped_load_alike(workdir, b42, mutate):
+def test_malformed_bundle_fails_the_scoped_load_alike(workdir, b42, mutate, monkeypatch):
+    """A load raises the same error whether ``canonical_heads`` proves the
+    source or the load parses it."""
     bad = _rewritten(workdir, b42, mutate)
-    assert _load_error(bad, scoped=True) == _load_error(bad)
+    proven = _load_error(bad)
+    monkeypatch.setattr("rogetkb.bundle.canonical_heads", lambda text: None)
+    assert proven == _load_error(bad)
 
 
 def test_non_utf8_bundle_exits_2(workdir):
@@ -317,7 +321,9 @@ def _call(args: tuple, kb: str, out: Path, expect: int = 0):
 
 
 class TestLazyLayers:
-    """A command builds the index and the lexicon only when it reads them."""
+    """A command builds the index, the lexicon and the whole knowledge base
+    only when it reads them, and runs the general parser only on a source
+    that is not canonical."""
 
     @pytest.mark.parametrize("args", [_LOOKUP, _SIM, _STATS_POS, _EXPORT_CANONICAL],
                              ids=["lookup", "sim", "stats-pos", "export-canonical"])
@@ -358,14 +364,34 @@ class TestLazyLayers:
     def test_single_queries_parse_only_the_heads_they_read(
         self, workdir, b2_lex, monkeypatch, args, expect, heads
     ):
-        parsed = []
-        parse = parse_source
+        built = []
+        build = _canonical_kb
         monkeypatch.setattr(
-            "rogetkb.bundle.parse_source", lambda text: parsed.append(parse(text)) or parsed[-1]
+            "rogetkb.bundle._canonical_kb", lambda text: built.append(build(text)) or built[-1]
         )
-        monkeypatch.setattr("rogetkb.bundle._ScopedBundle.kb", property(_raise))
+        monkeypatch.setattr("rogetkb.bundle.KBBundle.kb", property(_raise))
         _call(args, b2_lex, workdir / "lazy.out", expect=expect)
-        assert [[h.number for _, _, h in result.kb.walk_heads()] for result in parsed] == [heads]
+        assert [[h.number for _, _, h in kb.walk_heads()] for kb in built] == [heads]
+
+    @pytest.mark.parametrize("args", [_LOOKUP, _SIM, _LABEL, _STATS_POS, _STATS_CLASS,
+                                      _STATS_HEAD, _EXPORT_CANONICAL, _EXPORT_STRUCTURED],
+                             ids=["lookup", "sim", "label", "stats-pos", "stats-class",
+                                  "stats-head", "export-canonical", "export-structured"])
+    def test_no_command_on_a_canonical_source_runs_the_general_parser(
+        self, workdir, b42, monkeypatch, args
+    ):
+        monkeypatch.setattr("rogetkb.bundle.parse_source", _raise)
+        _call(args, b42, workdir / "lazy.out")
+
+    def test_export_canonical_of_a_canonical_source_writes_it_unbuilt(
+        self, workdir, b42, monkeypatch
+    ):
+        monkeypatch.setattr("rogetkb.bundle.KBBundle.kb", property(_raise))
+        monkeypatch.setattr("rogetkb.bundle._canonical_kb", _raise)
+        monkeypatch.setattr("rogetkb.cli.serialize_kb", _raise)
+        _call(_EXPORT_CANONICAL, b42, workdir / "lazy.out")
+        stored = json.loads(Path(b42).read_text(encoding="utf-8"))["source"]
+        assert (workdir / "lazy.out").read_text(encoding="utf-8") == stored
 
     @pytest.mark.parametrize("args", [_LOOKUP, _SIM, _STATS_POS, _STATS_CLASS, _STATS_HEAD,
                                       _LABEL, _EXPORT_STRUCTURED],
@@ -1005,6 +1031,43 @@ class TestExport:
         lex_args = ["--lex", str(workdir / "decrement.lex")] if lex else []
         invoke("build", str(out), *lex_args, "--out", str(rebuilt))
         assert rebuilt.read_bytes() == Path(bundle).read_bytes()
+
+    @staticmethod
+    def _export_of_stored(workdir: Path, b42: str, text: str) -> str:
+        """What ``export canonical`` writes for a copy of ``b42`` re-signed
+        to store ``text``."""
+        kb = _rewritten(workdir, b42, lambda doc: _set_source(doc, text))
+        out = workdir / "stored.roget"
+        invoke("export", "canonical", "--kb", kb, "--out", str(out))
+        return out.read_bytes().decode("utf-8")
+
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(text=st.one_of(canonical_sources(edited=True), line_soups()))
+    def test_canonical_writes_a_proven_source_as_stored(self, workdir, b42, text):
+        """Any stored source that parses is exported as the serialization of
+        the reference parser's KB, and one that ``canonical_heads`` accepts
+        is that text, byte for byte."""
+        kb = reference_parse_source(text).kb
+        if kb is None or not text:  # exits 2; "" checksums as a line break
+            return
+        exported = self._export_of_stored(workdir, b42, text)
+        assert exported == serialize_kb(kb)
+        if canonical_heads(text) is not None:
+            assert exported == text
+
+    @pytest.mark.parametrize("name", ["head42.roget", "two_class.roget", "generated"])
+    def test_canonical_of_a_proven_and_a_re_signed_source(self, workdir, b42, perfbench_corpus,
+                                                          name):
+        """A canonical text is written as stored; a copy re-signed with one
+        doubled space is not canonical, and is written as its parse."""
+        if name == "generated":
+            text = perfbench_corpus.generate(3, scale=0.05).canonical
+        else:
+            text = serialize_kb(reference_parse_source(fixture_text(name)).kb)
+        doubled = text.replace(", ", ",  ", 1)
+        assert canonical_heads(text) is not None and canonical_heads(doubled) is None
+        assert self._export_of_stored(workdir, b42, text) == text
+        assert self._export_of_stored(workdir, b42, doubled) == text
 
     def test_canonical_is_deterministic(self, workdir, b42):
         out_a = workdir / "canon_a.roget"

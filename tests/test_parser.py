@@ -8,11 +8,13 @@ from hypothesis import strategies as st
 
 from corpusgen import fixture_text, generate
 from oracles import (
-    count_entry_tokens, errors, full_corpus_problems, walk_entries, walk_paragraphs, warnings,
+    count_entry_tokens, errors, full_corpus_problems, reference_parse_source, walk_entries,
+    walk_paragraphs, warnings,
 )
 from soups import canonical_sources, line_soups
 from rogetkb.model import CrossReference, PartOfSpeech
 from rogetkb.parser import (
+    _canonical_kb,
     canonical_heads,
     parse_cross_ref,
     parse_source,
@@ -623,3 +625,53 @@ class TestCanonicalHeads:
         assert heads[0].pieces[:2] == heads[1].pieces[:2]  # class 1, section 1
         assert text[slice(*heads[-1].pieces[-1])].startswith("#HEAD 184 ")
         assert heads[-1].pieces[-1][1] == len(text)
+
+
+class TestCanonicalBuilder:
+    """``_canonical_kb`` builds what the reference parser builds from every
+    text ``canonical_heads`` accepts, and from the pieces of any of its
+    heads that ``kb_of`` joins."""
+
+    @staticmethod
+    def assert_builds_the_reference(text: str) -> bool:
+        """When the check accepts ``text``: the builder's KB equals the
+        reference parser's, for the whole text, each head's pieces and the
+        pieces of every other head. Returns whether it accepted."""
+        heads = canonical_heads(text)
+        if heads is None:
+            return False
+        for kept in [heads, *([head] for head in heads), heads[::2]]:
+            pieces = dict.fromkeys(piece for head in kept for piece in head.pieces)
+            part = "".join(text[start:end] for start, end in pieces)
+            assert _canonical_kb(part) == reference_parse_source(part).kb, part
+        return True
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(text=st.one_of(canonical_sources(edited=True), line_soups()))
+    def test_every_accepted_text(self, text):
+        self.assert_builds_the_reference(text)
+
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(text=line_soups())
+    def test_every_canonical_text_of_a_soup(self, text):
+        kb = reference_parse_source(text).kb
+        if kb is not None and kb.classes:
+            assert self.assert_builds_the_reference(serialize_kb(kb))
+
+    @pytest.mark.parametrize("name", ["head42.roget", "two_class.roget"])
+    def test_the_fixtures_canonical_texts(self, name):
+        assert self.assert_builds_the_reference(serialize_kb(parse_ok(fixture_text(name))))
+
+    def test_a_generated_corpus(self, perfbench_corpus):
+        assert self.assert_builds_the_reference(perfbench_corpus.generate(3, scale=0.05).canonical)
+
+    def test_no_heads(self):
+        assert _canonical_kb("") == reference_parse_source("").kb
+
+    def test_equal_entries_are_one_object(self):
+        text = doc("a, b @1 c;", "b @1 c, a;", "a;")
+        assert self.assert_builds_the_reference(text)
+        (_, _, head), = _canonical_kb(text).walk_heads()
+        first, second, third = head.paragraphs[0].groups
+        assert first.entries[0] is second.entries[1] is third.entries[0]
+        assert first.entries[1] is second.entries[0]
