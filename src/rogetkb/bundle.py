@@ -59,6 +59,26 @@ class BuildMeta:
     warnings: int
 
 
+def _kb_of_heads(text: str, heads: list[HeadSlice], words: tuple[str, ...],
+                 numbers: tuple[int, ...]) -> ThesaurusKB:
+    """The knowledge base of the pieces of the proven ``text`` (``heads`` is
+    its proof) that belong to the heads numbered in ``numbers`` or holding
+    one of ``words``, in file order, built as ``KBBundle.kb`` is. A raw
+    entry is its normalized text and runs from a line start or ", " to ",",
+    ";" or " @", so a search for each normalized word finds every head
+    holding it, and maybe more."""
+    starts = [head.pieces[-1][0] for head in heads]
+    kept = {i for i, head in enumerate(heads) if head.number in numbers}
+    for query in filter(None, map(normalize, words)):
+        for hit in re.finditer(re.escape(query) + "(?=[,;]| @)", text):
+            at = hit.start()
+            if at > starts[0] and (text[at - 1] == "\n" or text[at - 2:at] == ", "):
+                kept.add(bisect_right(starts, at) - 1)
+    # heads of one section share its lines, which are built once
+    pieces = dict.fromkeys(piece for i in sorted(kept) for piece in heads[i].pieces)
+    return _canonical_kb("".join(text[start:end] for start, end in pieces))
+
+
 class KBBundle:
     """A loaded bundle: its knowledge base and checked metadata. Every layer
     is built on first access, so a command pays only for the layers it
@@ -69,12 +89,14 @@ class KBBundle:
     only its keyword's neighbourhood of the lexicon. A command that counts
     lemmas keeps only the lemma set."""
 
-    def __init__(self, source: str, heads: Optional[list[HeadSlice]], meta: Optional[BuildMeta],
-                 lex_text: Optional[str], path: str) -> None:
-        """The bundle of the stored ``source``, where ``heads`` is
-        ``canonical_heads(source)``: None when the form is not proven."""
+    def __init__(self, source: str, meta: Optional[BuildMeta], lex_text: Optional[str],
+                 path: str) -> None:
+        """The bundle of the stored ``source``, which is proven canonical
+        here when it is."""
         self.meta, self._lex_text, self._path = meta, lex_text, path
-        self._source, self._heads, self._last = source, heads, (None, None)
+        # the text and its proof (None when it is not proven) are read and
+        # let go as one pair, so that no thread sees one without the other
+        self._text, self._last = (source, canonical_heads(source)), (None, None)
 
     @cached_property
     def kb(self) -> Optional[ThesaurusKB]:
@@ -82,16 +104,17 @@ class KBBundle:
         builder that trusts the proof; of any other, by ``parse_source``
         (None when it does not parse). From then on it answers for the
         stored text, which is let go."""
-        source = self._source
-        kb = parse_source(source).kb if self._heads is None else _canonical_kb(source)
-        self._source, self._heads, self._last = "", None, (None, None)
+        source, heads = self._text
+        kb = parse_source(source).kb if heads is None else _canonical_kb(source)
+        self._text, self._last = ("", None), (None, None)
         return kb
 
     @property
     def canonical_text(self) -> Optional[str]:
         """The stored source while it is proven canonical and ``kb`` is not
         built, None otherwise: ``serialize_kb(kb)``, byte for byte."""
-        return None if self._heads is None else self._source
+        source, heads = self._text
+        return None if heads is None or "kb" in vars(self) else source
 
     @cached_property
     def index(self) -> LexicalIndex:
@@ -103,33 +126,16 @@ class KBBundle:
         normalizes to one of ``words`` and every head numbered in ``heads``,
         so that it answers their index lookups, ``resolve`` and
         ``head_address`` calls as ``kb`` does. This is ``kb`` itself, unless
-        the source is proven canonical and ``kb`` is not built yet. The last
-        answer is kept, so that a query's ``index_of`` and ``kb_of`` share
-        one build."""
-        if self._heads is None:
+        the source is proven canonical and ``kb`` is neither built nor
+        assigned yet. The last answer is kept, so that a query's
+        ``index_of`` and ``kb_of`` share one build."""
+        text = self._text
+        if text[1] is None or "kb" in vars(self):
             return self.kb
-        key = (tuple(words), tuple(heads))
-        if self._last[0] != key:
-            self._last = (key, self._kb_of_heads(*key))
-        return self._last[1]
-
-    def _kb_of_heads(self, words: tuple[str, ...], numbers: tuple[int, ...]) -> ThesaurusKB:
-        """The pieces of the heads numbered in ``numbers`` or holding one of
-        ``words``, in file order, built as ``kb`` is. A raw entry is its
-        normalized text and runs from a line start or ", " to ",", ";" or
-        " @", so a search for each normalized word finds every head holding
-        it, and maybe more."""
-        text, heads = self._source, self._heads
-        starts = [head.pieces[-1][0] for head in heads]
-        kept = {i for i, head in enumerate(heads) if head.number in numbers}
-        for query in filter(None, map(normalize, words)):
-            for hit in re.finditer(re.escape(query) + "(?=[,;]| @)", text):
-                at = hit.start()
-                if at > starts[0] and (text[at - 1] == "\n" or text[at - 2:at] == ", "):
-                    kept.add(bisect_right(starts, at) - 1)
-        # heads of one section share its lines, which are built once
-        pieces = dict.fromkeys(piece for i in sorted(kept) for piece in heads[i].pieces)
-        return _canonical_kb("".join(text[start:end] for start, end in pieces))
+        key, last = (tuple(words), tuple(heads)), self._last
+        if last[0] != key:
+            last = self._last = (key, _kb_of_heads(*text, *key))
+        return last[1]
 
     def index_of(self, words: Iterable[str]) -> LexicalIndex:
         """An index of ``words`` alone, built from ``kb_of(words)`` by one
@@ -342,7 +348,7 @@ def load_bundle(path: Union[str, Path], *, lemmas: bool = False) -> KBBundle:
 
     source = _field(document, "source", str, "", path)
     with _lemmas_alongside(lex_text if lemmas else None) as read_lemmas:
-        bundle = KBBundle(source, canonical_heads(source), None, lex_text, str(path))
+        bundle = KBBundle(source, None, lex_text, str(path))
         # a source that is not proven is parsed here, so its error comes first
         if bundle.canonical_text is None and bundle.kb is None:
             raise BundleError(f"bundle {path} contains an unparseable source document")

@@ -367,17 +367,22 @@ def canonical_heads(text: str) -> Optional[list[HeadSlice]]:
     return heads
 
 
-class _Entries(dict):
-    """The ``Entry`` of each canonical entry token, built on first lookup:
-    its text, then each ``" @"`` cross-reference."""
+def _entry(token: str) -> Entry:
+    """The ``Entry`` of a canonical entry token: its text, then each
+    ``" @"`` cross-reference."""
+    word, at, refs = token.partition(" @")
+    return Entry(word, tuple([
+        CrossReference(int(number), keyword)
+        for number, keyword in (ref.split(" ", 1) for ref in refs.split(" @"))
+    ]) if at else ())
 
-    def __missing__(self, token: str) -> Entry:
-        word, at, refs = token.partition(" @")
-        entry = self[token] = Entry(word, tuple([
-            CrossReference(int(number), keyword)
-            for number, keyword in (ref.split(" ", 1) for ref in refs.split(" @"))
-        ]) if at else ())
-        return entry
+
+def _paragraph(text: str) -> Paragraph:
+    """The paragraph of ``text``: its tag line, then one group a line."""
+    tag, *lines = text.split("\n")
+    return Paragraph(POS_BY_TAG[tag], tuple([
+        SemicolonGroup(tuple(map(_entry, line[:-1].split(", ")))) for line in lines
+    ]))
 
 
 def _node(kind: type, text: str, separator: str, child: Callable[[str], object]) -> object:
@@ -387,6 +392,11 @@ def _node(kind: type, text: str, separator: str, child: Callable[[str], object])
     return kind(int(number), name, tuple(map(child, children)))
 
 
+_head = partial(_node, Head, separator="\n#PARA ", child=_paragraph)
+_section = partial(_node, Section, separator="\n#HEAD ", child=_head)
+_class = partial(_node, RogetClass, separator="\n#SECTION ", child=_section)
+
+
 @_collector_paused()
 def _canonical_kb(text: str) -> ThesaurusKB:
     """``parse_source(text).kb`` for a text that ``canonical_heads`` accepts,
@@ -394,21 +404,9 @@ def _canonical_kb(text: str) -> ThesaurusKB:
     general parser. It trusts the proof: a construct ends where a ``"\\n#"``
     directive of its level or above starts, every other line is one group,
     ``line[:-1].split(", ")``, of normalized entries with cross-references
-    after ``" @"``. Equal entries share one immutable ``Entry``, which
-    makes the knowledge base a third smaller."""
-    entries = _Entries()
-
-    def paragraph(text: str) -> Paragraph:
-        tag, *lines = text.split("\n")
-        return Paragraph(POS_BY_TAG[tag], tuple([
-            SemicolonGroup(tuple(map(entries.__getitem__, line[:-1].split(", ")))) for line in lines
-        ]))
-
-    head = partial(_node, Head, separator="\n#PARA ", child=paragraph)
-    section = partial(_node, Section, separator="\n#HEAD ", child=head)
-    roget_class = partial(_node, RogetClass, separator="\n#SECTION ", child=section)
+    after ``" @"``."""
     # past the first "#CLASS " and before the final line break
-    return ThesaurusKB(tuple(map(roget_class, text[7:-1].split("\n#CLASS ")) if text else ()))
+    return ThesaurusKB(tuple(map(_class, text[7:-1].split("\n#CLASS ")) if text else ()))
 
 
 def serialize_kb(kb: ThesaurusKB) -> str:

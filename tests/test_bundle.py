@@ -13,6 +13,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from rogetkb import bundle as bundle_module
 from rogetkb.aligner import label_paragraph
 from rogetkb.bundle import (
     BuildMeta, BundleError, KBBundle, _lemmas_alongside, load_bundle, structured_document,
@@ -245,7 +246,7 @@ def test_lone_surrogate_fails_the_checksum(tmp_path, kb2, field):
 
 def _bundle(kb: ThesaurusKB, lex_text=None) -> KBBundle:
     meta = BuildMeta(source_checksum="0" * 64, lex_checksum=None, errors=0, warnings=0)
-    bundle = KBBundle("", None, meta, lex_text, "<memory>")
+    bundle = KBBundle("", meta, lex_text, "<memory>")
     bundle.kb = kb  # any KB, even one that no text parses to
     return bundle
 
@@ -401,6 +402,31 @@ def test_a_load_of_a_canonical_source_builds_no_layer(tmp_path, kb2):
     assert bundle.canonical_text == serialize_kb(kb2)
     assert bundle.kb_of(words=["void"]) != kb2
     assert bundle.kb == kb2 and bundle.kb_of(words=["void"]) is bundle.kb
+
+
+def test_an_assigned_kb_answers_for_a_proven_source(tmp_path, kb2, kb42):
+    write_bundle(tmp_path / "two.kb", kb2)
+    bundle = load_bundle(tmp_path / "two.kb")
+    bundle.kb = kb42
+    assert bundle.canonical_text is None
+    assert bundle.kb_of(words=["void"]) is bundle.kb_of(heads=[1]) is kb42
+
+
+def test_a_kb_built_during_kb_of_leaves_its_answer_whole(tmp_path, monkeypatch, kb2):
+    """A ``kb`` that another thread finishes while ``kb_of`` builds its
+    heads' pieces lets go of the stored text, but not of the text that
+    ``kb_of`` has read."""
+    write_bundle(tmp_path / "two.kb", kb2)
+    expected = load_bundle(tmp_path / "two.kb").kb_of(words=["void"])
+    bundle = load_bundle(tmp_path / "two.kb")
+    scoped = bundle_module._kb_of_heads
+
+    def raced(*args):
+        assert bundle.kb == kb2
+        return scoped(*args)
+
+    monkeypatch.setattr(bundle_module, "_kb_of_heads", raced)
+    assert bundle.kb_of(words=["void"]) == expected != kb2
 
 
 def test_one_query_makes_one_scoped_parse(tmp_path, monkeypatch, kb2):

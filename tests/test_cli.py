@@ -1069,6 +1069,18 @@ class TestExport:
         assert self._export_of_stored(workdir, b42, text) == text
         assert self._export_of_stored(workdir, b42, doubled) == text
 
+    def test_canonical_of_an_assigned_kb(self, workdir, b42, kb2, monkeypatch):
+        """A KB assigned to a proven bundle is what ``export canonical`` writes."""
+        def assigned(path, **options):
+            bundle = load_bundle(path, **options)
+            bundle.kb = kb2
+            return bundle
+
+        monkeypatch.setattr("rogetkb.cli.load_bundle", assigned)
+        out = workdir / "assigned.roget"
+        invoke("export", "canonical", "--kb", b42, "--out", str(out))
+        assert out.read_text(encoding="utf-8") == serialize_kb(kb2)
+
     def test_canonical_is_deterministic(self, workdir, b42):
         out_a = workdir / "canon_a.roget"
         out_b = workdir / "canon_b.roget"

@@ -415,7 +415,7 @@ def _assert_scoped_reads_as_the_whole(kb: ThesaurusKB, text: str, every_lemma: b
     reference loader's error."""
 
     def bundle() -> KBBundle:  # a fresh bundle: ``resource`` is not built yet
-        return KBBundle("", None, meta=None, lex_text=text, path="lexicon.kb")
+        return KBBundle("", meta=None, lex_text=text, path="lexicon.kb")
 
     targets = _paragraph_targets(kb)
     queries = [(kb.resolve(target).keyword, target.pos) for target in targets]

@@ -667,11 +667,3 @@ class TestCanonicalBuilder:
 
     def test_no_heads(self):
         assert _canonical_kb("") == reference_parse_source("").kb
-
-    def test_equal_entries_are_one_object(self):
-        text = doc("a, b @1 c;", "b @1 c, a;", "a;")
-        assert self.assert_builds_the_reference(text)
-        (_, _, head), = _canonical_kb(text).walk_heads()
-        first, second, third = head.paragraphs[0].groups
-        assert first.entries[0] is second.entries[1] is third.entries[0]
-        assert first.entries[1] is second.entries[0]
