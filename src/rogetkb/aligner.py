@@ -98,8 +98,12 @@ class HeadCoverage:
 
 def common_strings(kb: ThesaurusKB, lemmas: frozenset[str]) -> frozenset[str]:
     """Normalized strings present in both resources: the entry strings of
-    ``kb`` that are among a lexicon's ``lemmas``."""
-    return kb.entry_strings() & lemmas
+    ``kb`` that are among a lexicon's ``lemmas``. The entry texts stream
+    into the intersection, so the set of every one is never built."""
+    return lemmas.intersection(
+        entry.text for _, _, head in kb.walk_heads() for para in head.paragraphs
+        for group in para.groups for entry in group.entries
+    )
 
 
 def _head_name_key(name: str, use_stripped: bool) -> str:

@@ -15,13 +15,21 @@ included).
 
 A mini-net reads a few synsets, so :func:`load_neighbourhood` checks the
 whole document but keeps only what one lemma's mini-net reads.
+
+Every reader first tries to prove a document in a strict form (see
+:func:`_strict_chunks`), which it then reads by a few regular-expression
+passes per chunk. Any other document is read record by record, which is
+also what gives every :class:`LexiconError`.
 """
 
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import starmap
+from operator import itemgetter
 from typing import Callable, Iterator, Optional
 
 from .model import POS_BY_TAG, PartOfSpeech, _collector_paused
@@ -165,15 +173,22 @@ class SynsetResource:
         return self._all_lemmas
 
 
-def _lines(text: str) -> Iterator[str]:
-    """``text.splitlines()``, one chunk of about 64 KiB at a time, so that
-    the list of every line never exists at once. Each chunk ends just past
-    a line feed, which ends a line whatever comes before it."""
+def _chunks(text: str) -> Iterator[str]:
+    """``text`` in chunks of about 64 KiB, each ending just past a line
+    feed (the last may end without one): a line feed ends a line whatever
+    comes before it, so each chunk holds whole lines."""
     start = 0
     while start < len(text):
         end = text.find("\n", start + (1 << 16)) + 1 or len(text)
-        yield from text[start:end].splitlines()
+        yield text[start:end]
         start = end
+
+
+def _lines(text: str) -> Iterator[str]:
+    """``text.splitlines()``, one chunk at a time, so that the list of
+    every line never exists at once."""
+    for chunk in _chunks(text):
+        yield from chunk.splitlines()
 
 
 def _synset(syn_id: str, pos: PartOfSpeech, lemma_field: str, gloss: str) -> Synset:
@@ -242,30 +257,122 @@ def _read_records(
                 raise LexiconError(line_no, f"unknown synset {endpoint}")
 
 
+# A lexicon in the strict form is proven by a few regular-expression passes
+# per chunk instead of being checked record by record. Each line ends in "\n"
+# and is a "//" comment or a record whose fields are split by single spaces:
+#     SYN <id> <upper-case tag> <lemma>(;<lemma>)*[ |<gloss>]
+#     REL <lower-case relation name> <src> <dst>
+# where a lemma is a single-spaced run free of ";" and "|", and the lemma
+# fields equal their own lower case, so every lemma is already normalized.
+# Each pattern matches one whole line from the line feed before it, and no
+# field holds another line break (every one is whitespace, and the gloss and
+# comment classes leave them out). So the matches of a chunk add up to its
+# line feeds exactly when every line is strict.
+_OTHER_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+_STRICT_ID = r"[^\s|]+"
+_STRICT_SYN = re.compile(
+    rf"\nSYN ({_STRICT_ID}) ({'|'.join(POS_BY_TAG)}) ([^\s;|]+(?:[ ;][^\s;|]+)*)"
+    rf"(?: \|([^\n{_OTHER_BREAKS}]*))?(?=\n)"
+)
+_STRICT_SYN_ID = re.compile(rf"\nSYN ({_STRICT_ID}) ")
+_STRICT_REL = re.compile(
+    rf"\nREL ({'|'.join(map(re.escape, _RELATION_BY_NAME))}) ({_STRICT_ID}) ({_STRICT_ID})(?=\n)"
+)
+_STRICT_COMMENT = re.compile(rf"\n//[^\n{_OTHER_BREAKS}]*(?=\n)")
+_FIRST, _SECOND, _THIRD = (itemgetter(i) for i in range(3))
+
+
+class _NotStrict(Exception):
+    """A lexicon outside the strict form, which only :func:`_read_records` reads."""
+
+
+def _strict_chunks(text: str) -> Iterator[tuple[list[tuple[str, str, str, str]],
+                                                list[tuple[str, str, str]], str]]:
+    """Prove ``text`` in the strict form, one chunk at a time. Each chunk
+    gives its SYN records as ``(id, tag, lemma field, gloss)``, its REL
+    records as ``(relation name, src, dst)`` and its lemma fields joined by
+    ";". Raises :class:`_NotStrict` as soon as the text is shown not to be
+    strict, the last chunk included: a synset id declared twice or an edge
+    endpoint never declared is only known at the end, so a reader keeps
+    nothing it took from the chunks until the iteration ends. The proof is
+    sufficient, not necessary: a refused text may be well formed."""
+    if not text.endswith("\n"):
+        raise _NotStrict
+    ids: set[str] = set()
+    # edge endpoints not declared before their chunk ended
+    pending: set[str] = set()
+    for chunk in _chunks(text):
+        lines = "\n" + chunk
+        syns, rels = _STRICT_SYN.findall(lines), _STRICT_REL.findall(lines)
+        fields = ";".join(map(_THIRD, syns))
+        declared = len(ids)
+        ids.update(map(_FIRST, syns))
+        if (len(syns) + len(rels) + len(_STRICT_COMMENT.findall(lines)) != chunk.count("\n")
+                or len(ids) - declared != len(syns) or fields != fields.lower()):
+            raise _NotStrict
+        endpoints = set(map(_SECOND, rels))
+        endpoints.update(map(_THIRD, rels))
+        pending.update(endpoints - ids)
+        yield syns, rels, fields
+    if not pending <= ids:
+        raise _NotStrict
+
+
+def _strict_synset(syn_id: str, tag: str, lemma_field: str, gloss: str) -> Synset:
+    """:func:`_synset` of a strict SYN record, whose lemmas are normalized."""
+    lemmas = tuple(dict.fromkeys(lemma_field.split(";"))) if ";" in lemma_field else (lemma_field,)
+    return Synset(syn_id, POS_BY_TAG[tag], lemmas, gloss.strip() or None)
+
+
+def _as_written(rels: list[tuple[str, str, str]]) -> Iterator[tuple[str, RelationType, str]]:
+    """``(src, relation, dst)`` of each strict REL record, a hyponym edge as written."""
+    return zip(map(_SECOND, rels), map(_RELATION_BY_NAME.__getitem__, map(_FIRST, rels)),
+               map(_THIRD, rels))
+
+
+def _stored(src: str, rel: RelationType, dst: str) -> tuple[str, RelationType, str]:
+    """The stored form of an edge: a hyponym edge as its inverse hypernym."""
+    return (dst, RelationType.HYPERNYM, src) if rel is RelationType.HYPONYM else (src, rel, dst)
+
+
 @_collector_paused()
 def load_resource(text: str) -> SynsetResource:
     """Parse an interchange document into the synset graph. Raises
     :class:`LexiconError` on the first malformed record."""
     synsets: dict[str, Synset] = {}
     edges: list[tuple[str, RelationType, str]] = []
+    try:
+        for syns, rels, _ in _strict_chunks(text):
+            for record in syns:
+                synsets[record[0]] = _strict_synset(*record)
+            edges += starmap(_stored, _as_written(rels))
+    except _NotStrict:
+        synsets.clear()
+        edges.clear()
 
-    def add_synset(syn_id: str, pos: PartOfSpeech, lemma_field: str, gloss: str) -> None:
-        synsets[syn_id] = _synset(syn_id, pos, lemma_field, gloss)
+        def add_synset(syn_id: str, pos: PartOfSpeech, lemma_field: str, gloss: str) -> None:
+            synsets[syn_id] = _synset(syn_id, pos, lemma_field, gloss)
 
-    _read_records(text, add_synset, lambda src, rel, dst: edges.append((src, rel, dst)))
+        _read_records(text, add_synset, lambda src, rel, dst: edges.append((src, rel, dst)))
     return SynsetResource(synsets=synsets, edges=tuple(edges))
 
 
+@_collector_paused()
 def lexicon_lemmas(text: str) -> frozenset[str]:
     """Every normalized lemma of an interchange document, checked as
     :func:`load_resource` checks it (the same :class:`LexiconError`) but
     without building the synset graph: ``load_resource(text).all_lemmas()``."""
     lemmas: set[str] = set()
+    try:
+        for _, _, fields in _strict_chunks(text):
+            lemmas.update(fields.split(";"))
+    except _NotStrict:
+        lemmas.clear()
 
-    def add_synset(syn_id: str, pos: PartOfSpeech, lemma_field: str, gloss: str) -> None:
-        lemmas.update(map(normalize, lemma_field.split(";")))
+        def add_synset(syn_id: str, pos: PartOfSpeech, lemma_field: str, gloss: str) -> None:
+            lemmas.update(map(normalize, lemma_field.split(";")))
 
-    _read_records(text, add_synset, lambda src, rel, dst: None)
+        _read_records(text, add_synset, lambda src, rel, dst: None)
     lemmas.discard("")
     return frozenset(lemmas)
 
@@ -283,22 +390,46 @@ def load_neighbourhood(text: str, lemma: str, pos: PartOfSpeech) -> SynsetResour
     lemma = normalize(lemma)
     wanted = DEFAULT_RELATIONS[pos]
     seeds: set[str] = set()
-    # an edge's endpoints may be declared later, so every candidate is kept to the end
+    # An edge's endpoints may be declared later, so every candidate is kept
+    # to the end. A hyponym edge is stored as a hypernym edge, and
+    # coordinates are read through hypernyms; every part of speech that
+    # follows either follows hypernyms too.
     candidates: list[tuple[str, RelationType, str]] = []
+    # the proof's edges of a relation that ``wanted`` follows, as written
+    records: list[tuple[str, RelationType, str]] = []
+    proven = True
+    try:
+        names = {name for name, rel in _RELATION_BY_NAME.items()
+                 if _stored("", rel, "")[1] in wanted}
+        for syns, rels, fields in _strict_chunks(text):
+            # a strict lemma is never blank, and fields that do not hold the lemma hold no seed
+            if lemma and lemma in fields:
+                seeds.update(syn_id for syn_id, tag, lemma_field, _ in syns
+                             if tag == pos.value and lemma in lemma_field.split(";"))
+            records += _as_written([record for record in rels if record[0] in names])
+    except _NotStrict:
+        proven = False
+        seeds.clear()
+        records.clear()
 
-    def add_synset(syn_id: str, syn_pos: PartOfSpeech, lemma_field: str, gloss: str) -> None:
-        # a blank lemma normalizes to "" and names no synset
-        if syn_pos is pos and lemma and lemma in map(normalize, lemma_field.split(";")):
-            seeds.add(syn_id)
+        def add_synset(syn_id: str, syn_pos: PartOfSpeech, lemma_field: str, gloss: str) -> None:
+            # a blank lemma normalizes to "" and names no synset
+            if syn_pos is pos and lemma and lemma in map(normalize, lemma_field.split(";")):
+                seeds.add(syn_id)
 
-    def add_edge(src: str, rel: RelationType, dst: str) -> None:
-        # A hyponym edge is stored as a hypernym edge, and coordinates are read
-        # through hypernyms; every part of speech that follows either follows
-        # hypernyms too.
-        if rel in wanted:
-            candidates.append((src, rel, dst))
+        def add_edge(src: str, rel: RelationType, dst: str) -> None:
+            if rel in wanted:
+                candidates.append((src, rel, dst))
 
-    _read_records(text, add_synset, add_edge)
+        _read_records(text, add_synset, add_edge)
+    else:
+        # Every edge kept below has an endpoint among the seeds or the
+        # synsets one edge away from them, so only those edges are stored,
+        # in file order.
+        near = seeds.union(*((src, dst) for src, _, dst in records
+                             if src in seeds or dst in seeds))
+        candidates = [_stored(*edge) for edge in records if edge[0] in near or edge[2] in near]
+    del records
     if not seeds:  # no synset of ``pos`` holds the lemma: the checks were the whole read
         return SynsetResource(synsets={}, edges=())
     # a hyponym edge of a seed, or of a seed hypernym when coordinates are followed
@@ -312,13 +443,23 @@ def load_neighbourhood(text: str, lemma: str, pos: PartOfSpeech) -> SynsetResour
         if src in seeds or (rel is RelationType.HYPERNYM and dst in hyponyms_of)
     )
     reached = seeds.union(*((src, dst) for src, _, dst in edges))
-    return SynsetResource(synsets=_synsets_of(text, reached), edges=edges)
+    return SynsetResource(synsets=_synsets_of(text, reached, proven), edges=edges)
 
 
-def _synsets_of(text: str, ids: set[str]) -> dict[str, Synset]:
+def _synsets_of(text: str, ids: set[str], proven: bool) -> dict[str, Synset]:
     """The synsets of ``ids``, in file order, read from a document that has
-    passed :func:`_read_records`: every record is known to be well formed."""
+    passed :func:`_read_records`, or been ``proven`` strict: every record is
+    known to be well formed."""
     found: dict[str, Synset] = {}
+    if proven:
+        for chunk in _chunks(text):
+            lines = "\n" + chunk
+            # most chunks declare none of ``ids``, and their ids alone are cheap to find
+            if not ids.isdisjoint(_STRICT_SYN_ID.findall(lines)):
+                for record in _STRICT_SYN.findall(lines):
+                    if record[0] in ids:
+                        found[record[0]] = _strict_synset(*record)
+        return found
     for raw in _lines(text):
         kind, _, rest = raw.strip().partition(" ")
         if kind == "SYN":

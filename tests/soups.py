@@ -20,6 +20,7 @@ import re
 from hypothesis import strategies as st
 
 from oracles import walk_paragraphs
+from rogetkb.lexnet import RelationType
 from rogetkb.parser import parse_source, serialize_kb
 
 # str.splitlines breaks a line at each of these; an entry token never holds one
@@ -274,6 +275,81 @@ def lexicon_soups(draw, words: tuple[str, ...] = (), tags: tuple[str, ...] = ())
                     lines.append(earlier[:cut])
     text = draw(st.sampled_from(_LEXICON_LINE_ENDS)).join(lines)
     return text + draw(st.sampled_from(["", "\n"]))
+
+
+# -- strict-form lexicons and single edits of them ---------------------------------
+
+# Ids free of whitespace and "|", and lemmas already normalized: single-spaced,
+# lower case, free of ";" and "|". "\u00df", the dotless "\u0131" and the
+# final sigma are their own lower case, though not their upper case's.
+_STRICT_IDS = ["a.n.1", "b.n.1", "c.v.1", "A.n.1", "d;a.1", "\u00e9.r.2", "s/7"]
+_STRICT_LEMMAS = ["alpha", "beta", "two words", "x-y", "it's", "caf\u00e9", "stra\u00dfe",
+                  "\u03c3\u03bf\u03c6\u03bf\u03c2", "\u0131", "a b c"]
+_STRICT_GLOSSES = ["", " |", " | a gloss", " |x | y", " |  Padded \t", " |\u00a0\u2003",
+                   " |SYN a.n.1 N x"]
+_STRICT_SYN = st.sampled_from([
+    f"SYN {{}} {tag} {';'.join(lemmas)}{gloss}"
+    for tag in ("N", "ADJ", "VB", "ADV", "INT")
+    for n in (1, 2) for lemmas in itertools.product(_STRICT_LEMMAS, repeat=n)
+    for gloss in _STRICT_GLOSSES
+])
+_STRICT_REL = st.sampled_from([
+    f"REL {rel.value} {{}} {{}}"
+    for rel in (RelationType.HYPERNYM, RelationType.HYPONYM, *RelationType)
+])
+_STRICT_COMMENTS = ["//", "// a comment", "//\tTabbed Upper", "//SYN a.n.1 n Alpha", "// |;"]
+_LEXICON_EDITS = ["crlf", "space", "upper", "tag", "blank", "duplicate", "dangling", "cut"]
+
+
+@st.composite
+def strict_lexicons(draw, edited: bool = False) -> str:
+    """A lexicon in the strict form that ``lexnet`` proves: SYN records
+    for some distinct ids, REL records between them and comments, in any
+    order, so edges may refer forward, each line ending in "\n". When
+    ``edited``, with one edit that takes it out of that form: CRLF line
+    ends, a doubled space between fields or inside a lemma, a letter of a
+    lemma in upper case, a tag in lower case, a blank line, a second record
+    of a declared id, an edge to an undeclared id, or a record cut short
+    before its last field."""
+    ids = draw(st.lists(st.sampled_from(_STRICT_IDS), min_size=1, unique=True))
+    lines = [draw(_STRICT_SYN).format(syn_id) for syn_id in ids]
+    for _ in range(draw(st.integers(0, 6))):
+        pair = draw(st.sampled_from(ids)), draw(st.sampled_from(ids))
+        lines.append(draw(_STRICT_REL).format(*pair))
+    lines += draw(st.lists(st.sampled_from(_STRICT_COMMENTS), max_size=2))
+    lines = draw(st.permutations(lines))
+    if not edited:
+        return "".join(line + "\n" for line in lines)
+    edit = draw(st.sampled_from(_LEXICON_EDITS))
+    records = [i for i, line in enumerate(lines) if not line.startswith("//")]
+    at = draw(st.sampled_from([i for i in records if lines[i].startswith("SYN")]
+                              if edit in ("upper", "tag") else records))
+    line = lines[at]
+    # where the lemma field of a SYN record, or the last field of a REL record,
+    # starts and ends
+    fields = line.split(" ", 3)
+    start = len(line.rsplit(" ", 1)[0] if fields[0] == "REL" else " ".join(fields[:3])) + 1
+    end = (line + " |").index(" |")
+    if edit == "space":
+        i = draw(st.sampled_from([i for i, ch in enumerate(line[:end + 1]) if ch == " "]))
+        lines[at] = line[:i] + " " + line[i:]
+    elif edit == "upper":
+        i = draw(st.sampled_from([i for i in range(start, end) if line[i].islower()]))
+        lines[at] = line[:i] + line[i].upper() + line[i + 1:]
+    elif edit == "tag":
+        lines[at] = " ".join([*fields[:2], fields[2].lower(), fields[3]])
+    elif edit == "blank":
+        lines.insert(draw(st.integers(0, len(lines))), "")
+    elif edit == "duplicate":
+        lines.insert(draw(st.integers(0, len(lines))),
+                     draw(_STRICT_SYN).format(draw(st.sampled_from(ids))))
+    elif edit == "dangling":
+        ends = draw(st.permutations([draw(st.sampled_from(ids)), "ghost.n.1"]))
+        lines.insert(draw(st.integers(0, len(lines))), draw(_STRICT_REL).format(*ends))
+    elif edit == "cut":
+        lines[at] = line[:draw(st.integers(0, start))]
+    text = "".join(line + "\n" for line in lines)
+    return text.replace("\n", "\r\n") if edit == "crlf" else text
 
 
 # -- bundles signed over their own texts ------------------------------------------

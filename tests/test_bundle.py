@@ -455,7 +455,7 @@ def test_one_query_makes_one_scoped_parse(tmp_path, monkeypatch, kb2):
 _BUILDERS = {
     inspect.unwrap(build).__code__ for build in (
         parse_source, _canonical_kb, build_index, load_resource, load_neighbourhood,
-        SynsetResource.lemma_index.func, SynsetResource._neighbour_ids.func,
+        lexicon_lemmas, SynsetResource.lemma_index.func, SynsetResource._neighbour_ids.func,
     )
 }
 
@@ -477,6 +477,7 @@ _LIBRARY_CALLS = {
     "index": lambda path: load_bundle(path).index,
     "resource-label": _label_once,
     "resource_of": lambda path: load_bundle(path).resource_of("decrement", PartOfSpeech.NOUN),
+    "lemmas": lambda path: load_bundle(path).lemmas,
     "parse_source": lambda path: parse_source(fixture_text("head42.roget")),
     "build_index": lambda path: build_index(parse_source(fixture_text("two_class.roget")).kb),
     "load_resource": lambda path: load_resource(fixture_text("decrement.lex")),

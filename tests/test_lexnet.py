@@ -3,6 +3,8 @@ from __future__ import annotations
 import gc
 import itertools
 import random
+import re
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -219,6 +221,157 @@ class TestReaderAgainstTheReference:
     def test_lemmas_of_the_fixture(self, res_dec):
         assert lexicon_lemmas(fixture_text("decrement.lex")) == res_dec.all_lemmas()
         assert lexicon_lemmas("") == frozenset()
+
+
+def _refused(text: str):
+    """A proof that refuses every text, so that only the checked reader reads."""
+    raise lexnet._NotStrict
+
+
+def _checked_read(*args):
+    raise AssertionError("the checked reader read a text the proof should accept")
+
+
+def _neighbourhood(text: str, lemma: str, pos: PartOfSpeech):
+    """``load_neighbourhood``'s synsets, in order, and edges; or its error's
+    line and message."""
+    try:
+        part = load_neighbourhood(text, lemma, pos)
+    except LexiconError as exc:
+        return exc.line, exc.message
+    return list(part.synsets.items()), part.edges
+
+
+def _assert_neighbourhoods_as_the_checked_read(text: str, lemmas) -> None:
+    """At every tag, ``load_neighbourhood`` of each of ``lemmas``, each of
+    them padded in upper case, a blank, an unknown string, and strings that
+    span a ";" or part of a lemma gives what the checked reader alone gives."""
+    queries = ["", "zzz", "alpha;beta", "two", "a b", *lemmas,
+               *(f" {lemma.upper()} " for lemma in lemmas)]
+    got = [_neighbourhood(text, lemma, pos) for lemma in queries for pos in PartOfSpeech]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lexnet, "_strict_chunks", _refused)
+        want = [_neighbourhood(text, lemma, pos) for lemma in queries for pos in PartOfSpeech]
+    assert got == want
+
+
+def _proven(text: str) -> bool:
+    try:
+        for _ in lexnet._strict_chunks(text):
+            pass
+    except lexnet._NotStrict:
+        return False
+    return True
+
+
+def _lemmas_of(text: str) -> list[str]:
+    try:
+        return sorted(reference_load_resource(text).all_lemmas())
+    except LexiconError:
+        return []
+
+
+class TestStrictForm:
+    """A lexicon in the strict form is proven and read without the checked
+    reader; any other text is read by the checked reader from its first
+    line. Either way every reader answers as the reference does."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(soups.strict_lexicons())
+    def test_strict_lexicons_are_proven_and_read_as_the_reference(self, text):
+        assert _proven(text)
+        _assert_reads_as_the_reference(text)
+        _assert_neighbourhoods_as_the_checked_read(text, _lemmas_of(text))
+
+    @settings(max_examples=300, deadline=None)
+    @given(soups.strict_lexicons(edited=True))
+    def test_one_edit_takes_the_checked_read(self, text):
+        assert not _proven(text)
+        _assert_reads_as_the_reference(text)
+        _assert_neighbourhoods_as_the_checked_read(text, _lemmas_of(text))
+
+    @settings(max_examples=100, deadline=None)
+    @given(lexicon_soups())
+    def test_lexicon_soups_read_as_the_checked_read(self, text):
+        _assert_neighbourhoods_as_the_checked_read(text, _lemmas_of(text))
+
+    def test_the_fixture_and_a_generated_lexicon_are_proven(self, monkeypatch, perfbench_corpus):
+        texts = [fixture_text("decrement.lex"), perfbench_corpus.generate(1, scale=0.02).lexicon]
+        wants = [reference_load_resource(text) for text in texts]
+        monkeypatch.setattr(lexnet, "_read_records", _checked_read)
+        for text, want in zip(texts, wants):
+            got = load_resource(text)
+            assert list(got.synsets.items()) == list(want.synsets.items())
+            assert got.edges == want.edges
+            assert lexicon_lemmas(text) == want.all_lemmas()
+            for lemma in sorted(want.all_lemmas())[:40]:
+                for pos in PartOfSpeech:
+                    part = load_neighbourhood(text, lemma, pos)
+                    assert build_mini_net(part, lemma, pos) == build_mini_net(want, lemma, pos)
+
+    @pytest.mark.parametrize("edit, proven", [
+        ("none", True),
+        ("a first record moved last", True),
+        ("a doubled space on the last line", False),
+        ("a last record that repeats the first id", False),
+        ("a first edge to an undeclared id", False),
+        ("a blank last line", False),
+        ("a break inside a last gloss", False),
+        ("a break inside a last comment", False),
+    ])
+    def test_edits_across_chunks(self, perfbench_corpus, edit, proven):
+        """On a lexicon of three chunks, an edge may refer to an id that a
+        later chunk declares, and a fault on the last line is found after
+        every earlier chunk was proven."""
+        lines = perfbench_corpus.generate(1, scale=0.02).lexicon.splitlines()
+        first = lines[0]
+        first_id, lemmas = first.split()[1], first.split(" ", 3)[3].split(" |")[0].split(";")
+        if edit == "a first record moved last":
+            lines = lines[1:] + [first]
+        elif edit == "a doubled space on the last line":
+            lines.append(first.replace(first_id, "new.n.1").replace(" ", "  ", 1))
+        elif edit == "a last record that repeats the first id":
+            lines.append(first)
+        elif edit == "a first edge to an undeclared id":
+            lines.insert(0, f"REL hypernym {first_id} ghost.n.1")
+        elif edit == "a blank last line":
+            lines.append("")
+        elif edit == "a break inside a last gloss":
+            lines.append("SYN new.n.1 N x | a\x85SYN b gloss")
+        elif edit == "a break inside a last comment":
+            lines.append("// a\u2028SYN new.n.1 N x")
+        text = "".join(line + "\n" for line in lines)
+        assert len(list(lexnet._chunks(text))) == 3
+        assert _proven(text) is proven
+        _assert_reads_as_the_reference(text)
+        _assert_neighbourhoods_as_the_checked_read(text, lemmas)
+
+    @pytest.mark.parametrize("lemma, pos, passes", [
+        ("decrement", PartOfSpeech.NOUN, 3),
+        ("zzz", PartOfSpeech.NOUN, 2),
+    ])
+    def test_a_refused_text_costs_the_proof_and_the_checked_read(self, monkeypatch, lemma,
+                                                                 pos, passes):
+        """A text the proof refuses, here with CRLF line ends, is read from
+        its first line again: one pass more than a proven read."""
+        text = fixture_text("decrement.lex")
+        proven = load_neighbourhood(text, lemma, pos)
+        calls, chunks = [], lexnet._chunks
+        monkeypatch.setattr(lexnet, "_chunks", lambda text: calls.append(1) or chunks(text))
+        part = load_neighbourhood(text.replace("\n", "\r\n"), lemma, pos)
+        assert len(calls) == passes
+        assert (list(part.synsets.items()), part.edges) == (
+            list(proven.synsets.items()), proven.edges)
+
+    def test_the_classes_leave_out_every_whitespace_and_other_break(self):
+        """The proof relies on ``\\s`` matching what ``str.split`` splits
+        on, and on the gloss and comment classes leaving out every break of
+        ``str.splitlines``."""
+        every = [chr(code) for code in range(sys.maxunicode + 1)]
+        assert re.findall(r"\s", "".join(every)) == [ch for ch in every if ch.isspace()]
+        breaks = [ch for ch in every if ch.splitlines() == [""]]
+        assert breaks == sorted("\n" + lexnet._OTHER_BREAKS)
+        assert all(ch.isspace() for ch in breaks)
 
 
 class TestQueries:
@@ -452,6 +605,15 @@ class TestScopedRead:
     def test_against_the_whole_graph(self, text, kb):
         _assert_scoped_reads_as_the_whole(kb, text, every_lemma=True)
 
+    @settings(max_examples=200, deadline=None)
+    @given(_graph_lexicons())
+    def test_a_proven_graph_reads_as_the_checked_read(self, text):
+        """Ended by a line feed, a graph lexicon is strict: the proof's read
+        of every lemma's neighbourhood is the checked reader's."""
+        text += "\n"
+        assert _proven(text)
+        _assert_neighbourhoods_as_the_checked_read(text, _GRAPH_LEMMAS)
+
     @settings(max_examples=1, deadline=None)
     @given(st.integers(0, 2**16))
     def test_against_the_whole_graph_on_a_generated_corpus(self, perfbench_corpus, seed):
@@ -485,8 +647,8 @@ class TestScopedRead:
                                                             passes):
         """The second pass, which reads the synsets the kept edges reach, is
         made only when a synset of ``pos`` holds the lemma."""
-        text, calls, lines = fixture_text("decrement.lex"), [], lexnet._lines
-        monkeypatch.setattr(lexnet, "_lines", lambda text: calls.append(1) or lines(text))
+        text, calls, chunks = fixture_text("decrement.lex"), [], lexnet._chunks
+        monkeypatch.setattr(lexnet, "_chunks", lambda text: calls.append(1) or chunks(text))
         part = load_neighbourhood(text, lemma, pos)
         assert len(calls) == passes
         assert (part == SynsetResource(synsets={}, edges=())) == (passes == 1)
