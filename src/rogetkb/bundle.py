@@ -164,10 +164,10 @@ class KBBundle:
     def resource_of(self, lemma: str, pos: PartOfSpeech) -> Optional[SynsetResource]:
         """The part of the embedded lexicon that ``build_mini_net`` reads for
         ``lemma`` at ``pos``, or None; raises BundleError when it is
-        malformed. Read by one checked pass that keeps only that part, and
-        not cached: the path for a single query. A lemma that no synset of
-        ``pos`` holds, "" included, is read as the checks alone. Once
-        ``resource`` is built, that is the answer."""
+        malformed. Read by one pass that proves or checks every chunk and
+        keeps only that part, and not cached: the path for a single query.
+        A lemma that no synset of ``pos`` holds, "" included, is read as
+        that pass alone. Once ``resource`` is built, that is the answer."""
         if self._lex_text is None:  # no lexicon, or ``resource`` holds it now
             return self.resource
         return self._read_lexicon(lambda text: load_neighbourhood(text, lemma, pos))

@@ -16,10 +16,11 @@ included).
 A mini-net reads a few synsets, so :func:`load_neighbourhood` checks the
 whole document but keeps only what one lemma's mini-net reads.
 
-Every reader first tries to prove a document in a strict form (see
-:func:`_strict_chunks`), which it then reads by a few regular-expression
-passes per chunk. Any other document is read record by record, which is
-also what gives every :class:`LexiconError`.
+Every reader reads a document once, one chunk at a time (see
+:func:`_records`). Each chunk is proven to be in a strict form by a few
+regular-expression passes, up to the first chunk that the proof refuses;
+from there on every chunk is checked record by record, which is what
+gives every :class:`LexiconError`.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import starmap
 from operator import itemgetter
-from typing import Callable, Iterator, Optional
+from typing import Iterator, Optional
 
 from .model import POS_BY_TAG, PartOfSpeech, _collector_paused
 from .text import normalize
@@ -191,75 +192,9 @@ def _lines(text: str) -> Iterator[str]:
         yield from chunk.splitlines()
 
 
-def _synset(syn_id: str, pos: PartOfSpeech, lemma_field: str, gloss: str) -> Synset:
-    """The synset of one SYN record's fields. Its lemmas are normalized,
-    with blanks and repeats dropped, in file order."""
-    lemmas = tuple(dict.fromkeys(filter(None, map(normalize, lemma_field.split(";")))))
-    return Synset(syn_id, pos, lemmas, gloss.strip() or None)
-
-
-def _read_records(
-    text: str,
-    add_synset: Callable[[str, PartOfSpeech, str, str], object],
-    add_edge: Callable[[str, RelationType, str], object],
-) -> None:
-    """Check every record of an interchange document in file order. Each
-    SYN record's id, part of speech, raw lemma field and raw gloss go to
-    ``add_synset``; each REL record goes to ``add_edge``, a hyponym as its
-    inverse hypernym. Raises :class:`LexiconError` on the first malformed
-    record. An edge may name a synset declared further on, so an unknown
-    endpoint is reported only after every record is read."""
-    ids: set[str] = set()
-    # edges read before one of their endpoints was declared, in file order
-    pending: list[tuple[int, str, str]] = []
-
-    for line_no, raw in enumerate(_lines(text), start=1):
-        line = raw.strip()
-        if not line or line.startswith("//"):
-            continue
-        kind, _, rest = line.partition(" ")
-        if kind == "SYN":
-            body, _, gloss = rest.partition("|")
-            parts = body.split(None, 2)
-            if len(parts) < 3:
-                raise LexiconError(line_no, f"malformed SYN record {line!r}")
-            syn_id, pos_tok, lemma_field = parts
-            if syn_id in ids:
-                raise LexiconError(line_no, f"duplicate synset id {syn_id}")
-            pos = POS_BY_TAG.get(pos_tok.upper())
-            if pos is None:
-                raise LexiconError(line_no, f"unknown part of speech {pos_tok!r}")
-            # a lemma normalizes to "" exactly when it is blank
-            if not lemma_field.replace(";", " ").strip():
-                raise LexiconError(line_no, f"synset {syn_id} has no lemmas")
-            ids.add(syn_id)
-            add_synset(syn_id, pos, lemma_field, gloss)
-        elif kind == "REL":
-            parts = rest.split()
-            if len(parts) != 3:
-                raise LexiconError(line_no, f"malformed REL record {line!r}")
-            rel_tok, src, dst = parts
-            rel = _RELATION_BY_NAME.get(rel_tok.lower())
-            if rel is None:
-                raise LexiconError(line_no, f"unknown relation type {rel_tok!r}")
-            if rel is RelationType.HYPONYM:
-                # canonical storage: the inverse hypernym edge
-                rel, src, dst = RelationType.HYPERNYM, dst, src
-            if src not in ids or dst not in ids:
-                pending.append((line_no, src, dst))
-            add_edge(src, rel, dst)
-        else:
-            raise LexiconError(line_no, f"unknown record kind {kind!r}")
-
-    for line_no, src, dst in pending:
-        for endpoint in (src, dst):
-            if endpoint not in ids:
-                raise LexiconError(line_no, f"unknown synset {endpoint}")
-
-
-# A lexicon in the strict form is proven by a few regular-expression passes
-# per chunk instead of being checked record by record. Each line ends in "\n"
-# and is a "//" comment or a record whose fields are split by single spaces:
+# A chunk in the strict form is proven by a few regular-expression passes
+# instead of being checked record by record. Each line ends in "\n" and is a
+# "//" comment or a record whose fields are split by single spaces:
 #     SYN <id> <upper-case tag> <lemma>(;<lemma>)*[ |<gloss>]
 #     REL <lower-case relation name> <src> <dst>
 # where a lemma is a single-spaced run free of ";" and "|", and the lemma
@@ -281,51 +216,117 @@ _STRICT_REL = re.compile(
 _STRICT_COMMENT = re.compile(rf"\n//[^\n{_OTHER_BREAKS}]*(?=\n)")
 _FIRST, _SECOND, _THIRD = (itemgetter(i) for i in range(3))
 
+# A chunk read: SYN records ``(id, upper-case tag, normalized lemma field with
+# no blank lemma, raw gloss)``, REL records as written ``(lower-case relation
+# name, src, dst)``, the lemma fields joined by ";", and its last line's number.
+_Read = tuple[list[tuple[str, str, str, str]], list[tuple[str, str, str]], str, int]
 
-class _NotStrict(Exception):
-    """A lexicon outside the strict form, which only :func:`_read_records` reads."""
+
+def _proof(chunk: str, line_no: int, ids: set[str]) -> Optional[_Read]:
+    """A chunk in the strict form, read from the proof's matches, or None
+    when it is not in that form or would declare an id twice. Only a proven
+    chunk adds its ids to ``ids``. The proof is sufficient, not necessary:
+    a refused chunk may be well formed."""
+    lines = "\n" + chunk
+    syns, rels = _STRICT_SYN.findall(lines), _STRICT_REL.findall(lines)
+    fields = ";".join(map(_THIRD, syns))
+    breaks = chunk.count("\n")
+    if (not chunk.endswith("\n") or fields != fields.lower()
+            or len(syns) + len(rels) + len(_STRICT_COMMENT.findall(lines)) != breaks
+            or not ids.isdisjoint(map(_FIRST, syns))):
+        return None
+    declared = len(ids)
+    ids.update(map(_FIRST, syns))
+    if len(ids) - declared != len(syns):  # the chunk itself declares an id twice
+        ids.difference_update(map(_FIRST, syns))
+        return None
+    return syns, rels, fields, line_no + breaks
 
 
-def _strict_chunks(text: str) -> Iterator[tuple[list[tuple[str, str, str, str]],
-                                                list[tuple[str, str, str]], str]]:
-    """Prove ``text`` in the strict form, one chunk at a time. Each chunk
-    gives its SYN records as ``(id, tag, lemma field, gloss)``, its REL
-    records as ``(relation name, src, dst)`` and its lemma fields joined by
-    ";". Raises :class:`_NotStrict` as soon as the text is shown not to be
-    strict, the last chunk included: a synset id declared twice or an edge
-    endpoint never declared is only known at the end, so a reader keeps
-    nothing it took from the chunks until the iteration ends. The proof is
-    sufficient, not necessary: a refused text may be well formed."""
-    if not text.endswith("\n"):
-        raise _NotStrict
+def _checked(chunk: str, line_no: int, ids: set[str]) -> _Read:
+    """A chunk whose first line follows line ``line_no``, checked record by
+    record, each id added to ``ids``. Raises :class:`LexiconError` on the
+    first malformed record."""
+    syns: list[tuple[str, str, str, str]] = []
+    rels: list[tuple[str, str, str]] = []
+    for line_no, raw in enumerate(chunk.splitlines(), start=line_no + 1):
+        line = raw.strip()
+        if not line or line.startswith("//"):
+            continue
+        kind, _, rest = line.partition(" ")
+        if kind == "SYN":
+            body, _, gloss = rest.partition("|")
+            parts = body.split(None, 2)
+            if len(parts) < 3:
+                raise LexiconError(line_no, f"malformed SYN record {line!r}")
+            syn_id, pos_tok, lemma_field = parts
+            if syn_id in ids:
+                raise LexiconError(line_no, f"duplicate synset id {syn_id}")
+            tag = pos_tok.upper()
+            if tag not in POS_BY_TAG:
+                raise LexiconError(line_no, f"unknown part of speech {pos_tok!r}")
+            field = (";".join(filter(None, map(normalize, lemma_field.split(";"))))
+                     if ";" in lemma_field else normalize(lemma_field))
+            if not field:
+                raise LexiconError(line_no, f"synset {syn_id} has no lemmas")
+            ids.add(syn_id)
+            syns.append((syn_id, tag, field, gloss))
+        elif kind == "REL":
+            parts = rest.split()
+            if len(parts) != 3:
+                raise LexiconError(line_no, f"malformed REL record {line!r}")
+            rel_tok, src, dst = parts
+            name = rel_tok.lower()
+            if name not in _RELATION_BY_NAME:
+                raise LexiconError(line_no, f"unknown relation type {rel_tok!r}")
+            rels.append((name, src, dst))
+        else:
+            raise LexiconError(line_no, f"unknown record kind {kind!r}")
+    return syns, rels, ";".join(map(_THIRD, syns)), line_no
+
+
+def _records(text: str) -> Iterator[tuple[bool, list[tuple[str, str, str, str]],
+                                          list[tuple[str, str, str]], str]]:
+    """Each chunk of an interchange document, in file order, read once:
+    whether it was proven, then its records and lemma fields (``_Read``).
+    Chunks are proven up to the first that the proof refuses; from that one
+    on, every chunk is checked. Raises :class:`LexiconError` on the first
+    malformed record; an edge may name a synset declared further on, so an
+    unknown endpoint is reported only after every record is read."""
     ids: set[str] = set()
     # edge endpoints not declared before their chunk ended
     pending: set[str] = set()
+    line_no, proven = 0, True
     for chunk in _chunks(text):
-        lines = "\n" + chunk
-        syns, rels = _STRICT_SYN.findall(lines), _STRICT_REL.findall(lines)
-        fields = ";".join(map(_THIRD, syns))
-        declared = len(ids)
-        ids.update(map(_FIRST, syns))
-        if (len(syns) + len(rels) + len(_STRICT_COMMENT.findall(lines)) != chunk.count("\n")
-                or len(ids) - declared != len(syns) or fields != fields.lower()):
-            raise _NotStrict
-        endpoints = set(map(_SECOND, rels))
-        endpoints.update(map(_THIRD, rels))
-        pending.update(endpoints - ids)
-        yield syns, rels, fields
-    if not pending <= ids:
-        raise _NotStrict
+        read = _proof(chunk, line_no, ids) if proven else None
+        if read is None:
+            proven = False
+            read = _checked(chunk, line_no, ids)
+        syns, rels, fields, line_no = read
+        pending |= {*map(_SECOND, rels), *map(_THIRD, rels)} - ids
+        yield proven, syns, rels, fields
+    if pending <= ids:
+        return
+    # one more scan, on this error path only, finds the first edge at fault
+    for line_no, raw in enumerate(_lines(text), start=1):
+        kind, _, rest = raw.strip().partition(" ")
+        if kind == "REL":
+            rel_tok, src, dst = rest.split()
+            # a hyponym edge names its endpoints as its stored inverse does
+            for endpoint in _stored(src, _RELATION_BY_NAME[rel_tok.lower()], dst)[::2]:
+                if endpoint not in ids:
+                    raise LexiconError(line_no, f"unknown synset {endpoint}")
 
 
-def _strict_synset(syn_id: str, tag: str, lemma_field: str, gloss: str) -> Synset:
-    """:func:`_synset` of a strict SYN record, whose lemmas are normalized."""
+def _synset(syn_id: str, tag: str, lemma_field: str, gloss: str) -> Synset:
+    """The synset of a SYN record as :func:`_records` gives it: its lemmas
+    in file order, repeats dropped."""
     lemmas = tuple(dict.fromkeys(lemma_field.split(";"))) if ";" in lemma_field else (lemma_field,)
     return Synset(syn_id, POS_BY_TAG[tag], lemmas, gloss.strip() or None)
 
 
 def _as_written(rels: list[tuple[str, str, str]]) -> Iterator[tuple[str, RelationType, str]]:
-    """``(src, relation, dst)`` of each strict REL record, a hyponym edge as written."""
+    """``(src, relation, dst)`` of each REL record, a hyponym edge as written."""
     return zip(map(_SECOND, rels), map(_RELATION_BY_NAME.__getitem__, map(_FIRST, rels)),
                map(_THIRD, rels))
 
@@ -341,19 +342,10 @@ def load_resource(text: str) -> SynsetResource:
     :class:`LexiconError` on the first malformed record."""
     synsets: dict[str, Synset] = {}
     edges: list[tuple[str, RelationType, str]] = []
-    try:
-        for syns, rels, _ in _strict_chunks(text):
-            for record in syns:
-                synsets[record[0]] = _strict_synset(*record)
-            edges += starmap(_stored, _as_written(rels))
-    except _NotStrict:
-        synsets.clear()
-        edges.clear()
-
-        def add_synset(syn_id: str, pos: PartOfSpeech, lemma_field: str, gloss: str) -> None:
-            synsets[syn_id] = _synset(syn_id, pos, lemma_field, gloss)
-
-        _read_records(text, add_synset, lambda src, rel, dst: edges.append((src, rel, dst)))
+    for _, syns, rels, _ in _records(text):
+        for record in syns:
+            synsets[record[0]] = _synset(*record)
+        edges += starmap(_stored, _as_written(rels))
     return SynsetResource(synsets=synsets, edges=tuple(edges))
 
 
@@ -363,17 +355,9 @@ def lexicon_lemmas(text: str) -> frozenset[str]:
     :func:`load_resource` checks it (the same :class:`LexiconError`) but
     without building the synset graph: ``load_resource(text).all_lemmas()``."""
     lemmas: set[str] = set()
-    try:
-        for _, _, fields in _strict_chunks(text):
-            lemmas.update(fields.split(";"))
-    except _NotStrict:
-        lemmas.clear()
-
-        def add_synset(syn_id: str, pos: PartOfSpeech, lemma_field: str, gloss: str) -> None:
-            lemmas.update(map(normalize, lemma_field.split(";")))
-
-        _read_records(text, add_synset, lambda src, rel, dst: None)
-    lemmas.discard("")
+    for _, _, _, fields in _records(text):
+        lemmas.update(fields.split(";"))
+    lemmas.discard("")  # the fields of a chunk that declares no synset
     return frozenset(lemmas)
 
 
@@ -389,49 +373,27 @@ def load_neighbourhood(text: str, lemma: str, pos: PartOfSpeech) -> SynsetResour
     on the result see only this part."""
     lemma = normalize(lemma)
     wanted = DEFAULT_RELATIONS[pos]
-    seeds: set[str] = set()
-    # An edge's endpoints may be declared later, so every candidate is kept
-    # to the end. A hyponym edge is stored as a hypernym edge, and
-    # coordinates are read through hypernyms; every part of speech that
-    # follows either follows hypernyms too.
-    candidates: list[tuple[str, RelationType, str]] = []
-    # the proof's edges of a relation that ``wanted`` follows, as written
+    # The edges, as written, whose stored relation ``wanted`` follows (every
+    # part of speech that follows hyponyms or coordinates follows hypernyms
+    # too). An edge's endpoints may be declared later, so all are kept to the end.
+    names = {name for name, rel in _RELATION_BY_NAME.items() if _stored("", rel, "")[1] in wanted}
     records: list[tuple[str, RelationType, str]] = []
-    proven = True
-    try:
-        names = {name for name, rel in _RELATION_BY_NAME.items()
-                 if _stored("", rel, "")[1] in wanted}
-        for syns, rels, fields in _strict_chunks(text):
-            # a strict lemma is never blank, and fields that do not hold the lemma hold no seed
-            if lemma and lemma in fields:
-                seeds.update(syn_id for syn_id, tag, lemma_field, _ in syns
-                             if tag == pos.value and lemma in lemma_field.split(";"))
-            records += _as_written([record for record in rels if record[0] in names])
-    except _NotStrict:
-        proven = False
-        seeds.clear()
-        records.clear()
-
-        def add_synset(syn_id: str, syn_pos: PartOfSpeech, lemma_field: str, gloss: str) -> None:
-            # a blank lemma normalizes to "" and names no synset
-            if syn_pos is pos and lemma and lemma in map(normalize, lemma_field.split(";")):
-                seeds.add(syn_id)
-
-        def add_edge(src: str, rel: RelationType, dst: str) -> None:
-            if rel in wanted:
-                candidates.append((src, rel, dst))
-
-        _read_records(text, add_synset, add_edge)
-    else:
-        # Every edge kept below has an endpoint among the seeds or the
-        # synsets one edge away from them, so only those edges are stored,
-        # in file order.
-        near = seeds.union(*((src, dst) for src, _, dst in records
-                             if src in seeds or dst in seeds))
-        candidates = [_stored(*edge) for edge in records if edge[0] in near or edge[2] in near]
-    del records
+    seeds: set[str] = set()
+    proven = 0  # the chunks read by proof, which come first
+    for strict, syns, rels, fields in _records(text):
+        proven += strict
+        # a lemma is never blank, and fields that do not hold the lemma hold no seed
+        if lemma and lemma in fields:
+            seeds.update(syn_id for syn_id, tag, lemma_field, _ in syns
+                         if tag == pos.value and lemma in lemma_field.split(";"))
+        records += _as_written([record for record in rels if record[0] in names])
     if not seeds:  # no synset of ``pos`` holds the lemma: the checks were the whole read
         return SynsetResource(synsets={}, edges=())
+    # Every edge kept below has an endpoint among the seeds or the synsets
+    # one edge away from them, so only those edges are stored, in file order.
+    near = seeds.union(*((src, dst) for src, _, dst in records if src in seeds or dst in seeds))
+    candidates = [_stored(*edge) for edge in records if edge[0] in near or edge[2] in near]
+    del records
     # a hyponym edge of a seed, or of a seed hypernym when coordinates are followed
     hyponyms_of = set(seeds)
     if RelationType.COORDINATE in wanted:
@@ -446,27 +408,25 @@ def load_neighbourhood(text: str, lemma: str, pos: PartOfSpeech) -> SynsetResour
     return SynsetResource(synsets=_synsets_of(text, reached, proven), edges=edges)
 
 
-def _synsets_of(text: str, ids: set[str], proven: bool) -> dict[str, Synset]:
-    """The synsets of ``ids``, in file order, read from a document that has
-    passed :func:`_read_records`, or been ``proven`` strict: every record is
-    known to be well formed."""
+def _synsets_of(text: str, ids: set[str], proven: int) -> dict[str, Synset]:
+    """The synsets of ``ids``, in file order, read from a document that
+    :func:`_records` has read whole, its first ``proven`` chunks by proof:
+    every record is known to be well formed."""
     found: dict[str, Synset] = {}
-    if proven:
-        for chunk in _chunks(text):
+    for i, chunk in enumerate(_chunks(text)):
+        if i < proven:
             lines = "\n" + chunk
-            # most chunks declare none of ``ids``, and their ids alone are cheap to find
-            if not ids.isdisjoint(_STRICT_SYN_ID.findall(lines)):
-                for record in _STRICT_SYN.findall(lines):
-                    if record[0] in ids:
-                        found[record[0]] = _strict_synset(*record)
-        return found
-    for raw in _lines(text):
-        kind, _, rest = raw.strip().partition(" ")
-        if kind == "SYN":
-            body, _, gloss = rest.partition("|")
-            syn_id, pos_tok, lemma_field = body.split(None, 2)
-            if syn_id in ids:
-                found[syn_id] = _synset(syn_id, POS_BY_TAG[pos_tok.upper()], lemma_field, gloss)
+            # most proven chunks declare none of ``ids``, and their ids alone are cheap to find
+            if ids.isdisjoint(_STRICT_SYN_ID.findall(lines)):
+                continue
+            syns = _STRICT_SYN.findall(lines)
+        else:  # only the lines that declare one of ``ids`` are read again
+            syns = _checked("\n".join(line for line in chunk.splitlines() if line.lstrip()
+                                      .startswith("SYN ") and line.split(None, 2)[1] in ids),
+                            0, set())[0]
+        for record in syns:
+            if record[0] in ids:
+                found[record[0]] = _synset(*record)
     return found
 
 

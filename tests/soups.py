@@ -218,20 +218,26 @@ _LEXICON_NOISE = st.one_of(
 _LEXICON_LINE_ENDS = ["\n", "\r\n", "\r", "\x85", "\u2028"]
 
 
+def _keyed_syn(tag: str, field: str):
+    """The SYN record, given its id, that holds ``field`` under ``tag``. It
+    is built without ``str.format``, since a word may hold "{" or "}"."""
+    return lambda syn_id: f"SYN {syn_id} {tag} {field}"
+
+
 @st.composite
 def _valid_records(draw, words: tuple[str, ...], tags: tuple[str, ...]) -> list[str]:
     """A SYN record for each of some distinct ids and REL records between
     them, in any order, so edges may refer forward; comments and blank
     lines in between. Given ``words`` and ``tags``, a record may hold some
     of the words under one of the tags."""
-    syn = _GOOD_SYN
+    syn = _GOOD_SYN.map(lambda template: template.format)
     if words:
         syn = st.one_of(syn, st.builds(
-            "SYN {{}} {} {}".format, st.sampled_from(tags),
+            _keyed_syn, st.sampled_from(tags),
             st.lists(st.sampled_from(words), min_size=1, max_size=2).map(";".join),
         ))
     ids = draw(st.lists(st.sampled_from(_SYN_IDS), min_size=1, unique=True))
-    lines = [draw(syn).format(syn_id) for syn_id in ids]
+    lines = [draw(syn)(syn_id) for syn_id in ids]
     for _ in range(draw(st.integers(0, 4))):
         pair = draw(st.sampled_from(ids)), draw(st.sampled_from(ids))
         lines.append(draw(_GOOD_REL).format(*pair))

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import contextlib
 import gc
 import itertools
 import random
@@ -192,6 +193,12 @@ class TestReaderAgainstTheReference:
     def test_lexicon_soups(self, text):
         _assert_reads_as_the_reference(text)
 
+    @settings(max_examples=100, deadline=None)
+    @given(lexicon_soups(("a{b", "x}", "{0}", "{}"), ("N", "adj")))
+    def test_lexicon_soups_of_braced_words(self, text):
+        """Words that hold "{" or "}" go into the soup's records as they are."""
+        _assert_reads_as_the_reference(text)
+
     @pytest.mark.parametrize("end", ["\n", "\r\n", "\r", "\x85"])
     def test_line_ends_and_token_case(self, end):
         text = end.join([
@@ -223,9 +230,9 @@ class TestReaderAgainstTheReference:
         assert lexicon_lemmas("") == frozenset()
 
 
-def _refused(text: str):
-    """A proof that refuses every text, so that only the checked reader reads."""
-    raise lexnet._NotStrict
+def _refused(chunk: str, line_no: int, ids: set[str]):
+    """A proof that refuses every chunk, so that only the checked reader reads."""
+    return None
 
 
 def _checked_read(*args):
@@ -250,18 +257,17 @@ def _assert_neighbourhoods_as_the_checked_read(text: str, lemmas) -> None:
                *(f" {lemma.upper()} " for lemma in lemmas)]
     got = [_neighbourhood(text, lemma, pos) for lemma in queries for pos in PartOfSpeech]
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(lexnet, "_strict_chunks", _refused)
+        patch.setattr(lexnet, "_proof", _refused)
         want = [_neighbourhood(text, lemma, pos) for lemma in queries for pos in PartOfSpeech]
     assert got == want
 
 
 def _proven(text: str) -> bool:
+    """Whether every chunk of ``text`` is proven and the read finds no fault."""
     try:
-        for _ in lexnet._strict_chunks(text):
-            pass
-    except lexnet._NotStrict:
+        return all(proven for proven, *_ in lexnet._records(text))
+    except LexiconError:
         return False
-    return True
 
 
 def _lemmas_of(text: str) -> list[str]:
@@ -298,7 +304,7 @@ class TestStrictForm:
     def test_the_fixture_and_a_generated_lexicon_are_proven(self, monkeypatch, perfbench_corpus):
         texts = [fixture_text("decrement.lex"), perfbench_corpus.generate(1, scale=0.02).lexicon]
         wants = [reference_load_resource(text) for text in texts]
-        monkeypatch.setattr(lexnet, "_read_records", _checked_read)
+        monkeypatch.setattr(lexnet, "_checked", _checked_read)
         for text, want in zip(texts, wants):
             got = load_resource(text)
             assert list(got.synsets.items()) == list(want.synsets.items())
@@ -346,14 +352,63 @@ class TestStrictForm:
         _assert_reads_as_the_reference(text)
         _assert_neighbourhoods_as_the_checked_read(text, lemmas)
 
+    @pytest.mark.parametrize("fault", [
+        None,
+        "an id of the first chunk declared again in the middle chunk",
+        "an id of the first chunk declared again in the last chunk",
+        "an edge to an undeclared id in the first chunk and in the last",
+        "a hyponym edge from an undeclared id in the last chunk",
+    ])
+    @pytest.mark.parametrize("edit", ["a doubled space", "an upper-case lemma"])
+    def test_a_refused_middle_chunk_is_checked_from_its_first_line(
+            self, monkeypatch, perfbench_corpus, edit, fault):
+        """On a lexicon of three chunks with one line outside the strict form
+        in its middle chunk, the first chunk is proven and the checked
+        reader reads every line from the middle chunk's first on, once.
+        Every reader answers as the reference and the checked read alone
+        do, a fault across chunks included."""
+        lines = perfbench_corpus.generate(1, scale=0.02).lexicon.splitlines()
+        first, middle = (chunk.count("\n") for chunk in itertools.islice(
+            lexnet._chunks("".join(line + "\n" for line in lines)), 2))
+        at = next(i for i in range(first + middle // 4, len(lines)) if lines[i].startswith("SYN "))
+        assert at < first + middle
+        syn, syn_id, tag, field = lines[at].split(" ", 3)
+        lines[at] = (f"{syn} {syn_id}  {tag} {field}" if edit == "a doubled space"
+                     else f"{syn} {syn_id} {tag} {field[0].upper()}{field[1:]}")
+        declared = lines[0].split()[1]
+        if fault == "an id of the first chunk declared again in the middle chunk":
+            lines.insert(first + middle // 4, f"SYN {declared} N again")
+        elif fault == "an id of the first chunk declared again in the last chunk":
+            lines.insert(first + middle + 10, f"SYN {declared} N again")
+        elif fault == "an edge to an undeclared id in the first chunk and in the last":
+            lines.insert(first + middle + 10, "REL hypernym ghost.n.2 ghost.n.3")
+            lines.insert(first // 2, f"REL hypernym {declared} ghost.n.1")
+        elif fault == "a hyponym edge from an undeclared id in the last chunk":
+            lines.insert(first + middle + 10, f"REL hyponym ghost.n.1 {declared}")
+        text = "".join(line + "\n" for line in lines)
+        assert len(list(lexnet._chunks(text))) == 3
+        starts, checked = [], lexnet._checked
+        monkeypatch.setattr(lexnet, "_checked", lambda chunk, line_no, ids: (
+            starts.append(line_no + 1) or checked(chunk, line_no, ids)))
+        with pytest.raises(LexiconError) if fault else contextlib.nullcontext():
+            load_resource(text)
+        assert starts[0] == next(lexnet._chunks(text)).count("\n") + 1
+        assert starts == sorted(set(starts))
+        _assert_reads_as_the_reference(text)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(lexnet, "_proof", _refused)
+            _assert_reads_as_the_reference(text)
+        _assert_neighbourhoods_as_the_checked_read(text, field.split(" |")[0].split(";"))
+
     @pytest.mark.parametrize("lemma, pos, passes", [
-        ("decrement", PartOfSpeech.NOUN, 3),
-        ("zzz", PartOfSpeech.NOUN, 2),
+        ("decrement", PartOfSpeech.NOUN, 2),
+        ("zzz", PartOfSpeech.NOUN, 1),
     ])
     def test_a_refused_text_costs_the_proof_and_the_checked_read(self, monkeypatch, lemma,
                                                                  pos, passes):
-        """A text the proof refuses, here with CRLF line ends, is read from
-        its first line again: one pass more than a proven read."""
+        """A text the proof refuses, here with CRLF line ends, is checked
+        from the refused chunk on and never read again from its first line:
+        it takes as many passes as a proven read."""
         text = fixture_text("decrement.lex")
         proven = load_neighbourhood(text, lemma, pos)
         calls, chunks = [], lexnet._chunks
