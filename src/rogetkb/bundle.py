@@ -198,7 +198,17 @@ def write_bundle(
     diagnostics: tuple[ParseDiagnostic, ...] = (),
     lex_text: Optional[str] = None,
 ) -> BuildMeta:
-    source = serialize_kb(kb)
+    return _write_source(path, serialize_kb(kb), diagnostics, lex_text)
+
+
+def _write_source(
+    path: Union[str, Path],
+    source: str,
+    diagnostics: tuple[ParseDiagnostic, ...],
+    lex_text: Optional[str],
+) -> BuildMeta:
+    """``write_bundle`` of the knowledge base whose ``serialize_kb`` is
+    ``source``: a text that ``canonical_heads`` proves is stored as it is."""
     meta = BuildMeta(
         source_checksum=_source_checksum(source),
         lex_checksum=_sha256(lex_text) if lex_text is not None else None,

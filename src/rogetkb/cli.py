@@ -27,13 +27,16 @@ from .aligner import (
     pos_distribution,
 )
 from .bundle import (
-    BundleError, KBBundle, _lemmas_alongside, load_bundle, structured_document, write_bundle,
+    BundleError, KBBundle, _lemmas_alongside, _write_source, load_bundle, structured_document,
+    write_bundle,
 )
 from .lexnet import LABEL_PRECEDENCE, LexiconError, RelationType
 from .lexnet import load_resource  # unused; perfbench/tracer.py binds it here
 from .metrics import word_distance
 from .model import POS_BY_TAG, Address, AddressError, PartOfSpeech, _collector_paused
-from .parser import parse_source, serialize_kb
+from .parser import (
+    ParseResult, _canonical_kb, _unknown_refs, canonical_heads, parse_source, serialize_kb,
+)
 
 EXIT_PARSE = 1
 EXIT_IO = 2
@@ -98,10 +101,11 @@ def main(ctx: click.Context) -> None:
 @click.option("--out", "out_path", type=click.Path(), required=True,
               help="bundle file to write")
 def build(source: str, lex_path: Optional[str], out_path: str) -> None:
-    """Parse SOURCE, index it, and write a bundle.
+    """Read SOURCE and write a bundle that stores its canonical text.
 
-    Diagnostics go to standard error; the bundle is written only when no
-    error-severity diagnostic was produced.
+    A source already in canonical form is stored as it was read; any other
+    is parsed. Diagnostics go to standard error; the bundle is written only
+    when no error-severity diagnostic was produced.
     """
     text, error = _try_read_text(source)
     if text is None:
@@ -110,10 +114,14 @@ def build(source: str, lex_path: Optional[str], out_path: str) -> None:
     # The lexicon is read and checked while the source parses, but its
     # faults are reported after the parse's, in the order a sequential
     # build gives: parse errors, then an unreadable lexicon, then a
-    # malformed one.
+    # malformed one. A proven text is built without the parser, and its
+    # only diagnostics are its references to undeclared heads.
     lex_text, lex_error = _try_read_text(lex_path) if lex_path is not None else (None, "")
     with _lemmas_alongside(lex_text) as checked:
-        result = parse_source(text)
+        heads = canonical_heads(text)
+        result = parse_source(text) if heads is None else ParseResult(
+            _canonical_kb(text), _unknown_refs(text, heads)
+        )
         for diag in result.diagnostics:
             click.echo(str(diag), err=True)
         if result.kb is None:
@@ -127,7 +135,10 @@ def build(source: str, lex_path: Optional[str], out_path: str) -> None:
             click.echo(str(exc), err=True)
             sys.exit(EXIT_PARSE)
     try:
-        write_bundle(out_path, result.kb, result.diagnostics, lex_text)
+        if heads is None:
+            write_bundle(out_path, result.kb, result.diagnostics, lex_text)
+        else:  # the proven text is serialize_kb(result.kb), byte for byte
+            _write_source(out_path, text, result.diagnostics, lex_text)
     except OSError as exc:
         click.echo(f"error: cannot write {out_path}: {exc}", err=True)
         sys.exit(EXIT_IO)

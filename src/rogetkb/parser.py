@@ -367,6 +367,31 @@ def canonical_heads(text: str) -> Optional[list[HeadSlice]]:
     return heads
 
 
+_REF_NUMBER = re.compile(r"@([0-9]+) ")
+
+
+def _unknown_refs(text: str, heads: list[HeadSlice]) -> tuple[ParseDiagnostic, ...]:
+    """``parse_source(text).diagnostics`` for a text that ``canonical_heads``
+    proves (``heads`` is its proof): one warning per cross-reference to a
+    head the text does not declare, in file order, at its line. No other
+    diagnostic can arise. In a group line every ``"@"`` starts a reference,
+    whose number has no leading zero and so is compared as written; a
+    directive line, whose name may hold ``" @7 x"``, is skipped."""
+    declared = {str(head.number) for head in heads}
+    diagnostics: list[ParseDiagnostic] = []
+    line, at = 1, 0
+    for site in _REF_NUMBER.finditer(text):
+        number, start = site[1], site.start()
+        if number in declared or text[text.rfind("\n", 0, start) + 1] == "#":
+            continue
+        line += text.count("\n", at, start)
+        at = start
+        diagnostics.append(
+            ParseDiagnostic(line, "warning", f"cross-reference to unknown head {number}")
+        )
+    return tuple(diagnostics)
+
+
 def _entry(token: str) -> Entry:
     """The ``Entry`` of a canonical entry token: its text, then each
     ``" @"`` cross-reference."""

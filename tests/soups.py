@@ -4,10 +4,11 @@ line soup.
 Source soups are shared by the parser's consistency property, the index
 oracle property, the bundle round-trip property and the CLI fuzz test;
 lexicon soups feed the lexicon reader's oracle property. Canonical sources
-are the text ``build`` stores for a well-formed soup, as it is or after one
-edit. Signed bundles store a source and a lexicon soup as drawn, each under
-its own correct checksum, so every one of them passes the load's checksum
-gate.
+are the text ``build`` stores for a well-formed soup, as it is, after one
+edit, or with one directive renamed to a name that reads like a group
+line's references and separators. Signed bundles store a source and a
+lexicon soup as drawn, each under its own correct checksum, so every one
+of them passes the load's checksum gate.
 """
 
 from __future__ import annotations
@@ -166,6 +167,21 @@ def canonical_sources(draw, edited: bool = True) -> str:
         return text
     match = draw(st.sampled_from(found))
     return text[:match.start()] + new(match) + text[match.end():]
+
+
+# names a canonical directive may carry that read like a group line's
+# references, separators and terminator; head 7 may or may not be declared
+_GROUP_LIKE_NAMES = ["a @7 x", "a, b", "a; b", "Y @7 x, z; w", "@7 x;", "@99999 q @7 r"]
+
+
+@st.composite
+def group_like_names(draw) -> str:
+    """A canonical source with one class, section or head renamed to a
+    name holding ``" @7 x"``, ``", "`` or ``";"``: still canonical."""
+    text = draw(canonical_sources(edited=False))
+    names = list(re.finditer(r"^#(?:CLASS|SECTION|HEAD) [0-9]+ ([^\n]*)", text, re.MULTILINE))
+    match = draw(st.sampled_from(names))
+    return text[:match.start(1)] + draw(st.sampled_from(_GROUP_LIKE_NAMES)) + text[match.end(1):]
 
 
 # -- lexicon interchange documents ----------------------------------------------

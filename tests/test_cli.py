@@ -9,6 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 from typing import Optional
+from unittest import mock
 
 import pytest
 from click.testing import CliRunner
@@ -16,19 +17,24 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from rogetkb import bundle as bundle_module
+from rogetkb import cli as cli_module
 from rogetkb.aligner import label_paragraph
 from rogetkb.bundle import BundleError, load_bundle
 from rogetkb.cli import main, render_labelled
 from rogetkb.lexnet import load_neighbourhood, load_resource
 from rogetkb.metrics import word_distance
 from rogetkb.model import Address, PartOfSpeech
-from rogetkb.parser import _canonical_kb, canonical_heads, parse_source, serialize_kb
+from rogetkb.parser import (
+    ParseResult, _canonical_kb, _unknown_refs, canonical_heads, parse_source, serialize_kb,
+)
 from corpusgen import fixture_text
 from oracles import (
     reference_index, reference_load_resource, reference_parse_source, reference_render_labelled,
     reference_stats, reference_structured_document, stats_rows, walk_paragraphs,
 )
-from soups import canonical_sources, line_soups, signed_bundles, widest_paragraph
+from soups import (
+    canonical_sources, group_like_names, line_soups, signed_bundles, widest_paragraph,
+)
 
 runner = CliRunner()
 
@@ -204,6 +210,125 @@ class TestBuild:
         assert result.stderr.splitlines()[-1].startswith(f"error: cannot write {out}")
         assert result.stdout == ""
         assert not out.parent.exists()
+
+
+def _builds(workdir: Path, source: Path, lex: Optional[str], out: Path) -> tuple:
+    """Exit code, stdout, stderr and bundle bytes (None when none is written)
+    of ``build source --lex lex --out out``, from ``workdir``'s lexicon files."""
+    out.unlink(missing_ok=True)
+    lex_args = [] if lex is None else ["--lex", str(workdir / lex)]
+    result = runner.invoke(main, ["build", str(source), *lex_args, "--out", str(out)])
+    if result.exception is not None and not isinstance(result.exception, SystemExit):
+        raise result.exception
+    return result.exit_code, result.stdout, result.stderr, out.read_bytes() if out.exists() else None
+
+
+def _proven_build_matches_the_parse(workdir: Path, source: Path, lex: Optional[str]) -> bool:
+    """When the text ``build`` reads from ``source`` is proven canonical, the
+    KB and diagnostics built from the proof are the reference parser's. Either
+    way ``build`` gives what it gives with the proof refused: the same exit
+    code, output and bundle bytes. Returns whether the text was proven."""
+    text = source.read_text(encoding="utf-8-sig")
+    heads = canonical_heads(text)
+    if heads is not None:
+        proven = ParseResult(_canonical_kb(text), _unknown_refs(text, heads))
+        assert proven == reference_parse_source(text)
+    out = workdir / "proven.kb"
+    built = _builds(workdir, source, lex, out)
+    with mock.patch("rogetkb.cli.canonical_heads", lambda text: None):
+        assert _builds(workdir, source, lex, out) == built
+    return heads is not None
+
+
+# a group line holding the same reference to an undeclared head twice in
+# one entry and once more in another, under a head whose name holds it too
+_TWICE_DANGLING = (
+    "#CLASS 1 C\n#SECTION 1 S\n#HEAD 1 H @7 x\n#PARA N\n"
+    "x @7 y @7 y, z @7 y;\nw @1 h;\n"
+)
+
+
+class TestProvenBuild:
+    """``build`` of a source in canonical form stores the text as read, and
+    builds its KB and diagnostics without the general parser; any other
+    source is parsed. Both give the same exit code, output and bundle."""
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(text=st.one_of(canonical_sources(edited=True), group_like_names()),
+           lex=st.sampled_from([None, "decrement.lex"]))
+    def test_any_canonical_text_or_edit_of_one(self, workdir, text, lex):
+        source = workdir / "drawn.roget"
+        source.write_bytes(text.encode("utf-8"))
+        _proven_build_matches_the_parse(workdir, source, lex)
+
+    @staticmethod
+    def _canonical(name: str, perfbench_corpus) -> str:
+        if name == "generated":
+            return perfbench_corpus.generate(3, scale=0.05).canonical
+        if name == "twice-dangling":
+            return _TWICE_DANGLING
+        return serialize_kb(reference_parse_source(fixture_text(name)).kb)
+
+    @pytest.mark.parametrize("lex", [None, "decrement.lex", "absent.lex", "bad-kind.lex"])
+    @pytest.mark.parametrize("copy", ["as-is", "crlf", "bom", "crlf-bom"])
+    @pytest.mark.parametrize(
+        "name", ["head42.roget", "two_class.roget", "generated", "twice-dangling"]
+    )
+    def test_canonical_sources(self, workdir, perfbench_corpus, name, copy, lex):
+        """The fixtures' and a generated corpus's canonical exports, and a
+        text whose group line references one undeclared head twice in an
+        entry and again in the next, with CRLF line ends or a byte-order
+        mark, which the read takes away, and with a good, a missing or a
+        malformed lexicon."""
+        (workdir / "bad-kind.lex").write_text("BOGUS record\n", encoding="utf-8")
+        data = self._canonical(name, perfbench_corpus).encode("utf-8")
+        if "crlf" in copy:
+            data = data.replace(b"\n", b"\r\n")
+        if "bom" in copy:
+            data = b"\xef\xbb\xbf" + data
+        source = workdir / f"{name}.{copy}.canon"
+        source.write_bytes(data)
+        assert _proven_build_matches_the_parse(workdir, source, lex)
+
+    def test_a_write_error_after_the_proof(self, workdir):
+        source = workdir / "head42.canon"
+        source.write_text(self._canonical("head42.roget", None), encoding="utf-8")
+        out = workdir / "absent-dir" / "out.kb"
+        code, stdout, stderr, _ = _builds(workdir, source, "decrement.lex", out)
+        assert (code, stdout) == (2, "")
+        assert stderr.splitlines()[-1].startswith(f"error: cannot write {out}")
+        with mock.patch("rogetkb.cli.canonical_heads", lambda text: None):
+            assert _builds(workdir, source, "decrement.lex", out) == (code, stdout, stderr, None)
+
+    def test_a_canonical_source_is_neither_parsed_nor_serialized(self, workdir, b42,
+                                                                 monkeypatch):
+        source = workdir / "head42.canon"
+        source.write_text(self._canonical("head42.roget", None), encoding="utf-8")
+        expected = _builds(workdir, source, "decrement.lex", workdir / "pinned.kb")
+        for name in ("cli.parse_source", "cli.serialize_kb", "cli.write_bundle",
+                     "bundle.parse_source", "bundle.serialize_kb",
+                     "model.ThesaurusKB.canonical_source"):
+            monkeypatch.setattr(f"rogetkb.{name}", _raise)
+        assert _builds(workdir, source, "decrement.lex", workdir / "pinned.kb") == expected
+        assert expected[0] == 0 and expected[3] == Path(b42).read_bytes()
+
+    def test_any_other_source_is_parsed_and_serialized(self, workdir, b42, monkeypatch):
+        """``build`` of ``head42.roget``, which is not canonical, parses it and
+        writes the serialization of its KB through ``write_bundle``."""
+        calls = []
+
+        def counted(name: str):
+            real = getattr(bundle_module if name == "serialize_kb" else cli_module, name)
+            return lambda *args: calls.append(name) or real(*args)
+
+        monkeypatch.setattr("rogetkb.cli.parse_source", counted("parse_source"))
+        monkeypatch.setattr("rogetkb.cli.write_bundle", counted("write_bundle"))
+        monkeypatch.setattr("rogetkb.bundle.serialize_kb", counted("serialize_kb"))
+        source = workdir / "head42.roget"
+        assert canonical_heads(source.read_text(encoding="utf-8")) is None
+        built = _builds(workdir, source, "decrement.lex", workdir / "parsed.kb")
+        assert built[0] == 0 and built[3] == Path(b42).read_bytes()
+        assert calls == ["parse_source", "write_bundle", "serialize_kb"]
 
 
 def _rewritten(workdir: Path, bundle: str, mutate) -> str:
