@@ -6,8 +6,10 @@ sha256 of the stored texts, byte for byte, and proves or parses the
 embedded source text. A source in the canonical form ``build`` writes is
 proven so by ``canonical_heads``, and is then built without the general
 parser, only when and as far as a command reads it (see ``load_bundle``);
-any other source is parsed at load. The index and the lexicon are built
-from the texts on first use. Output is byte-deterministic (no timestamps).
+the postings of a single query's words are read from such a text without
+building it. Any other source is parsed at load. The index and the lexicon
+are built from the texts on first use. Output is byte-deterministic (no
+timestamps).
 
 ``structured_document`` writes the structured export with one streaming
 writer: each of its objects is a layout template that its values fill.
@@ -22,9 +24,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import re
 import threading
-from bisect import bisect_right
 from contextlib import contextmanager
 from dataclasses import astuple, dataclass
 from functools import cached_property
@@ -35,9 +35,10 @@ from typing import Any, Callable, Iterable, Iterator, Optional, TextIO, Union
 from .aligner import COVERAGE_COLUMNS, class_coverage, common_strings, pos_distribution
 from .index import LexicalIndex, build_index
 from .lexnet import LexiconError, SynsetResource, lexicon_lemmas, load_neighbourhood, load_resource
-from .model import PartOfSpeech, RogetClass, Section, ThesaurusKB
+from .model import Address, PartOfSpeech, RogetClass, Section, ThesaurusKB
 from .parser import (
-    HeadSlice, ParseDiagnostic, _canonical_kb, canonical_heads, parse_source, serialize_kb,
+    HeadSlice, ParseDiagnostic, _canonical_kb, _entry_sites, _postings, canonical_heads,
+    parse_source, serialize_kb,
 )
 from .text import normalize
 
@@ -63,17 +64,11 @@ def _kb_of_heads(text: str, heads: list[HeadSlice], words: tuple[str, ...],
                  numbers: tuple[int, ...]) -> ThesaurusKB:
     """The knowledge base of the pieces of the proven ``text`` (``heads`` is
     its proof) that belong to the heads numbered in ``numbers`` or holding
-    one of ``words``, in file order, built as ``KBBundle.kb`` is. A raw
-    entry is its normalized text and runs from a line start or ", " to ",",
-    ";" or " @", so a search for each normalized word finds every head
-    holding it, and maybe more."""
-    starts = [head.pieces[-1][0] for head in heads]
+    one of ``words``, in file order, built as ``KBBundle.kb`` is."""
     kept = {i for i, head in enumerate(heads) if head.number in numbers}
-    for query in filter(None, map(normalize, words)):
-        for hit in re.finditer(re.escape(query) + "(?=[,;]| @)", text):
-            at = hit.start()
-            if at > starts[0] and (text[at - 1] == "\n" or text[at - 2:at] == ", "):
-                kept.add(bisect_right(starts, at) - 1)
+    kept.update(i for word in words for i, _ in _entry_sites(text, heads, word))
+    if not kept:  # nothing to build
+        return ThesaurusKB(())
     # heads of one section share its lines, which are built once
     pieces = dict.fromkeys(piece for i in sorted(kept) for piece in heads[i].pieces)
     return _canonical_kb("".join(text[start:end] for start, end in pieces))
@@ -84,10 +79,11 @@ class KBBundle:
     is built on first access, so a command pays only for the layers it
     reads. A source text in the canonical form ``build`` writes is proven
     so by ``canonical_heads``, and its ``kb`` is built without the general
-    parser; until then ``kb_of`` builds only the heads a query reads. A
-    single query reads a scoped layer: it indexes only its words, or keeps
-    only its keyword's neighbourhood of the lexicon. A command that counts
-    lemmas keeps only the lemma set."""
+    parser; until then ``kb_of`` builds only the heads a query reads, and
+    ``index_of`` reads its words' postings from the text itself. A single
+    query reads a scoped layer: it indexes only its words, or keeps only its
+    keyword's neighbourhood of the lexicon. A command that counts lemmas
+    keeps only the lemma set."""
 
     def __init__(self, source: str, meta: Optional[BuildMeta], lex_text: Optional[str],
                  path: str) -> None:
@@ -96,7 +92,7 @@ class KBBundle:
         self.meta, self._lex_text, self._path = meta, lex_text, path
         # the text and its proof (None when it is not proven) are read and
         # let go as one pair, so that no thread sees one without the other
-        self._text, self._last = (source, canonical_heads(source)), (None, None)
+        self._text = source, canonical_heads(source)
 
     @cached_property
     def kb(self) -> Optional[ThesaurusKB]:
@@ -106,7 +102,7 @@ class KBBundle:
         stored text, which is let go."""
         source, heads = self._text
         kb = parse_source(source).kb if heads is None else _canonical_kb(source)
-        self._text, self._last = ("", None), (None, None)
+        self._text = "", None
         return kb
 
     @property
@@ -127,22 +123,32 @@ class KBBundle:
         so that it answers their index lookups, ``resolve`` and
         ``head_address`` calls as ``kb`` does. This is ``kb`` itself, unless
         the source is proven canonical and ``kb`` is neither built nor
-        assigned yet. The last answer is kept, so that a query's
-        ``index_of`` and ``kb_of`` share one build."""
+        assigned yet; then it is built anew on each call and not kept."""
         text = self._text
         if text[1] is None or "kb" in vars(self):
             return self.kb
-        key, last = (tuple(words), tuple(heads)), self._last
-        if last[0] != key:
-            last = self._last = (key, _kb_of_heads(*text, *key))
-        return last[1]
+        return _kb_of_heads(*text, tuple(words), tuple(heads))
+
+    def _rows(self, word: str) -> Optional[list[tuple[Address, str, str]]]:
+        """``parser._postings`` of ``word``: its postings, each with its
+        head's name and paragraph's keyword, read from the stored source
+        while it is proven canonical and ``kb`` is neither built nor
+        assigned; None otherwise."""
+        source, heads = self._text
+        return None if heads is None or "kb" in vars(self) else _postings(source, heads, word)
 
     def index_of(self, words: Iterable[str]) -> LexicalIndex:
-        """An index of ``words`` alone, built from ``kb_of(words)`` by one
-        walk that keeps only their postings and not cached: the path for a
-        single query."""
+        """An index of ``words`` alone, not cached: the path for a single
+        query. Their postings are read from the proven text, building no
+        head, while ``kb`` is unbuilt; otherwise one walk of ``kb`` keeps
+        only their postings."""
         words = tuple(words)
-        return build_index(self.kb_of(words=words), words)
+        found = [self._rows(word) for word in words]
+        if None in found:
+            return build_index(self.kb, words)
+        return LexicalIndex({
+            normalize(word): tuple(row[0] for row in rows) for word, rows in zip(words, found) if rows
+        })
 
     def _read_lexicon(self, read: Callable[[str], Any]) -> Any:
         """``read`` of the embedded lexicon text; BundleError when it is malformed."""

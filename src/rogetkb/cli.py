@@ -34,9 +34,7 @@ from .lexnet import LABEL_PRECEDENCE, LexiconError, RelationType
 from .lexnet import load_resource  # unused; perfbench/tracer.py binds it here
 from .metrics import word_distance
 from .model import POS_BY_TAG, Address, AddressError, PartOfSpeech, _collector_paused
-from .parser import (
-    ParseResult, _canonical_kb, _unknown_refs, canonical_heads, parse_source, serialize_kb,
-)
+from .parser import _canonical_counts, _unknown_refs, canonical_heads, parse_source, serialize_kb
 
 EXIT_PARSE = 1
 EXIT_IO = 2
@@ -114,17 +112,21 @@ def build(source: str, lex_path: Optional[str], out_path: str) -> None:
     # The lexicon is read and checked while the source parses, but its
     # faults are reported after the parse's, in the order a sequential
     # build gives: parse errors, then an unreadable lexicon, then a
-    # malformed one. A proven text is built without the parser, and its
-    # only diagnostics are its references to undeclared heads.
+    # malformed one. A proven text is neither parsed nor built: its only
+    # diagnostics are its references to undeclared heads, and it is counted
+    # line by line while the lexicon is read.
     lex_text, lex_error = _try_read_text(lex_path) if lex_path is not None else (None, "")
     with _lemmas_alongside(lex_text) as checked:
         heads = canonical_heads(text)
-        result = parse_source(text) if heads is None else ParseResult(
-            _canonical_kb(text), _unknown_refs(text, heads)
-        )
-        for diag in result.diagnostics:
+        if heads is None:
+            result = parse_source(text)
+            kb, diagnostics = result.kb, result.diagnostics
+        else:
+            kb, diagnostics = None, _unknown_refs(text, heads)
+            counts = _canonical_counts(text, heads)
+        for diag in diagnostics:
             click.echo(str(diag), err=True)
-        if result.kb is None:
+        if heads is None and kb is None:
             sys.exit(EXIT_PARSE)
         if lex_error:
             click.echo(lex_error, err=True)
@@ -136,17 +138,16 @@ def build(source: str, lex_path: Optional[str], out_path: str) -> None:
             sys.exit(EXIT_PARSE)
     try:
         if heads is None:
-            write_bundle(out_path, result.kb, result.diagnostics, lex_text)
-        else:  # the proven text is serialize_kb(result.kb), byte for byte
-            _write_source(out_path, text, result.diagnostics, lex_text)
+            write_bundle(out_path, kb, diagnostics, lex_text)
+        else:  # the proven text is serialize_kb of its KB, byte for byte
+            _write_source(out_path, text, diagnostics, lex_text)
     except OSError as exc:
         click.echo(f"error: cannot write {out_path}: {exc}", err=True)
         sys.exit(EXIT_IO)
-    counts = result.kb.count_nodes()
-    click.echo(
-        f"wrote {out_path}: {len(result.kb.classes)} classes, "
-        f"{counts.heads} heads, {counts.entries} entries"
-    )
+    if heads is None:
+        tally = kb.count_nodes()
+        counts = len(kb.classes), tally.heads, tally.entries
+    click.echo("wrote {}: {} classes, {} heads, {} entries".format(out_path, *counts))
 
 
 @main.command()
@@ -158,12 +159,17 @@ def lookup(word: str, kb_path: str) -> None:
     A miss prints nothing and still exits 0.
     """
     bundle = _load(kb_path)
-    # one scoped build: kb_of keeps the knowledge base index_of was built from
-    index, kb = bundle.index_of([word]), bundle.kb_of(words=[word])
-    for addr in index.lookup(word):
-        head = kb.resolve(Address(*addr[:3]))
-        para = kb.resolve(Address(*addr[:5]))
-        click.echo(f"{addr}\t{head.name}\t{para.keyword}")
+    # a proven text gives each posting with its head name and keyword, and
+    # builds no head; a parsed one answers from its knowledge base
+    rows = bundle._rows(word)
+    if rows is None:
+        kb = bundle.kb
+        rows = [
+            (addr, kb.resolve(Address(*addr[:3])).name, kb.resolve(Address(*addr[:5])).keyword)
+            for addr in bundle.index_of([word]).lookup(word)
+        ]
+    for addr, head_name, keyword in rows:
+        click.echo(f"{addr}\t{head_name}\t{keyword}")
 
 
 @main.command()
@@ -179,7 +185,8 @@ def sim(word_a: str, word_b: str, kb_path: str) -> None:
         for word in missing:
             click.echo(f"error: word not indexed: {word}", err=True)
         sys.exit(EXIT_MISSING)
-    result = word_distance(bundle.kb_of(words=[word_a, word_b]), index, word_a, word_b)
+    # word_distance reads only the index, so a proven text builds no head
+    result = word_distance(bundle.kb_of(), index, word_a, word_b)
     click.echo(
         f"distance={result.distance} similarity={result.similarity:.4f} "
         f"lca={result.lca_level} a={result.witness_a} b={result.witness_b}"

@@ -37,13 +37,15 @@ section lines, and which ``_canonical_kb`` builds without this parser.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 from .model import (
     MAX_DIGITS,
     POS_BY_TAG,
+    Address,
     CrossReference,
     Entry,
     Head,
@@ -316,6 +318,7 @@ _CANONICAL_LINE = (
 # each searched for after a "\n", so that the search skips to line breaks
 _NON_CANONICAL_LINE = re.compile(rf"\n(?!\Z|{_CANONICAL_LINE})")
 _DIRECTIVE_LINE = re.compile(r"\n#[^\n]*")
+_ENTRY_TEXT = re.compile(_WORD)
 _OPENING = re.compile(r"\n(?=(#(CLASS|SECTION|HEAD) ([0-9]+)[^\n]*\n))")
 
 
@@ -390,6 +393,70 @@ def _unknown_refs(text: str, heads: list[HeadSlice]) -> tuple[ParseDiagnostic, .
             ParseDiagnostic(line, "warning", f"cross-reference to unknown head {number}")
         )
     return tuple(diagnostics)
+
+
+def _canonical_counts(text: str, heads: list[HeadSlice]) -> tuple[int, int, int]:
+    """``len(kb.classes)`` and the ``heads`` and ``entries`` of
+    ``kb.count_nodes()`` for the KB of a text that ``canonical_heads`` proves
+    (``heads`` is its proof), counted in the text. A class is a ``#CLASS``
+    line, and every line that is not a directive is one group of entries
+    joined by ``", "``; a directive line, whose name may hold ``", "``,
+    holds no entry."""
+    directives = _DIRECTIVE_LINE.findall("\n" + text)
+    separators = text.count(", ") - sum(line.count(", ") for line in directives)
+    groups = text.count("\n") - len(directives)
+    classes = sum(line.startswith("\n#CLASS ") for line in directives)
+    return classes, len(heads), separators + groups
+
+
+def _entry_sites(text: str, heads: list[HeadSlice], word: str) -> Iterator[tuple[int, int]]:
+    """``(i, at)`` for each entry of a text that ``canonical_heads`` proves
+    (``heads`` is its proof) whose text is ``normalize(word)``, in file
+    order: ``at`` is its offset and ``heads[i]`` its head. In a group line
+    an entry is its own normalized text, a run free of ",", ";" and "@" from
+    the line start or ", " to ",", ";" or " @", so one literal search finds
+    them all. A hit on a directive line, whose name may hold ", ", is none."""
+    query = normalize(word)
+    if _ENTRY_TEXT.fullmatch(query) is None:  # no entry's text: "", or one holding ",;@"
+        return
+    starts = [head.pieces[-1][0] for head in heads]
+    for hit in re.finditer(re.escape(query) + "(?=[,;]| @)", text):
+        at = hit.start()
+        line = text.rfind("\n", 0, at) + 1
+        if (at == line or text[at - 2:at] == ", ") and text[line] != "#":
+            yield bisect_right(starts, at) - 1, at
+
+
+def _fields(text: str, at: int) -> list[str]:
+    """The directive line at offset ``at``: its keyword, number and name."""
+    return text[at:text.index("\n", at)].split(" ", 2)
+
+
+def _postings(text: str, heads: list[HeadSlice], word: str) -> list[tuple[Address, str, str]]:
+    """The postings of ``word`` in a text that ``canonical_heads`` proves
+    (``heads`` is its proof), in ``Address.sort_key`` order, each with its
+    head's name and its paragraph's keyword: ``build_index`` of the text's
+    KB and ``resolve`` of each posting's head and paragraph give the same.
+    Each is counted from its entry's site. The class and section numbers and
+    the head name are read from the head's pieces, ``para_idx`` counts the
+    head's earlier ``#PARA`` lines of the same tag, ``sg_idx`` the lines
+    since the paragraph's own and ``entry_idx`` the ``", "`` before the
+    entry on its line; the keyword is the paragraph's first entry."""
+    rows = []
+    for i, at in _entry_sites(text, heads, word):
+        (class_at, _), (section_at, _), (head_at, _) = heads[i].pieces
+        para_at = text.rfind("\n#PARA ", head_at, at) + 1
+        groups_at = text.index("\n", para_at) + 1
+        tag = text[para_at + 6:groups_at - 1]
+        line_at = text.rfind("\n", 0, at) + 1
+        address = Address(
+            int(_fields(text, class_at)[1]), int(_fields(text, section_at)[1]), heads[i].number,
+            POS_BY_TAG[tag], text.count(f"\n#PARA {tag}\n", head_at, para_at),
+            text.count("\n", groups_at, line_at), text.count(", ", line_at, at),
+        )
+        rows.append((address, _fields(text, head_at)[2], _ENTRY_TEXT.match(text, groups_at)[0]))
+    rows.sort(key=lambda row: row[0].sort_key())
+    return rows
 
 
 def _entry(token: str) -> Entry:

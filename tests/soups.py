@@ -173,6 +173,13 @@ def canonical_sources(draw, edited: bool = True) -> str:
 # references, separators and terminator; head 7 may or may not be declared
 _GROUP_LIKE_NAMES = ["a @7 x", "a, b", "a; b", "Y @7 x, z; w", "@7 x;", "@99999 q @7 r"]
 
+# a canonical source whose class, section and head names each hold ", ", so
+# that an entry search or count that reads directive lines finds too much
+GROUP_LIKE_SOURCE = (
+    "#CLASS 1 a, b; c\n#SECTION 1 Y @7 x, z; w\n#HEAD 1 y, z @7 x;\n#PARA N\n"
+    "y, z;\nw @1 h;\n#PARA VB\nz, b @1 y, c;\n"
+)
+
 
 @st.composite
 def group_like_names(draw) -> str:

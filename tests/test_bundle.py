@@ -8,9 +8,10 @@ import json
 import os
 import re
 import sys
+from unittest import mock
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from rogetkb import bundle as bundle_module
@@ -25,9 +26,15 @@ from rogetkb.lexnet import (
 )
 from rogetkb.model import Address, AddressError, PartOfSpeech, RogetClass, ThesaurusKB
 from rogetkb.parser import _canonical_kb, canonical_heads, parse_source, serialize_kb
+from rogetkb.text import normalize
 from corpusgen import fixture_text
-from oracles import reference_structured_document, walk_paragraphs, warnings
-from soups import canonical_sources, lexicon_soups, line_soups
+from oracles import (
+    reference_index, reference_parse_source, reference_structured_document, walk_paragraphs,
+    warnings,
+)
+from soups import (
+    GROUP_LIKE_SOURCE, canonical_sources, group_like_names, lexicon_soups, line_soups,
+)
 from test_cli import MALFORMED_BUNDLES
 
 
@@ -355,7 +362,11 @@ def _queries(kb: ThesaurusKB) -> list[str]:
     words = []
     for text in sorted(kb.entry_strings()):
         words += [text, text.upper(), f" \t{text.replace(' ', '  ')} ", text[1:], text[:-1]]
-    return words + ["", " ", "zeppelin", "a, b", "x @1 y", ";", "@"]
+    return words + _MISSES
+
+
+# no entry's text: blank, unknown, or holding what separates entries and references
+_MISSES = ["", " ", "zeppelin", "a, b", "x @1 y", ";", "@"]
 
 
 @pytest.fixture(scope="module")
@@ -384,6 +395,72 @@ def test_a_scoped_load_of_a_generated_corpus_answers_as_the_whole_kb(
     _assert_scoped_answers_as_the_whole(tmp_path / "corpus.kb", queries[:40] + queries[-200:] + [
         spelling for word in corpus.words[:10] for spelling in (word, word.upper(), f" {word}")
     ])
+
+
+def _assert_postings_read_as_the_whole_kb(path, text: str, words: list[str]) -> None:
+    """The ``lookup`` rows and ``index_of`` of a load of the canonical
+    ``text`` answer every word as ``reference_index`` of the reference
+    parse does, with the head name and keyword that ``resolve`` gives, while
+    neither builder nor the index walk may run."""
+    whole = reference_parse_source(text).kb
+    index = reference_index(whole)
+    bundle = load_bundle(path)
+    with mock.patch.object(bundle_module, "_canonical_kb", _never), \
+            mock.patch.object(bundle_module, "build_index", _never):
+        for word in words:
+            found = index.lookup(word)
+            assert bundle._rows(word) == [
+                (address, whole.resolve(Address(*address[:3])).name,
+                 whole.resolve(Address(*address[:5])).keyword)
+                for address in found
+            ], word
+        assert bundle.index_of(words).entries == {
+            key: index.entries[key] for key in map(normalize, words) if key in index.entries
+        }
+    assert "kb" not in vars(bundle)
+
+
+# the words of the names group_like_names gives a class, section or head
+_NAME_WORDS = ["a", "b", "q", "r", "w", "x", "y", "z", "7 x", "a; b", "y @7 x"]
+
+
+def _group_spans(kb: ThesaurusKB) -> list[str]:
+    """Text as it stands in a group line but no entry's text: two entries
+    and the ", " between them, and an entry with its cross-references."""
+    spans = []
+    for _, _, head in kb.walk_heads():
+        for para in head.paragraphs:
+            for group in para.groups:
+                spans += [entry.render() for entry in group.entries if entry.cross_refs]
+                if len(group.entries) > 1:
+                    spans.append(f"{group.entries[0].text}, {group.entries[1].text}")
+    return spans
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(text=st.one_of(canonical_sources(), group_like_names()))
+@example(text=GROUP_LIKE_SOURCE)
+def test_a_proven_text_gives_the_postings_of_the_whole_kb(signed_path, text):
+    if canonical_heads(text) is None:
+        return
+    _signed(signed_path, text)
+    kb = parse_source(text).kb
+    _assert_postings_read_as_the_whole_kb(
+        signed_path, text, _queries(kb) + _group_spans(kb) + _NAME_WORDS
+    )
+
+
+def test_a_proven_generated_corpus_gives_the_postings_of_the_whole_kb(perfbench_corpus, tmp_path):
+    """Every entry string as stored, and every spelling of one in 25: each
+    query costs a search of the whole text."""
+    text = perfbench_corpus.generate(3, scale=0.05).canonical
+    _signed(tmp_path / "corpus.kb", text)
+    kb = parse_source(text).kb
+    strings = sorted(kb.entry_strings())
+    words = strings + _MISSES + _group_spans(kb)[::25]
+    for string in strings[::25]:
+        words += [string.upper(), f" \t{string.replace(' ', '  ')} ", string[1:], string[:-1]]
+    _assert_postings_read_as_the_whole_kb(tmp_path / "corpus.kb", text, words)
 
 
 def test_a_scoped_load_parses_a_non_canonical_source_as_the_eager_load(tmp_path, kb2):
@@ -440,6 +517,7 @@ def test_one_query_makes_one_scoped_parse(tmp_path, monkeypatch, kb2):
     bundle = load_bundle(tmp_path / "two.kb")
     assert parsed == []
     index = bundle.index_of(["void", "being"])
+    assert parsed == []  # the postings are read from the proven text
     kb = bundle.kb_of(words=["void", "being"])
     assert [head.number for _, _, head in kb.walk_heads()] == [1, 2, 183]
     assert index.lookup("void") == build_index(kb2).lookup("void")

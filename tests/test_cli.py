@@ -13,7 +13,7 @@ from unittest import mock
 
 import pytest
 from click.testing import CliRunner
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from rogetkb import bundle as bundle_module
@@ -25,7 +25,8 @@ from rogetkb.lexnet import load_neighbourhood, load_resource
 from rogetkb.metrics import word_distance
 from rogetkb.model import Address, PartOfSpeech
 from rogetkb.parser import (
-    ParseResult, _canonical_kb, _unknown_refs, canonical_heads, parse_source, serialize_kb,
+    ParseResult, _canonical_counts, _canonical_kb, _unknown_refs, canonical_heads, parse_source,
+    serialize_kb,
 )
 from corpusgen import fixture_text
 from oracles import (
@@ -33,7 +34,8 @@ from oracles import (
     reference_stats, reference_structured_document, stats_rows, walk_paragraphs,
 )
 from soups import (
-    canonical_sources, group_like_names, line_soups, signed_bundles, widest_paragraph,
+    GROUP_LIKE_SOURCE, canonical_sources, group_like_names, line_soups, signed_bundles,
+    widest_paragraph,
 )
 
 runner = CliRunner()
@@ -204,6 +206,26 @@ class TestBuild:
         result = invoke("build", str(bad), "--out", str(workdir / "z.kb"), expect=2)
         assert "cannot read" in result.stderr
 
+    @pytest.mark.parametrize("copy", ["crlf", "cr", "bom", "crlf-bom"])
+    def test_a_lexicon_file_is_stored_as_the_text_read(self, workdir, copy):
+        """``--lex`` is read with universal newlines and without a byte-order
+        mark, and the bundle stores the text read, under its own checksum:
+        a CRLF, CR-only or BOM copy builds the same bundle as the file."""
+        data = (workdir / "decrement.lex").read_bytes()
+        if "cr" in copy:
+            data = data.replace(b"\n", b"\r\n" if "crlf" in copy else b"\r")
+        if "bom" in copy:
+            data = b"\xef\xbb\xbf" + data
+        (workdir / f"decrement.{copy}.lex").write_bytes(data)
+        source = workdir / "head42.roget"
+        built = _builds(workdir, source, f"decrement.{copy}.lex", workdir / "copy.kb")
+        assert built == _builds(workdir, source, "decrement.lex", workdir / "copy.kb")
+        document = json.loads(built[3])
+        assert "\r" not in document["lexicon"] and "\ufeff" not in document["lexicon"]
+        assert document["meta"]["lexChecksum"] == hashlib.sha256(
+            document["lexicon"].encode("utf-8")
+        ).hexdigest()
+
     def test_out_in_missing_directory_exits_2(self, workdir):
         out = workdir / "absent-dir" / "out.kb"
         result = invoke("build", str(workdir / "two_class.roget"), "--out", str(out), expect=2)
@@ -227,12 +249,19 @@ def _proven_build_matches_the_parse(workdir: Path, source: Path, lex: Optional[s
     """When the text ``build`` reads from ``source`` is proven canonical, the
     KB and diagnostics built from the proof are the reference parser's. Either
     way ``build`` gives what it gives with the proof refused: the same exit
-    code, output and bundle bytes. Returns whether the text was proven."""
+    code, output and bundle bytes. The text's own count, which ``build``
+    prints, is the reference KB's classes, heads and entries. Returns
+    whether the text was proven."""
     text = source.read_text(encoding="utf-8-sig")
     heads = canonical_heads(text)
     if heads is not None:
         proven = ParseResult(_canonical_kb(text), _unknown_refs(text, heads))
-        assert proven == reference_parse_source(text)
+        reference = reference_parse_source(text)
+        assert proven == reference
+        counts = reference.kb.count_nodes()
+        assert _canonical_counts(text, heads) == (
+            len(reference.kb.classes), counts.heads, counts.entries
+        )
     out = workdir / "proven.kb"
     built = _builds(workdir, source, lex, out)
     with mock.patch("rogetkb.cli.canonical_heads", lambda text: None):
@@ -256,6 +285,7 @@ class TestProvenBuild:
     @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(text=st.one_of(canonical_sources(edited=True), group_like_names()),
            lex=st.sampled_from([None, "decrement.lex"]))
+    @example(text=GROUP_LIKE_SOURCE, lex=None)
     def test_any_canonical_text_or_edit_of_one(self, workdir, text, lex):
         source = workdir / "drawn.roget"
         source.write_bytes(text.encode("utf-8"))
@@ -311,6 +341,23 @@ class TestProvenBuild:
             monkeypatch.setattr(f"rogetkb.{name}", _raise)
         assert _builds(workdir, source, "decrement.lex", workdir / "pinned.kb") == expected
         assert expected[0] == 0 and expected[3] == Path(b42).read_bytes()
+
+    @pytest.mark.parametrize("lex", [None, "decrement.lex"])
+    @pytest.mark.parametrize(
+        "name", ["head42.roget", "two_class.roget", "generated", "twice-dangling"]
+    )
+    def test_a_canonical_source_builds_no_tree(self, workdir, perfbench_corpus, monkeypatch,
+                                               name, lex):
+        """A proven text is counted from its lines: no knowledge base is
+        built, by either builder, and none is counted."""
+        source = workdir / f"{name}.tree-free.canon"
+        source.write_text(self._canonical(name, perfbench_corpus), encoding="utf-8")
+        expected = _builds(workdir, source, lex, workdir / "tree-free.kb")
+        for name in ("parser._canonical_kb", "bundle._canonical_kb", "cli.parse_source",
+                     "model.ThesaurusKB.count_nodes", "model.ThesaurusKB.__init__"):
+            monkeypatch.setattr(f"rogetkb.{name}", _raise)
+        assert _builds(workdir, source, lex, workdir / "tree-free.kb") == expected
+        assert expected[0] == 0 and expected[3] is not None
 
     def test_any_other_source_is_parsed_and_serialized(self, workdir, b42, monkeypatch):
         """``build`` of ``head42.roget``, which is not canonical, parses it and
@@ -478,16 +525,41 @@ class TestLazyLayers:
         result = _call(args, b42, workdir / "lazy.out", expect=expect)
         assert (result.stdout, result.stderr) == (stdout, stderr)
 
-    @pytest.mark.parametrize("args, expect, heads", [
-        (("lookup", "void", "--kb", "{kb}"), 0, [2, 183]),
+    @pytest.mark.parametrize("args", [
+        _LOOKUP, ("lookup", "void", "--kb", "{kb}"), ("lookup", "zzzz", "--kb", "{kb}"),
+        _SIM, ("sim", "void", "being", "--kb", "{kb}"), ("sim", "void", "zzzz", "--kb", "{kb}"),
+    ], ids=["lookup", "lookup-repeated", "lookup-miss", "sim", "sim-across-classes", "sim-miss"])
+    @pytest.mark.parametrize("bundle", ["b42", "b2_lex"])
+    def test_single_queries_on_a_proven_text_build_nothing(
+        self, workdir, request, monkeypatch, bundle, args
+    ):
+        """``lookup`` and ``sim`` read their postings from a proven text: no
+        head is built, no index is walked and nothing is resolved. ``sim``
+        hands ``word_distance`` the empty knowledge base."""
+        argv = [a.format(kb=request.getfixturevalue(bundle)) for a in args]
+        expected = runner.invoke(main, argv)
+        for name in ("bundle._canonical_kb", "bundle.build_index", "bundle.parse_source",
+                     "model.ThesaurusKB.resolve"):
+            monkeypatch.setattr(f"rogetkb.{name}", _raise)
+        result = runner.invoke(main, argv)
+        assert expected.exit_code in (0, 3)
+        assert (result.exit_code, result.stdout, result.stderr) == (
+            expected.exit_code, expected.stdout, expected.stderr
+        )
+
+    # the heads of each knowledge base a query builds: lookup and sim read
+    # their postings from the proven text, and sim hands word_distance the
+    # empty knowledge base, which it never reads; a missing head builds none
+    @pytest.mark.parametrize("args, expect, builds", [
+        (("lookup", "void", "--kb", "{kb}"), 0, []),
         (("lookup", "zzzz", "--kb", "{kb}"), 0, []),
-        (("sim", "void", "being", "--kb", "{kb}"), 0, [1, 2, 183]),
-        (("sim", "void", "zzzz", "--kb", "{kb}"), 3, [2, 183]),
-        (("label", "9", "N", "--kb", "{kb}"), 0, [9]),
+        (("sim", "void", "being", "--kb", "{kb}"), 0, []),
+        (("sim", "void", "zzzz", "--kb", "{kb}"), 3, []),
+        (("label", "9", "N", "--kb", "{kb}"), 0, [[9]]),
         (("label", "10", "N", "--kb", "{kb}"), 3, []),
     ], ids=["lookup", "lookup-miss", "sim", "sim-exit-3", "label", "label-exit-3"])
     def test_single_queries_parse_only_the_heads_they_read(
-        self, workdir, b2_lex, monkeypatch, args, expect, heads
+        self, workdir, b2_lex, monkeypatch, args, expect, builds
     ):
         built = []
         build = _canonical_kb
@@ -496,7 +568,7 @@ class TestLazyLayers:
         )
         monkeypatch.setattr("rogetkb.bundle.KBBundle.kb", property(_raise))
         _call(args, b2_lex, workdir / "lazy.out", expect=expect)
-        assert [[h.number for _, _, h in kb.walk_heads()] for kb in built] == [heads]
+        assert [[h.number for _, _, h in kb.walk_heads()] for kb in built] == builds
 
     @pytest.mark.parametrize("args", [_LOOKUP, _SIM, _LABEL, _STATS_POS, _STATS_CLASS,
                                       _STATS_HEAD, _EXPORT_CANONICAL, _EXPORT_STRUCTURED],
