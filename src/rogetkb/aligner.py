@@ -14,7 +14,7 @@ to a synonym label against the seed synsets.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Collection, Iterable, Iterator, Optional
 
 from .lexnet import (
     LABEL_PRECEDENCE,
@@ -115,19 +115,52 @@ def _pct(part: int, whole: int) -> float:
 
 
 def _coverage_row(
-    class_num: Optional[int], sections: int, heads: list[tuple[bool, HeadTally]]
+    class_num: Optional[int], sections: int, heads: list[tuple[str, HeadTally]],
+    common: Collection[str],
 ) -> CoverageRow:
-    """Sum the tallies of ``heads``, each paired with whether its name is
-    common, into one table row."""
+    """Sum the tallies of ``heads``, each paired with its name's key, into
+    one table row; a head's name is common when its key is in ``common``."""
     paragraphs = sum(t.paragraphs for _, t in heads)
     strings = sum(t.entries for _, t in heads)
     return CoverageRow(
         class_num=class_num, sections=sections, heads=len(heads),
         paragraphs=paragraphs, groups=sum(t.groups for _, t in heads), strings=strings,
-        pct_common_heads=_pct(sum(name_in for name_in, _ in heads), len(heads)),
+        pct_common_heads=_pct(sum(key in common for key, _ in heads), len(heads)),
         pct_common_keywords=_pct(sum(t.keyword_hits for _, t in heads), paragraphs),
         pct_common_strings=_pct(sum(t.entry_hits for _, t in heads), strings),
     )
+
+
+# A tally row: a head's class number, its own number, its name and its HeadTally.
+# ``ThesaurusKB.tally_heads`` gives them through ``_kb_tallies``, and
+# ``parser._tallies`` reads them from a proven canonical text; the tables
+# below are built from either.
+_TallyRow = tuple[int, int, str, HeadTally]
+
+
+def _kb_tallies(kb: ThesaurusKB, strings: frozenset[str] = frozenset()) -> Iterator[_TallyRow]:
+    """``kb.tally_heads(strings)`` as tally rows."""
+    return ((cls.number, head.number, head.name, tally)
+            for cls, head, tally in kb.tally_heads(strings))
+
+
+def _class_table(
+    classes: list[tuple[int, int]], tallies: Iterable[_TallyRow], common: Collection[str],
+    strip_gloss: bool,
+) -> ClassCoverage:
+    """``class_coverage`` of the KB whose classes are ``classes``, each its
+    number and its number of sections, and whose heads are ``tallies``.
+    ``common`` is read only once every tally is, so a tally that gathers
+    the common strings as it goes may fill it."""
+    per_class: dict[int, list[tuple[str, HeadTally]]] = {number: [] for number, _ in classes}
+    for class_num, _, name, tally in tallies:
+        per_class[class_num].append((_head_name_key(name, strip_gloss), tally))
+    rows = tuple(
+        _coverage_row(number, sections, per_class[number], common) for number, sections in classes
+    )
+    every_head = [head for heads in per_class.values() for head in heads]
+    total = _coverage_row(None, sum(r.sections for r in rows), every_head, common)
+    return ClassCoverage(rows=rows, total=total)
 
 
 def class_coverage(
@@ -143,15 +176,23 @@ def class_coverage(
     pct_common_heads = heads whose name (optionally gloss-stripped at the
     first ":") is common / heads.
     """
-    per_class: dict[int, list[tuple[bool, HeadTally]]] = {cls.number: [] for cls in kb.classes}
-    for cls, head, tally in kb.tally_heads(common):
-        per_class[cls.number].append((_head_name_key(head.name, strip_gloss) in common, tally))
-    rows = tuple(
-        _coverage_row(cls.number, len(cls.sections), per_class[cls.number]) for cls in kb.classes
-    )
-    every_head = [head for heads in per_class.values() for head in heads]
-    total = _coverage_row(None, sum(r.sections for r in rows), every_head)
-    return ClassCoverage(rows=rows, total=total)
+    classes = [(cls.number, len(cls.sections)) for cls in kb.classes]
+    return _class_table(classes, _kb_tallies(kb, common), common, strip_gloss)
+
+
+def _head_table(
+    tallies: Iterable[_TallyRow], lemmas: frozenset[str], strip_gloss: bool
+) -> tuple[HeadCoverage, ...]:
+    """``head_coverage`` of the KB whose heads are ``tallies``."""
+    out = [
+        HeadCoverage(
+            number, name, _head_name_key(name, strip_gloss) in lemmas,
+            tally.paragraphs, tally.groups, tally.entries,
+            _pct(tally.entry_hits, tally.entries), _pct(tally.keyword_hits, tally.paragraphs),
+        )
+        for _, number, name, tally in tallies
+    ]
+    return tuple(sorted(out, key=lambda r: (-r.pct_common_strings, r.head_num)))
 
 
 def head_coverage(
@@ -164,25 +205,22 @@ def head_coverage(
     """One row per head, sorted descending by pct_common_strings, ties by
     ascending head number. head_name_in_lex tests the name against the
     lexicon's ``lemmas`` (not the intersection)."""
-    out = [
-        HeadCoverage(
-            head.number, head.name, _head_name_key(head.name, strip_gloss) in lemmas,
-            tally.paragraphs, tally.groups, tally.entries,
-            _pct(tally.entry_hits, tally.entries), _pct(tally.keyword_hits, tally.paragraphs),
-        )
-        for _, head, tally in kb.tally_heads(common)
-    ]
-    return tuple(sorted(out, key=lambda r: (-r.pct_common_strings, r.head_num)))
+    return _head_table(_kb_tallies(kb, common), lemmas, strip_gloss)
+
+
+def _pos_shares(tallies: Iterable[_TallyRow]) -> dict[PartOfSpeech, float]:
+    """``pos_distribution`` of the KB whose heads are ``tallies``."""
+    counts = [0] * len(PartOfSpeech)
+    for *_, tally in tallies:
+        counts = [a + b for a, b in zip(counts, tally.pos_entries)]
+    total = sum(counts)
+    return {pos: _pct(count, total) for pos, count in zip(PartOfSpeech, counts)}
 
 
 def pos_distribution(kb: ThesaurusKB) -> dict[PartOfSpeech, float]:
     """Fraction of entry occurrences per part of speech; all five tags are
     present, zeros included. Sums to 1 for a non-empty KB."""
-    counts = [0] * len(PartOfSpeech)
-    for _, _, tally in kb.tally_heads():
-        counts = [a + b for a, b in zip(counts, tally.pos_entries)]
-    total = sum(counts)
-    return {pos: _pct(count, total) for pos, count in zip(PartOfSpeech, counts)}
+    return _pos_shares(_kb_tallies(kb))
 
 
 # -- relation labelling -------------------------------------------------------

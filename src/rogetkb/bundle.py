@@ -12,11 +12,13 @@ are built from the texts on first use. Output is byte-deterministic (no
 timestamps).
 
 ``structured_document`` writes the structured export with one streaming
-writer: each of its objects is a layout template that its values fill.
+writer: each of its objects is a layout template that its values fill,
+from a built KB or from the lines of a proven text.
 
-The lexicon check is the one read that needs nothing from the parse, so a
-caller that needs both (``build --lex`` and the coverage commands) can run
-it in a forked child while it parses: see ``_lemmas_alongside``.
+The lexicon check is the one read that needs nothing from the taxonomy,
+so a caller that needs both (``build --lex`` and the coverage commands)
+can run it in a forked child while it proves or parses: see
+``_lemmas_alongside``.
 """
 
 from __future__ import annotations
@@ -28,17 +30,20 @@ import threading
 from contextlib import contextmanager
 from dataclasses import astuple, dataclass
 from functools import cached_property
+from itertools import groupby
 from pathlib import Path
 from json.encoder import encode_basestring
 from typing import Any, Callable, Iterable, Iterator, Optional, TextIO, Union
 
-from .aligner import COVERAGE_COLUMNS, class_coverage, common_strings, pos_distribution
+from .aligner import (
+    COVERAGE_COLUMNS, _class_table, _pos_shares, class_coverage, common_strings, pos_distribution,
+)
 from .index import LexicalIndex, build_index
 from .lexnet import LexiconError, SynsetResource, lexicon_lemmas, load_neighbourhood, load_resource
-from .model import Address, PartOfSpeech, RogetClass, Section, ThesaurusKB
+from .model import POS_BY_TAG, Address, PartOfSpeech, RogetClass, Section, ThesaurusKB
 from .parser import (
-    HeadSlice, ParseDiagnostic, _canonical_kb, _entry_sites, _postings, canonical_heads,
-    parse_source, serialize_kb,
+    HeadSlice, ParseDiagnostic, _canonical_kb, _classes, _entry_sites, _fields, _postings,
+    _tallies, canonical_heads, parse_source, serialize_kb,
 )
 from .text import normalize
 
@@ -105,12 +110,20 @@ class KBBundle:
         self._text = "", None
         return kb
 
+    def _proven(self) -> Optional[tuple[str, list[HeadSlice]]]:
+        """The stored source and its proof while it is proven canonical and
+        ``kb`` is neither built nor assigned; None otherwise. The pair is
+        read once, so a ``kb`` that another thread finishes meanwhile
+        cannot take the text from under the caller."""
+        text = self._text
+        return None if text[1] is None or "kb" in vars(self) else text
+
     @property
     def canonical_text(self) -> Optional[str]:
         """The stored source while it is proven canonical and ``kb`` is not
         built, None otherwise: ``serialize_kb(kb)``, byte for byte."""
-        source, heads = self._text
-        return None if heads is None or "kb" in vars(self) else source
+        proven = self._proven()
+        return None if proven is None else proven[0]
 
     @cached_property
     def index(self) -> LexicalIndex:
@@ -124,18 +137,16 @@ class KBBundle:
         ``head_address`` calls as ``kb`` does. This is ``kb`` itself, unless
         the source is proven canonical and ``kb`` is neither built nor
         assigned yet; then it is built anew on each call and not kept."""
-        text = self._text
-        if text[1] is None or "kb" in vars(self):
-            return self.kb
-        return _kb_of_heads(*text, tuple(words), tuple(heads))
+        proven = self._proven()
+        return self.kb if proven is None else _kb_of_heads(*proven, tuple(words), tuple(heads))
 
     def _rows(self, word: str) -> Optional[list[tuple[Address, str, str]]]:
         """``parser._postings`` of ``word``: its postings, each with its
         head's name and paragraph's keyword, read from the stored source
         while it is proven canonical and ``kb`` is neither built nor
         assigned; None otherwise."""
-        source, heads = self._text
-        return None if heads is None or "kb" in vars(self) else _postings(source, heads, word)
+        proven = self._proven()
+        return None if proven is None else _postings(*proven, word)
 
     def index_of(self, words: Iterable[str]) -> LexicalIndex:
         """An index of ``words`` alone, not cached: the path for a single
@@ -266,19 +277,22 @@ def _verified(recorded: object, checksum: Callable[[str], str], text: str, what:
 
 
 @contextmanager
-def _lemmas_alongside(text: Optional[str]) -> Iterator[Callable[[], Optional[frozenset[str]]]]:
+def _lemmas_alongside(
+    text: Optional[str], keep: bool = True
+) -> Iterator[Callable[[], Optional[frozenset[str]]]]:
     """Start ``lexicon_lemmas(text)`` in a forked child, so that it runs
     while the caller parses, and yield the function that returns its
-    result: the lemma set, or the same LexiconError (None when ``text`` is).
-    The child replies down a pipe with "L" and the lemmas one a line (a
-    normalized lemma holds no line break), or "E", the line of the
-    LexiconError, a line break and its message, and leaves only through
-    ``os._exit``. The child only saves time: that function reads ``text``
-    itself when no child was started (no ``os.fork``, another live thread,
-    or an OSError from ``os.pipe`` or ``os.fork``) or the child exited
-    non-zero, before its whole reply was written. Fork before the parse,
-    while the process is small: the child starts as big as its parent.
-    However the block ends, a child still running is killed and reaped."""
+    result: the lemma set, or the same LexiconError (None when ``text`` is,
+    and, unless ``keep``, once the check passes). The child replies down a
+    pipe with "L" and, if ``keep``, the lemmas one a line (a normalized
+    lemma holds no line break), or "E", the line of the LexiconError, a
+    line break and its message, and leaves only through ``os._exit``. The
+    child only saves time: that function reads ``text`` itself when no
+    child was started (no ``os.fork``, another live thread, or an OSError
+    from ``os.pipe`` or ``os.fork``) or the child exited non-zero, before
+    its whole reply was written. Fork before the parse, while the process
+    is small: the child starts as big as its parent. However the block
+    ends, a child still running is killed and reaped."""
     pid, pipe = 0, None
     if text is not None and hasattr(os, "fork") and threading.active_count() == 1:
         fds: tuple[int, ...] = ()
@@ -293,7 +307,8 @@ def _lemmas_alongside(text: Optional[str]) -> Iterator[Callable[[], Optional[fro
                 try:
                     os.close(read_fd)
                     try:
-                        reply = "L" + "\n".join(lexicon_lemmas(text))
+                        read = lexicon_lemmas(text)
+                        reply = "L" + ("\n".join(read) if keep else "")
                     except LexiconError as exc:
                         reply = f"E{exc.line}\n{exc.message}"
                     with open(write_fd, "wb") as out:
@@ -314,11 +329,14 @@ def _lemmas_alongside(text: Optional[str]) -> Iterator[Callable[[], Optional[fro
             pid = 0
             if status == 0:  # the child exits 0 only once its whole reply is written
                 body = reply[1:].decode("utf-8", "surrogatepass")
+                if reply[:1] == b"L" and not keep:
+                    return None
                 if reply[:1] == b"L":
                     return frozenset(body.split("\n")) if body else frozenset()
                 line, _, message = body.partition("\n")
                 raise LexiconError(int(line), message)
-        return lexicon_lemmas(text)
+        read = lexicon_lemmas(text)
+        return read if keep else None
 
     try:
         yield lemmas
@@ -340,9 +358,10 @@ def load_bundle(path: Union[str, Path], *, lemmas: bool = False) -> KBBundle:
     ``kb`` is built from it on first access; any other source is parsed
     here, so that an unparseable one raises BundleError before the checksums
     are checked. With ``lemmas``, the embedded lexicon's lemma set is read
-    too, in a child process when one can be started, while ``kb`` is built,
-    so that both are built and a malformed lexicon raises BundleError here,
-    after every other check."""
+    too, in a child process when one can be started, while the source is
+    proven or parsed and the checksums are checked, so that a malformed
+    lexicon raises BundleError here, after every other check. A proven
+    source is not built: the coverage commands read it as it is."""
     try:
         raw = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
@@ -380,7 +399,6 @@ def load_bundle(path: Union[str, Path], *, lemmas: bool = False) -> KBBundle:
             warnings=_count(diag, "warnings", path),
         )
         if lemmas:
-            bundle.kb  # the callers read the whole KB: build it while the child reads
             bundle.lemmas = bundle._read_lexicon(lambda text: read_lemmas())
     return bundle
 
@@ -438,6 +456,60 @@ def _taxonomy(classes: tuple[RogetClass, ...]) -> Iterator[str]:
     yield "\n  ]" if classes else "[]"
 
 
+def _directive(text: str, at: int) -> tuple[str, str]:
+    """The number and the encoded name of the directive line at offset
+    ``at`` of a proven text: a number as written has no leading zero, so it
+    is its own ``int.__repr__``."""
+    _, number, name = _fields(text, at)
+    return number, _str(name)
+
+
+def _text_entry(token: str) -> str:
+    """A canonical entry token, its text then each ``" @"`` reference,
+    rendered as ``_section_chunk`` renders its ``Entry``."""
+    word, at, refs = token.partition(" @")
+    return _ENTRY % (_str(word), _array([
+        _REF % (number, _str(keyword))
+        for number, keyword in (ref.split(" ", 1) for ref in refs.split(" @"))
+    ] if at else [], 14))
+
+
+def _text_paragraph(text: str) -> str:
+    """A paragraph of a proven text, its tag line then one group a line,
+    rendered as ``_section_chunk`` renders its ``Paragraph``."""
+    tag, *lines = text.split("\n")
+    groups = [line[:-1].split(", ") for line in lines]
+    keyword = groups[0][0].partition(" @")[0]
+    return _PARAGRAPH % (_str(POS_BY_TAG[tag].value), _str(keyword), _array([
+        _GROUP % _array(list(map(_text_entry, group)), 12) for group in groups
+    ], 10))
+
+
+def _text_head(text: str, start: int, end: int) -> str:
+    """The head of a proven text whose lines run from offset ``start`` to
+    ``end``, rendered as ``_section_chunk`` renders its ``Head``."""
+    first, *paragraphs = text[start:end - 1].split("\n#PARA ")
+    _, number, name = first.split(" ", 2)
+    return _HEAD % (number, _str(name), _array(list(map(_text_paragraph, paragraphs)), 8))
+
+
+def _text_taxonomy(text: str, heads: list[HeadSlice]) -> Iterator[str]:
+    """``_taxonomy`` of the KB of a text that ``canonical_heads`` proves
+    (``heads`` is its proof), rendered from its lines, which are split as
+    ``parser._canonical_kb`` splits them, in the same chunks. A section's
+    text is built inside the expression that yields it, so that no name
+    holds a second copy while the chunk is written."""
+    for i, (cls, in_class) in enumerate(groupby(heads, key=lambda head: head.pieces[0])):
+        yield ("," if i else "[") + "\n    " + _CLASS_OPEN % _directive(text, cls[0])
+        for j, (sec, in_section) in enumerate(groupby(in_class, key=lambda head: head.pieces[1])):
+            yield ("," if j else "[") + "\n        " + _SECTION % (
+                *_directive(text, sec[0]),
+                _array([_text_head(text, *head.pieces[-1]) for head in in_section], 6),
+            )
+        yield "\n      ]" + _CLASS_CLOSE
+    yield "\n  ]"
+
+
 def _json(*values: Any) -> tuple[str, ...]:
     """Each scalar encoded by ``json.dumps``: the header's and the coverage's."""
     return tuple(map(json.dumps, values))
@@ -460,19 +532,35 @@ def structured_document(bundle: KBBundle, out: TextIO, *, strip_gloss: bool = Fa
     counts (the coverage table's totals row), index statistics, POS shares,
     the taxonomy and, with a lexicon, the coverage rows, laid out as
     ``json.dumps(indent=2)`` lays them out. The taxonomy is streamed a
-    section at a time."""
-    kb = bundle.kb
+    section at a time. A proven canonical text with ``kb`` unbuilt is
+    tallied once, in its own lines, and its taxonomy rendered from them: no
+    tree is built."""
+    proven = bundle._proven()
     lemmas = bundle.lemmas
-    common = frozenset() if lemmas is None else common_strings(kb, lemmas)
-    report = class_coverage(kb, common, strip_gloss=strip_gloss)
+    if proven is None:
+        kb = bundle.kb
+        common = frozenset() if lemmas is None else common_strings(kb, lemmas)
+        report = class_coverage(kb, common, strip_gloss=strip_gloss)
+        classes, unique, shares = len(kb.classes), len(kb.entry_strings()), pos_distribution(kb)
+        taxonomy = _taxonomy(kb.classes)
+    else:
+        # an entry hits when a lemma is its text; every text is kept for uniqueStrings
+        seen: set[str] = set()
+        tallies = list(_tallies(*proven, lemmas or frozenset(), seen=seen))
+        common = frozenset() if lemmas is None else lemmas.intersection(seen)
+        sections = _classes(*proven)
+        report = _class_table(sections, tallies, common, strip_gloss)
+        classes, unique, shares = len(sections), len(seen), _pos_shares(tallies)
+        del seen
+        taxonomy = _text_taxonomy(*proven)
     total = report.total
     out.write(_DOCUMENT_OPEN % (
         *_json("rogetkb-structured", _VERSION, bundle.meta.source_checksum),
-        _COUNTS % _json(len(kb.classes), *astuple(total)[1:6]),  # sections to strings
-        _INDEX % _json(len(kb.entry_strings()), total.strings),
-        _POS_SHARES % _json(*pos_distribution(kb).values()),
+        _COUNTS % _json(classes, *astuple(total)[1:6]),  # sections to strings
+        _INDEX % _json(unique, total.strings),
+        _POS_SHARES % _json(*shares.values()),
     ))
-    out.writelines(_taxonomy(kb.classes))
+    out.writelines(taxonomy)
     coverage = json.dumps(None) if lemmas is None else _COVERAGE % (
         *_json("paragraphs", len(common)),
         _array([_CLASS_ROW % _json(*astuple(row)) for row in report.rows], 3),

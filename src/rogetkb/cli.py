@@ -8,10 +8,12 @@ inputs. All I/O is UTF-8.
 
 from __future__ import annotations
 
+import errno
+import os
 import sys
 from dataclasses import fields
 from pathlib import Path
-from typing import Callable, Optional, TypeVar
+from typing import Any, Callable, Optional, TextIO, TypeVar
 
 import click
 
@@ -20,6 +22,9 @@ from .aligner import (
     HEAD_COLUMNS,
     LEXICON_COLUMNS,
     LabelledParagraph,
+    _class_table,
+    _head_table,
+    _pos_shares,
     class_coverage,
     common_strings,
     head_coverage,
@@ -34,7 +39,10 @@ from .lexnet import LABEL_PRECEDENCE, LexiconError, RelationType
 from .lexnet import load_resource  # unused; perfbench/tracer.py binds it here
 from .metrics import word_distance
 from .model import POS_BY_TAG, Address, AddressError, PartOfSpeech, _collector_paused
-from .parser import _canonical_counts, _unknown_refs, canonical_heads, parse_source, serialize_kb
+from .parser import (
+    _canonical_counts, _classes, _tallies, _unknown_refs, canonical_heads, parse_source,
+    serialize_kb,
+)
 
 EXIT_PARSE = 1
 EXIT_IO = 2
@@ -69,8 +77,8 @@ def _read(read: Callable[[], _T]) -> _T:
 
 
 def _load(kb_path: str, lemmas: bool = False) -> KBBundle:
-    """Load the bundle; with ``lemmas``, also its knowledge base and the
-    lemma set of its lexicon, read while the knowledge base is built."""
+    """Load the bundle; with ``lemmas``, also the lemma set of its lexicon,
+    read while the source is proven or parsed."""
     return _read(lambda: load_bundle(kb_path, lemmas=lemmas))
 
 
@@ -81,7 +89,84 @@ def _part_of_speech(ctx: click.Context, param: click.Parameter, tag: str) -> Par
         raise click.BadParameter(str(exc)) from None
 
 
-@click.group()
+class _StdoutFailed(Exception):
+    """A write to standard output failed; ``_Stream.error`` holds why."""
+
+
+class _Stream:
+    """A standard stream whose first failed write is caught and kept in
+    ``error``. From then on every write to standard output ends the command
+    (``_StdoutFailed``), and every write to standard error is dropped, so
+    that the command goes on to the exit it meant to give. The stream's
+    descriptor is pointed at the null device, so that what the stream still
+    holds, and the interpreter's last flush, cannot fail again. Everything
+    else is the wrapped stream's."""
+
+    def __init__(self, stream: TextIO, ends: bool) -> None:
+        self._stream, self._ends = stream, ends
+        self.error: Optional[OSError] = None
+
+    def __getattr__(self, name: str) -> object:
+        return getattr(self._stream, name)
+
+    def _guarded(self, call: Callable[[], _T]) -> Optional[_T]:
+        if self.error is None:
+            try:
+                return call()
+            except OSError as exc:
+                self.error = exc
+            try:
+                null = os.open(os.devnull, os.O_WRONLY)
+                try:
+                    os.dup2(null, self._stream.fileno())
+                finally:
+                    os.close(null)
+                self._stream.flush()
+            except (OSError, ValueError):  # no descriptor: an in-process caller's stream
+                pass
+        if self._ends:
+            raise _StdoutFailed() from self.error
+        return None
+
+    def write(self, text: str) -> Optional[int]:
+        return self._guarded(lambda: self._stream.write(text))
+
+    def flush(self) -> None:
+        self._guarded(self._stream.flush)
+
+
+class _Group(click.Group):
+    """The command group, whose every call, ``--help`` and usage errors
+    included, maps a failed write to standard output or standard error
+    onto the exit table."""
+
+    def main(self, *args: Any, **kwargs: Any) -> Any:
+        """Run the command. A failed write to standard output exits 2 with
+        one ``error: cannot write standard output`` line on standard error,
+        or none when the output is a closed pipe (its reader has gone). A
+        failed write to standard error exits 2 if the command would have
+        exited 0, and otherwise with the command's own code."""
+        streams = sys.stdout, sys.stderr
+        out, err = _Stream(sys.stdout, ends=True), _Stream(sys.stderr, ends=False)
+        sys.stdout, sys.stderr = out, err
+        try:
+            try:
+                return super().main(*args, **kwargs)
+            except _StdoutFailed:
+                pass
+            except SystemExit as done:
+                # a failed write that click's own probe of the stream caught
+                # (it then writes to the stream's buffer) ends the command too
+                if out.error is None and (err.error is None or done.code not in (0, None)):
+                    raise
+            if out.error is not None and out.error.errno != errno.EPIPE:
+                click.echo(f"error: cannot write standard output: {out.error}", err=True)
+            sys.exit(EXIT_IO)
+        finally:
+            sys.stdout, sys.stderr = streams
+
+
+@click.group(cls=_Group)
 @click.pass_context
 def main(ctx: click.Context) -> None:
     """Roget-structured thesaurus knowledge base."""
@@ -116,7 +201,7 @@ def build(source: str, lex_path: Optional[str], out_path: str) -> None:
     # diagnostics are its references to undeclared heads, and it is counted
     # line by line while the lexicon is read.
     lex_text, lex_error = _try_read_text(lex_path) if lex_path is not None else (None, "")
-    with _lemmas_alongside(lex_text) as checked:
+    with _lemmas_alongside(lex_text, keep=False) as checked:
         heads = canonical_heads(text)
         if heads is None:
             result = parse_source(text)
@@ -206,20 +291,34 @@ def stats(mode: str, kb_path: str, top: Optional[int], strip: bool) -> None:
     resource; otherwise the tables are counts-only.
     """
     bundle = _load(kb_path, lemmas=mode != "pos")
+    # a proven text is tallied once, in its own lines, and builds no tree
+    proven = bundle._proven()
     if mode == "pos":
         click.echo("pos\tfraction")
-        shares = pos_distribution(bundle.kb)
+        shares = pos_distribution(bundle.kb) if proven is None else _pos_shares(_tallies(*proven))
         for pos in PartOfSpeech:
             click.echo(f"{pos.value}\t{shares[pos]:.4f}")
         return
     lemmas = bundle.lemmas
-    common = common_strings(bundle.kb, lemmas) if lemmas is not None else frozenset()
+    strings = lemmas or frozenset()
+    if proven is None:
+        common = common_strings(bundle.kb, lemmas) if lemmas is not None else frozenset()
+        if mode == "class":
+            report = class_coverage(bundle.kb, common, strip_gloss=strip)
+        else:
+            heads = head_coverage(bundle.kb, strings, common, strip_gloss=strip)
+    else:
+        # one pass: an entry hits when a lemma is its text, and the hits are the common strings
+        found: set[str] = set()
+        tallies = _tallies(*proven, strings, found if mode == "class" else None)
+        if mode == "class":
+            report = _class_table(_classes(*proven), tallies, found, strip)
+        else:
+            heads = _head_table(tallies, strings, strip)
     if mode == "class":
-        report = class_coverage(bundle.kb, common, strip_gloss=strip)
         columns, rows = COVERAGE_COLUMNS, report.rows + (report.total,)
     else:
-        columns = HEAD_COLUMNS
-        rows = head_coverage(bundle.kb, lemmas or frozenset(), common, strip_gloss=strip)[:top]
+        columns, rows = HEAD_COLUMNS, heads[:top]
     shown = [i for i, name in enumerate(columns)
              if lemmas is not None or name not in LEXICON_COLUMNS]
     click.echo("\t".join(columns[i] for i in shown))

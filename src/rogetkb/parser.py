@@ -49,6 +49,7 @@ from .model import (
     CrossReference,
     Entry,
     Head,
+    HeadTally,
     Paragraph,
     PartOfSpeech,
     RogetClass,
@@ -457,6 +458,61 @@ def _postings(text: str, heads: list[HeadSlice], word: str) -> list[tuple[Addres
         rows.append((address, _fields(text, head_at)[2], _ENTRY_TEXT.match(text, groups_at)[0]))
     rows.sort(key=lambda row: row[0].sort_key())
     return rows
+
+
+def _classes(text: str, heads: list[HeadSlice]) -> list[tuple[int, int]]:
+    """The number of each class of a text that ``canonical_heads`` proves
+    (``heads`` is its proof), in file order, with how many sections it
+    holds: each of its ``#SECTION`` lines opens at least one head."""
+    sections: dict[int, set[int]] = {}
+    for head in heads:
+        (class_at, _), (section_at, _), _ = head.pieces
+        sections.setdefault(class_at, set()).add(section_at)
+    return [(int(_fields(text, at)[1]), len(kept)) for at, kept in sections.items()]
+
+
+# in a group line a cross-reference runs from " @" to the "," or ";" ending its entry
+_REFERENCES = re.compile(r" @[^,;]*")
+_TAG_RANK = {tag: rank for rank, tag in enumerate(POS_BY_TAG)}  # PartOfSpeech order
+
+
+def _tallies(
+    text: str, heads: list[HeadSlice], strings: frozenset[str] = frozenset(),
+    found: Optional[set[str]] = None, seen: Optional[set[str]] = None,
+) -> Iterator[tuple[int, int, str, HeadTally]]:
+    """The class number, number, name and ``HeadTally`` of each head of a
+    text that ``canonical_heads`` proves (``heads`` is its proof), in file
+    order: ``kb.tally_heads(strings)`` of the text's KB. An entry hits
+    exactly when its text is in ``strings``, so a lexicon's lemmas give the
+    hits of its common strings, and each hit's text is added to ``found``,
+    which then holds those strings; every entry text is added to ``seen``.
+    A paragraph counts its lines and its ``", "`` separators; its entry
+    texts are split out, with their cross-references cut, only to be looked
+    up or kept, and one head is read at a time."""
+    for head in heads:
+        (class_at, _), _, (start, end) = head.pieces
+        first, *paragraphs = text[start:end - 1].split("\n#PARA ")
+        groups = entries = keyword_hits = entry_hits = 0
+        pos_entries = [0] * len(_TAG_RANK)
+        for para in paragraphs:
+            tag, _, lines = para.partition("\n")
+            para_groups = lines.count("\n") + 1
+            para_entries = lines.count(", ") + para_groups
+            groups += para_groups
+            entries += para_entries
+            pos_entries[_TAG_RANK[tag]] += para_entries
+            if strings or seen is not None:
+                words = _REFERENCES.sub("", lines).replace(";\n", ", ")[:-1].split(", ")
+                hits = list(filter(strings.__contains__, words))
+                keyword_hits += words[0] in strings
+                entry_hits += len(hits)
+                if found is not None:
+                    found.update(hits)
+                if seen is not None:
+                    seen.update(words)
+        yield int(_fields(text, class_at)[1]), head.number, first.split(" ", 2)[2], HeadTally(
+            len(paragraphs), groups, entries, keyword_hits, entry_hits, tuple(pos_entries)
+        )
 
 
 def _entry(token: str) -> Entry:

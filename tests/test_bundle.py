@@ -147,11 +147,11 @@ def test_load_with_lemmas_raises_a_malformed_lexicon_after_the_checksums(tmp_pat
         load_bundle(path, lemmas=True)
 
 
-@pytest.mark.parametrize("builder", ["_canonical_kb", "parse_source"],
+@pytest.mark.parametrize("builder", ["canonical_heads", "parse_source"],
                          ids=["canonical", "not-canonical"])
 def test_an_interrupted_load_leaves_no_child(tmp_path, monkeypatch, kb2, builder):
-    """The knowledge base is built while the child reads: by the canonical
-    builder, or for a re-signed copy that is not canonical by the parse."""
+    """The source is proven, and for a re-signed copy that is not canonical
+    parsed, while the child reads; a canonical one is not built."""
     source = serialize_kb(kb2)
     if builder == "parse_source":
         source = source.replace(", ", ",  ", 1)
@@ -179,11 +179,12 @@ def _lemmas_or_error(read) -> object:
 
 
 @settings(max_examples=100, deadline=None)
-@given(text=lexicon_soups())
-def test_the_worker_answers_as_lexicon_lemmas(text):
+@given(text=lexicon_soups(), keep=st.booleans())
+def test_the_worker_answers_as_lexicon_lemmas(text, keep):
     """Inside ``_lemmas_alongside``, one forked child reads ``text`` and the
     parent does not; the answer is the lemma set, or the error, that
-    ``lexicon_lemmas`` gives, and no child is left."""
+    ``lexicon_lemmas`` gives (None in place of the set unless ``keep``), and
+    no child is left."""
     parent, forks, reads, fork = os.getpid(), [], [], os.fork
 
     def read_in_parent(text):
@@ -194,9 +195,12 @@ def test_the_worker_answers_as_lexicon_lemmas(text):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(os, "fork", lambda: forks.append(1) or fork())
         patch.setattr("rogetkb.bundle.lexicon_lemmas", read_in_parent)
-        with _lemmas_alongside(text) as read:
+        with _lemmas_alongside(text, keep) as read:
             got = _lemmas_or_error(read)
-    assert (got, forks, reads) == (_lemmas_or_error(lambda: lexicon_lemmas(text)), [1], [])
+    want = _lemmas_or_error(lambda: lexicon_lemmas(text))
+    if not keep and isinstance(want, frozenset):
+        want = None
+    assert (got, forks, reads) == (want, [1], [])
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 import errno
 import gc
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -1324,15 +1325,24 @@ class TestExport:
         assert exported(b42_bare)["coverage"] is None
         assert header(b42_bare) == columns[:6]
 
-    @pytest.mark.parametrize("bundle", ["b42", "b42_bare"])
+    @pytest.mark.parametrize("bundle", ["b42", "b42_bare", "re-signed"])
     def test_structured_tallies_the_kb_once(self, workdir, monkeypatch, request, bundle):
+        """One tally gives every figure of the document: of the proven text
+        (``parser._tallies``), or of the parsed KB of a re-signed copy that
+        is not canonical (``class_coverage``)."""
+        if bundle == "re-signed":
+            kb = _rewritten(workdir, request.getfixturevalue("b42"), lambda doc: _set_source(
+                doc, doc["source"].replace(", ", ",  ", 1)))
+        else:
+            kb = request.getfixturevalue(bundle)
         calls = []
-        coverage = bundle_module.class_coverage
-        monkeypatch.setattr("rogetkb.bundle.class_coverage",
-                            lambda *args, **kwargs: calls.append(args) or coverage(*args, **kwargs))
+        for name in ("class_coverage", "_tallies"):
+            tally = getattr(bundle_module, name)
+            monkeypatch.setattr(f"rogetkb.bundle.{name}", lambda *args, _tally=tally, **kwargs:
+                                calls.append(_tally.__name__) or _tally(*args, **kwargs))
         monkeypatch.setattr("rogetkb.model.ThesaurusKB.count_nodes", _raise)
-        _call(_EXPORT_STRUCTURED, request.getfixturevalue(bundle), workdir / "tallied.json")
-        assert len(calls) == 1
+        _call(_EXPORT_STRUCTURED, kb, workdir / "tallied.json")
+        assert calls == ["class_coverage" if bundle == "re-signed" else "_tallies"]
 
     def test_structured_taxonomy_entry_count(self, workdir, b42):
         out = workdir / "structured3.json"
@@ -1589,3 +1599,140 @@ def test_module_entry_point_runs(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert "Roget-structured thesaurus knowledge base." in done.stdout
+
+
+# -- failed writes to standard output and standard error ---------------------------
+
+
+class _Failing(io.StringIO):
+    """A standard stream whose every write and flush raises the OSError of
+    ``code``, or, with no code, one that keeps what is written."""
+
+    def __init__(self, code: Optional[int] = None) -> None:
+        super().__init__()
+        self.code = code
+
+    def write(self, text):
+        if self.code is not None:
+            raise OSError(self.code, os.strerror(self.code))
+        return super().write(text)
+
+    def flush(self):
+        if self.code is not None:
+            raise OSError(self.code, os.strerror(self.code))
+
+
+class TestFailedWrites:
+    """A write to standard output that fails exits 2 with one ``error:``
+    line, or silently when the reader of a pipe has gone. A write to
+    standard error that fails exits 2 where the command would exit 0, and
+    with the command's own code otherwise. No call gives a traceback."""
+
+    @pytest.fixture(scope="class")
+    def calls(self, workdir, b42, b42_bare) -> dict:
+        """Every command, with a success and each of its exits, by name."""
+        (workdir / "bad.roget").write_text("#BOGUS\n", encoding="utf-8")
+        out = str(workdir / "written.out")
+        return {
+            "build": ["build", str(workdir / "head42.roget"), "--out", out],
+            "build-exit-1": ["build", str(workdir / "bad.roget"), "--out", out],
+            "lookup": ["lookup", "decrement", "--kb", b42],
+            "lookup-miss": ["lookup", "zzzz", "--kb", b42],
+            "lookup-exit-2": ["lookup", "decrement", "--kb", str(workdir / "absent.kb")],
+            "sim": ["sim", "decrement", "shrinkage", "--kb", b42],
+            "sim-exit-3": ["sim", "decrement", "zzzz", "--kb", b42],
+            "stats-pos": ["stats", "pos", "--kb", b42],
+            "stats-class": ["stats", "class", "--kb", b42],
+            "stats-head": ["stats", "head", "--kb", b42],
+            "label": ["label", "42", "N", "--kb", b42, "--evidence"],
+            "label-exit-3": ["label", "42", "ADJ", "--kb", b42],
+            "label-exit-4": ["label", "42", "N", "--kb", b42_bare],
+            "export-canonical": ["export", "canonical", "--kb", b42, "--out", out],
+            "export-structured": ["export", "structured", "--kb", b42, "--out", out],
+            "help": ["--help"],
+            "usage-error": ["stats", "bogus", "--kb", b42],
+        }
+
+    @staticmethod
+    def _run(argv: list, monkeypatch, out: _Failing, err: _Failing) -> int:
+        with monkeypatch.context() as patched:
+            patched.setattr(sys, "stdout", out)
+            patched.setattr(sys, "stderr", err)
+            with pytest.raises(SystemExit) as done:
+                main.main(argv, prog_name="rogetkb")
+        return done.value.code
+
+    @pytest.mark.parametrize("name", [
+        "build", "build-exit-1", "lookup", "lookup-miss", "lookup-exit-2", "sim", "sim-exit-3",
+        "stats-pos", "stats-class", "stats-head", "label", "label-exit-3", "label-exit-4",
+        "export-canonical", "export-structured", "help", "usage-error",
+    ])
+    @pytest.mark.parametrize("fault", ["stdout", "stdout-pipe", "stderr", "both"])
+    def test_every_command(self, calls, monkeypatch, name, fault):
+        argv = calls[name]
+        out, err = _Failing(), _Failing()
+        code = self._run(argv, monkeypatch, out, err)
+        printed, warned = out.getvalue(), err.getvalue()
+        assert code in (0, 1, 2, 3, 4) and not warned.startswith("Traceback")
+
+        failing_out = {"stdout": errno.ENOSPC, "stdout-pipe": errno.EPIPE, "both": errno.ENOSPC}
+        out = _Failing(failing_out.get(fault))
+        err = _Failing(errno.ENOSPC if fault in ("stderr", "both") else None)
+        got = self._run(argv, monkeypatch, out, err)
+        if fault in ("stdout", "stdout-pipe"):
+            assert got == (2 if printed else code)
+            line = "error: cannot write standard output: [Errno 28] No space left on device\n"
+            assert err.getvalue() == warned + (line if printed and fault == "stdout" else "")
+        elif fault == "stderr":
+            assert got == (2 if warned and code == 0 else code)
+            assert out.getvalue() == printed
+        else:
+            assert got == (2 if printed or (warned and code == 0) else code)
+
+    def test_the_collector_is_handed_back(self, calls, monkeypatch):
+        assert gc.isenabled()
+        self._run(calls["stats-pos"], monkeypatch, _Failing(errno.ENOSPC), _Failing())
+        assert gc.isenabled()
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("name, stream, expect, encoding", [
+        ("stats-pos", "stdout", 2, "utf-8"), ("stats-class", "stdout", 2, "utf-8"),
+        ("help", "stdout", 2, "utf-8"), ("lookup-miss", "stdout", 0, "utf-8"),
+        ("build", "stderr", 2, "utf-8"), ("sim-exit-3", "stderr", 3, "utf-8"),
+        # click writes to the buffer of a stream it finds encoded as ASCII
+        ("stats-pos", "stdout", 2, "ascii"),
+    ])
+    def test_a_full_device(self, tmp_path, calls, name, stream, expect, encoding):
+        """With the stream on ``/dev/full`` no line is lost to a traceback,
+        and the interpreter's last flush does not change the exit code."""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        with open("/dev/full", "w") as full:
+            done = subprocess.run(
+                [sys.executable, "-m", "rogetkb.cli", *calls[name]], cwd=tmp_path, timeout=60,
+                env={**os.environ, "PYTHONPATH": path, "PYTHONIOENCODING": encoding}, text=True,
+                stdout=full if stream == "stdout" else subprocess.PIPE,
+                stderr=full if stream == "stderr" else subprocess.PIPE,
+            )
+        assert done.returncode == expect
+        if stream == "stdout" and expect == 2:
+            assert done.stderr == (
+                "error: cannot write standard output: [Errno 28] No space left on device\n"
+            )
+        elif stream == "stdout":
+            assert done.stderr == ""
+
+    def test_a_closed_pipe_is_silent(self, tmp_path, calls):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        read_fd, write_fd = os.pipe()
+        os.close(read_fd)  # the reader has gone before the first write
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "rogetkb.cli", *calls["stats-head"]], cwd=tmp_path,
+                env={**os.environ, "PYTHONPATH": path}, timeout=60, text=True,
+                stdout=write_fd, stderr=subprocess.PIPE,
+            )
+        finally:
+            os.close(write_fd)
+        assert (done.returncode, done.stderr) == (2, "")
