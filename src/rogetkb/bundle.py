@@ -2,18 +2,19 @@
 the optional lexicon text, and integrity checksums.
 
 Nothing opaque is stored. A load checks both recorded checksums against
-sha256 of the stored texts, byte for byte, and proves or parses the
-embedded source text. A source in the canonical form ``build`` writes is
-proven so by ``canonical_heads``, and is then built without the general
-parser, only when and as far as a command reads it (see ``load_bundle``);
-the postings of a single query's words are read from such a text without
-building it. Any other source is parsed at load. The index and the lexicon
-are built from the texts on first use. Output is byte-deterministic (no
-timestamps).
+sha256 of the stored texts, byte for byte, and holds the source as a
+canonical text that ``canonical_heads`` proves. A source in the canonical
+form ``build`` writes is proven as it is stored; any other (a hand-edited,
+re-signed bundle) is parsed at load and rendered in that form, which pays
+the parse, ``serialize_kb`` and the proof (see ``load_bundle``). Every
+command answers from that text: a single query's postings are read from it
+without building any head, and the knowledge base, the index and the
+lexicon are built from the texts on first use. Output is
+byte-deterministic (no timestamps).
 
 ``structured_document`` writes the structured export with one streaming
-writer: each of its objects is a layout template that its values fill,
-from a built KB or from the lines of a proven text.
+writer: each of its objects is a layout template that its values fill
+from the lines of the canonical text.
 
 The lexicon check is the one read that needs nothing from the taxonomy,
 so a caller that needs both (``build --lex`` and the coverage commands)
@@ -35,12 +36,12 @@ from pathlib import Path
 from json.encoder import encode_basestring
 from typing import Any, Callable, Iterable, Iterator, Optional, TextIO, Union
 
-from .aligner import (
-    COVERAGE_COLUMNS, _class_table, _pos_shares, class_coverage, common_strings, pos_distribution,
-)
+from .aligner import COVERAGE_COLUMNS, _class_table, _pos_shares
+# unused; perfbench/tracer.py binds them here
+from .aligner import class_coverage, common_strings, pos_distribution
 from .index import LexicalIndex, build_index
 from .lexnet import LexiconError, SynsetResource, lexicon_lemmas, load_neighbourhood, load_resource
-from .model import POS_BY_TAG, Address, PartOfSpeech, RogetClass, Section, ThesaurusKB
+from .model import POS_BY_TAG, Address, PartOfSpeech, ThesaurusKB
 from .parser import (
     HeadSlice, ParseDiagnostic, _canonical_kb, _classes, _entry_sites, _fields, _postings,
     _tallies, canonical_heads, parse_source, serialize_kb,
@@ -80,50 +81,36 @@ def _kb_of_heads(text: str, heads: list[HeadSlice], words: tuple[str, ...],
 
 
 class KBBundle:
-    """A loaded bundle: its knowledge base and checked metadata. Every layer
-    is built on first access, so a command pays only for the layers it
-    reads. A source text in the canonical form ``build`` writes is proven
-    so by ``canonical_heads``, and its ``kb`` is built without the general
-    parser; until then ``kb_of`` builds only the heads a query reads, and
-    ``index_of`` reads its words' postings from the text itself. A single
-    query reads a scoped layer: it indexes only its words, or keeps only its
-    keyword's neighbourhood of the lexicon. A command that counts lemmas
-    keeps only the lemma set."""
+    """A loaded bundle: its knowledge base and checked metadata. The stored
+    source is held as a canonical text that ``canonical_heads`` proves:
+    ``serialize_kb`` of the knowledge base, byte for byte. Every layer is
+    built from it on first access, so a command pays only for the layers it
+    reads: ``kb`` is built without the general parser, ``kb_of`` builds only
+    the heads a query reads, and ``index_of`` reads its words' postings from
+    the text itself. A single query reads a scoped layer: it indexes only
+    its words, or keeps only its keyword's neighbourhood of the lexicon. A
+    command that counts lemmas keeps only the lemma set."""
 
     def __init__(self, source: str, meta: Optional[BuildMeta], lex_text: Optional[str],
                  path: str) -> None:
-        """The bundle of the stored ``source``, which is proven canonical
-        here when it is."""
+        """The bundle of the stored ``source``; BundleError when it does not
+        parse. A source that ``canonical_heads`` does not prove is parsed
+        and kept as ``serialize_kb`` of its KB, which it proves: such a
+        (re-signed) bundle pays the parse, the render and the proof here."""
         self.meta, self._lex_text, self._path = meta, lex_text, path
-        # the text and its proof (None when it is not proven) are read and
-        # let go as one pair, so that no thread sees one without the other
-        self._text = source, canonical_heads(source)
+        heads = canonical_heads(source)
+        if heads is None:
+            kb = parse_source(source).kb
+            if kb is None:
+                raise BundleError(f"bundle {path} contains an unparseable source document")
+            source = serialize_kb(kb)
+            heads = canonical_heads(source)
+        self.canonical_text, self._heads = source, heads
 
     @cached_property
-    def kb(self) -> Optional[ThesaurusKB]:
-        """The whole knowledge base: of a proven source, built by the
-        builder that trusts the proof; of any other, by ``parse_source``
-        (None when it does not parse). From then on it answers for the
-        stored text, which is let go."""
-        source, heads = self._text
-        kb = parse_source(source).kb if heads is None else _canonical_kb(source)
-        self._text = "", None
-        return kb
-
-    def _proven(self) -> Optional[tuple[str, list[HeadSlice]]]:
-        """The stored source and its proof while it is proven canonical and
-        ``kb`` is neither built nor assigned; None otherwise. The pair is
-        read once, so a ``kb`` that another thread finishes meanwhile
-        cannot take the text from under the caller."""
-        text = self._text
-        return None if text[1] is None or "kb" in vars(self) else text
-
-    @property
-    def canonical_text(self) -> Optional[str]:
-        """The stored source while it is proven canonical and ``kb`` is not
-        built, None otherwise: ``serialize_kb(kb)``, byte for byte."""
-        proven = self._proven()
-        return None if proven is None else proven[0]
+    def kb(self) -> ThesaurusKB:
+        """The whole knowledge base, built by the builder that trusts the proof."""
+        return _canonical_kb(self.canonical_text)
 
     @cached_property
     def index(self) -> LexicalIndex:
@@ -134,32 +121,20 @@ class KBBundle:
         """A knowledge base holding at least every head with an entry that
         normalizes to one of ``words`` and every head numbered in ``heads``,
         so that it answers their index lookups, ``resolve`` and
-        ``head_address`` calls as ``kb`` does. This is ``kb`` itself, unless
-        the source is proven canonical and ``kb`` is neither built nor
-        assigned yet; then it is built anew on each call and not kept."""
-        proven = self._proven()
-        return self.kb if proven is None else _kb_of_heads(*proven, tuple(words), tuple(heads))
+        ``head_address`` calls as ``kb`` does. It is built anew on each call
+        from those heads' pieces of the text, and not kept."""
+        return _kb_of_heads(self.canonical_text, self._heads, tuple(words), tuple(heads))
 
-    def _rows(self, word: str) -> Optional[list[tuple[Address, str, str]]]:
+    def _rows(self, word: str) -> list[tuple[Address, str, str]]:
         """``parser._postings`` of ``word``: its postings, each with its
-        head's name and paragraph's keyword, read from the stored source
-        while it is proven canonical and ``kb`` is neither built nor
-        assigned; None otherwise."""
-        proven = self._proven()
-        return None if proven is None else _postings(*proven, word)
+        head's name and paragraph's keyword, read from the text."""
+        return _postings(self.canonical_text, self._heads, word)
 
     def index_of(self, words: Iterable[str]) -> LexicalIndex:
         """An index of ``words`` alone, not cached: the path for a single
-        query. Their postings are read from the proven text, building no
-        head, while ``kb`` is unbuilt; otherwise one walk of ``kb`` keeps
-        only their postings."""
-        words = tuple(words)
-        found = [self._rows(word) for word in words]
-        if None in found:
-            return build_index(self.kb, words)
-        return LexicalIndex({
-            normalize(word): tuple(row[0] for row in rows) for word, rows in zip(words, found) if rows
-        })
+        query. Their postings are read from the text, building no head."""
+        found = {normalize(word): self._rows(word) for word in words}
+        return LexicalIndex({key: tuple(r[0] for r in rows) for key, rows in found.items() if rows})
 
     def _read_lexicon(self, read: Callable[[str], Any]) -> Any:
         """``read`` of the embedded lexicon text; BundleError when it is malformed."""
@@ -354,14 +329,15 @@ def _lemmas_alongside(
 
 def load_bundle(path: Union[str, Path], *, lemmas: bool = False) -> KBBundle:
     """Read and check the bundle at ``path``. A source text in the canonical
-    form that ``build`` writes is proven so by ``canonical_heads``, and
-    ``kb`` is built from it on first access; any other source is parsed
-    here, so that an unparseable one raises BundleError before the checksums
-    are checked. With ``lemmas``, the embedded lexicon's lemma set is read
-    too, in a child process when one can be started, while the source is
-    proven or parsed and the checksums are checked, so that a malformed
-    lexicon raises BundleError here, after every other check. A proven
-    source is not built: the coverage commands read it as it is."""
+    form that ``build`` writes is proven so by ``canonical_heads`` and kept
+    as it is; any other source is parsed and rendered in that form, so that
+    an unparseable one raises BundleError before the checksums are checked.
+    No layer is built: ``kb`` is built from the text on first access, and
+    the coverage commands read the text as it is. With ``lemmas``, the
+    embedded lexicon's lemma set is read too, in a child process when one
+    can be started, while the source is proven or parsed and the checksums
+    are checked, so that a malformed lexicon raises BundleError here, after
+    every other check."""
     try:
         raw = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
@@ -383,11 +359,8 @@ def load_bundle(path: Union[str, Path], *, lemmas: bool = False) -> KBBundle:
 
     source = _field(document, "source", str, "", path)
     with _lemmas_alongside(lex_text if lemmas else None) as read_lemmas:
-        bundle = KBBundle(source, None, lex_text, str(path))
         # a source that is not proven is parsed here, so its error comes first
-        if bundle.canonical_text is None and bundle.kb is None:
-            raise BundleError(f"bundle {path} contains an unparseable source document")
-
+        bundle = KBBundle(source, None, lex_text, str(path))
         bundle.meta = BuildMeta(
             source_checksum=_verified(
                 meta_doc.get("sourceChecksum"), _source_checksum, source, "source", path
@@ -424,36 +397,7 @@ _PARAGRAPH = _object(9, "pos", "keyword", "semicolonGroups")
 _GROUP = _object(11, "entries")
 _ENTRY = _object(13, "text", "crossRefs")
 _REF = _object(15, "head", "keyword")
-_str, _int = encode_basestring, int.__repr__  # the encoders json.dumps uses
-
-
-def _section_chunk(sec: Section) -> str:
-    """One section of the taxonomy, rendered at its place in the document."""
-    return _SECTION % (_int(sec.number), _str(sec.name), _array([
-        _HEAD % (_int(head.number), _str(head.name), _array([
-            _PARAGRAPH % (_str(para.pos.value), _str(para.keyword), _array([
-                _GROUP % _array([
-                    _ENTRY % (_str(entry.text), _array([
-                        _REF % (_int(ref.head_num), _str(ref.keyword)) for ref in entry.cross_refs
-                    ], 14))
-                    for entry in group.entries
-                ], 12)
-                for group in para.groups
-            ], 10))
-            for para in head.paragraphs
-        ], 8))
-        for head in sec.heads
-    ], 6))
-
-
-def _taxonomy(classes: tuple[RogetClass, ...]) -> Iterator[str]:
-    """The taxonomy array in chunks of at most one section's text."""
-    for i, cls in enumerate(classes):
-        yield ("," if i else "[") + "\n    " + _CLASS_OPEN % (_int(cls.number), _str(cls.name))
-        for j, sec in enumerate(cls.sections):
-            yield ("," if j else "[") + "\n        " + _section_chunk(sec)
-        yield ("\n      ]" if cls.sections else "[]") + _CLASS_CLOSE
-    yield "\n  ]" if classes else "[]"
+_str = encode_basestring  # the string encoder json.dumps uses
 
 
 def _directive(text: str, at: int) -> tuple[str, str]:
@@ -465,8 +409,7 @@ def _directive(text: str, at: int) -> tuple[str, str]:
 
 
 def _text_entry(token: str) -> str:
-    """A canonical entry token, its text then each ``" @"`` reference,
-    rendered as ``_section_chunk`` renders its ``Entry``."""
+    """A canonical entry token rendered: its text, then each ``" @"`` reference."""
     word, at, refs = token.partition(" @")
     return _ENTRY % (_str(word), _array([
         _REF % (number, _str(keyword))
@@ -475,8 +418,7 @@ def _text_entry(token: str) -> str:
 
 
 def _text_paragraph(text: str) -> str:
-    """A paragraph of a proven text, its tag line then one group a line,
-    rendered as ``_section_chunk`` renders its ``Paragraph``."""
+    """A paragraph of a proven text rendered: its tag line, then one group a line."""
     tag, *lines = text.split("\n")
     groups = [line[:-1].split(", ") for line in lines]
     keyword = groups[0][0].partition(" @")[0]
@@ -487,18 +429,18 @@ def _text_paragraph(text: str) -> str:
 
 def _text_head(text: str, start: int, end: int) -> str:
     """The head of a proven text whose lines run from offset ``start`` to
-    ``end``, rendered as ``_section_chunk`` renders its ``Head``."""
+    ``end``, rendered as its ``Head``."""
     first, *paragraphs = text[start:end - 1].split("\n#PARA ")
     _, number, name = first.split(" ", 2)
     return _HEAD % (number, _str(name), _array(list(map(_text_paragraph, paragraphs)), 8))
 
 
 def _text_taxonomy(text: str, heads: list[HeadSlice]) -> Iterator[str]:
-    """``_taxonomy`` of the KB of a text that ``canonical_heads`` proves
-    (``heads`` is its proof), rendered from its lines, which are split as
-    ``parser._canonical_kb`` splits them, in the same chunks. A section's
-    text is built inside the expression that yields it, so that no name
-    holds a second copy while the chunk is written."""
+    """The taxonomy array of a text that ``canonical_heads`` proves (``heads``
+    is its proof), rendered from its lines, split as ``parser._canonical_kb``
+    splits them, in chunks of at most one section's text. A section's text is
+    built inside the expression that yields it, so that no name holds a
+    second copy while the chunk is written."""
     for i, (cls, in_class) in enumerate(groupby(heads, key=lambda head: head.pieces[0])):
         yield ("," if i else "[") + "\n    " + _CLASS_OPEN % _directive(text, cls[0])
         for j, (sec, in_section) in enumerate(groupby(in_class, key=lambda head: head.pieces[1])):
@@ -507,7 +449,7 @@ def _text_taxonomy(text: str, heads: list[HeadSlice]) -> Iterator[str]:
                 _array([_text_head(text, *head.pieces[-1]) for head in in_section], 6),
             )
         yield "\n      ]" + _CLASS_CLOSE
-    yield "\n  ]"
+    yield "\n  ]" if heads else "[]"
 
 
 def _json(*values: Any) -> tuple[str, ...]:
@@ -531,36 +473,26 @@ def structured_document(bundle: KBBundle, out: TextIO, *, strip_gloss: bool = Fa
     """Write the machine-readable export to the text stream ``out``: whole-KB
     counts (the coverage table's totals row), index statistics, POS shares,
     the taxonomy and, with a lexicon, the coverage rows, laid out as
-    ``json.dumps(indent=2)`` lays them out. The taxonomy is streamed a
-    section at a time. A proven canonical text with ``kb`` unbuilt is
-    tallied once, in its own lines, and its taxonomy rendered from them: no
-    tree is built."""
-    proven = bundle._proven()
+    ``json.dumps(indent=2)`` lays them out. The canonical text is tallied
+    once, in its own lines, and its taxonomy rendered from them a section at
+    a time: no tree is built."""
+    proven = bundle.canonical_text, bundle._heads
     lemmas = bundle.lemmas
-    if proven is None:
-        kb = bundle.kb
-        common = frozenset() if lemmas is None else common_strings(kb, lemmas)
-        report = class_coverage(kb, common, strip_gloss=strip_gloss)
-        classes, unique, shares = len(kb.classes), len(kb.entry_strings()), pos_distribution(kb)
-        taxonomy = _taxonomy(kb.classes)
-    else:
-        # an entry hits when a lemma is its text; every text is kept for uniqueStrings
-        seen: set[str] = set()
-        tallies = list(_tallies(*proven, lemmas or frozenset(), seen=seen))
-        common = frozenset() if lemmas is None else lemmas.intersection(seen)
-        sections = _classes(*proven)
-        report = _class_table(sections, tallies, common, strip_gloss)
-        classes, unique, shares = len(sections), len(seen), _pos_shares(tallies)
-        del seen
-        taxonomy = _text_taxonomy(*proven)
-    total = report.total
+    # an entry hits when a lemma is its text; every text is kept for uniqueStrings
+    seen: set[str] = set()
+    tallies = list(_tallies(*proven, lemmas or frozenset(), seen=seen))
+    common = frozenset() if lemmas is None else lemmas.intersection(seen)
+    sections = _classes(*proven)
+    report = _class_table(sections, tallies, common, strip_gloss)
+    unique, shares, total = len(seen), _pos_shares(tallies), report.total
+    del seen
     out.write(_DOCUMENT_OPEN % (
         *_json("rogetkb-structured", _VERSION, bundle.meta.source_checksum),
-        _COUNTS % _json(classes, *astuple(total)[1:6]),  # sections to strings
+        _COUNTS % _json(len(sections), *astuple(total)[1:6]),  # sections to strings
         _INDEX % _json(unique, total.strings),
         _POS_SHARES % _json(*shares.values()),
     ))
-    out.writelines(taxonomy)
+    out.writelines(_text_taxonomy(*proven))
     coverage = json.dumps(None) if lemmas is None else _COVERAGE % (
         *_json("paragraphs", len(common)),
         _array([_CLASS_ROW % _json(*astuple(row)) for row in report.rows], 3),

@@ -25,12 +25,10 @@ from .aligner import (
     _class_table,
     _head_table,
     _pos_shares,
-    class_coverage,
-    common_strings,
-    head_coverage,
     label_paragraph,
-    pos_distribution,
 )
+# unused; perfbench/tracer.py binds them here
+from .aligner import class_coverage, common_strings, head_coverage, pos_distribution
 from .bundle import (
     BundleError, KBBundle, _lemmas_alongside, _write_source, load_bundle, structured_document,
     write_bundle,
@@ -41,8 +39,8 @@ from .metrics import word_distance
 from .model import POS_BY_TAG, Address, AddressError, PartOfSpeech, _collector_paused
 from .parser import (
     _canonical_counts, _classes, _tallies, _unknown_refs, canonical_heads, parse_source,
-    serialize_kb,
 )
+from .parser import serialize_kb  # unused; perfbench/tracer.py binds it here
 
 EXIT_PARSE = 1
 EXIT_IO = 2
@@ -133,6 +131,22 @@ class _Stream:
 
     def flush(self) -> None:
         self._guarded(self._stream.flush)
+
+    @property
+    def buffer(self) -> _Buffer:
+        """The binary buffer beneath, guarded by this stream: click writes
+        there when it finds the stream encoded as ASCII."""
+        return _Buffer(self)
+
+
+class _Buffer(_Stream):
+    """The binary buffer of a ``_Stream``, whose failed write is the stream's own."""
+
+    def __init__(self, stream: _Stream) -> None:
+        self._stream, self._owner = stream._stream.buffer, stream
+
+    def _guarded(self, call: Callable[[], _T]) -> Optional[_T]:
+        return self._owner._guarded(call)
 
 
 class _Group(click.Group):
@@ -243,17 +257,8 @@ def lookup(word: str, kb_path: str) -> None:
 
     A miss prints nothing and still exits 0.
     """
-    bundle = _load(kb_path)
-    # a proven text gives each posting with its head name and keyword, and
-    # builds no head; a parsed one answers from its knowledge base
-    rows = bundle._rows(word)
-    if rows is None:
-        kb = bundle.kb
-        rows = [
-            (addr, kb.resolve(Address(*addr[:3])).name, kb.resolve(Address(*addr[:5])).keyword)
-            for addr in bundle.index_of([word]).lookup(word)
-        ]
-    for addr, head_name, keyword in rows:
+    # the text gives each posting with its head name and keyword, and builds no head
+    for addr, head_name, keyword in _load(kb_path)._rows(word):
         click.echo(f"{addr}\t{head_name}\t{keyword}")
 
 
@@ -270,7 +275,7 @@ def sim(word_a: str, word_b: str, kb_path: str) -> None:
         for word in missing:
             click.echo(f"error: word not indexed: {word}", err=True)
         sys.exit(EXIT_MISSING)
-    # word_distance reads only the index, so a proven text builds no head
+    # word_distance reads only the index, so the text builds no head
     result = word_distance(bundle.kb_of(), index, word_a, word_b)
     click.echo(
         f"distance={result.distance} similarity={result.similarity:.4f} "
@@ -291,34 +296,24 @@ def stats(mode: str, kb_path: str, top: Optional[int], strip: bool) -> None:
     resource; otherwise the tables are counts-only.
     """
     bundle = _load(kb_path, lemmas=mode != "pos")
-    # a proven text is tallied once, in its own lines, and builds no tree
-    proven = bundle._proven()
+    # the text is tallied once, in its own lines, and builds no tree
+    proven = bundle.canonical_text, bundle._heads
     if mode == "pos":
         click.echo("pos\tfraction")
-        shares = pos_distribution(bundle.kb) if proven is None else _pos_shares(_tallies(*proven))
+        shares = _pos_shares(_tallies(*proven))
         for pos in PartOfSpeech:
             click.echo(f"{pos.value}\t{shares[pos]:.4f}")
         return
     lemmas = bundle.lemmas
     strings = lemmas or frozenset()
-    if proven is None:
-        common = common_strings(bundle.kb, lemmas) if lemmas is not None else frozenset()
-        if mode == "class":
-            report = class_coverage(bundle.kb, common, strip_gloss=strip)
-        else:
-            heads = head_coverage(bundle.kb, strings, common, strip_gloss=strip)
-    else:
-        # one pass: an entry hits when a lemma is its text, and the hits are the common strings
-        found: set[str] = set()
-        tallies = _tallies(*proven, strings, found if mode == "class" else None)
-        if mode == "class":
-            report = _class_table(_classes(*proven), tallies, found, strip)
-        else:
-            heads = _head_table(tallies, strings, strip)
+    # one pass: an entry hits when a lemma is its text, and the hits are the common strings
+    found: set[str] = set()
+    tallies = _tallies(*proven, strings, found if mode == "class" else None)
     if mode == "class":
+        report = _class_table(_classes(*proven), tallies, found, strip)
         columns, rows = COVERAGE_COLUMNS, report.rows + (report.total,)
     else:
-        columns, rows = HEAD_COLUMNS, heads[:top]
+        columns, rows = HEAD_COLUMNS, _head_table(tallies, strings, strip)[:top]
     shown = [i for i, name in enumerate(columns)
              if lemmas is not None or name not in LEXICON_COLUMNS]
     click.echo("\t".join(columns[i] for i in shown))
@@ -412,8 +407,7 @@ def export(fmt: str, kb_path: str, out_path: str, strip: bool) -> None:
     try:
         with open(out_path, "w", encoding="utf-8") as out:
             if fmt == "canonical":
-                text = bundle.canonical_text
-                out.write(serialize_kb(bundle.kb) if text is None else text)
+                out.write(bundle.canonical_text)
             else:
                 structured_document(bundle, out, strip_gloss=strip)
     except OSError as exc:

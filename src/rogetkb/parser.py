@@ -337,13 +337,14 @@ def canonical_heads(text: str) -> Optional[list[HeadSlice]]:
     that ``serialize_kb`` writes; otherwise None. Such a text parses with no
     error-severity diagnostic, as does any text made of some of its heads'
     pieces in file order, and every group line is its own ``str.lower()``,
-    so each raw entry is its normalized text. The check is sufficient, not
-    necessary: it refuses some texts that parse (the empty one, a comment,
-    a messy spacing or case), never one that does not. It costs a few
-    searches of the whole text plus one step per class, section and head."""
+    so each raw entry is its normalized text; "", ``serialize_kb`` of the
+    empty KB, has no heads. The check is sufficient, not necessary: it
+    refuses some texts that parse (a comment, a messy spacing or case), never
+    one that does not. It costs a few searches of the whole text plus one
+    step per class, section and head."""
     lines = "\n" + text
     if not (text.startswith("#CLASS ") and text.endswith(";\n")):
-        return None
+        return None if text else []
     if _NON_CANONICAL_LINE.search(lines):
         return None
     groups = _DIRECTIVE_LINE.sub("", lines)

@@ -257,9 +257,7 @@ def test_lone_surrogate_fails_the_checksum(tmp_path, kb2, field):
 
 def _bundle(kb: ThesaurusKB, lex_text=None) -> KBBundle:
     meta = BuildMeta(source_checksum="0" * 64, lex_checksum=None, errors=0, warnings=0)
-    bundle = KBBundle("", meta, lex_text, "<memory>")
-    bundle.kb = kb  # any KB, even one that no text parses to
-    return bundle
+    return KBBundle(serialize_kb(kb), meta, lex_text, "<memory>")
 
 
 def _assert_streams_the_reference(bundle: KBBundle, strip_gloss: bool) -> None:
@@ -288,6 +286,10 @@ def test_structured_document_streams_the_reference_bytes(text, with_lex, strip_g
 ], ids=["empty", "childless-class"])
 def test_structured_document_of_empty_levels(kb, with_lex, strip_gloss):
     lex_text = fixture_text("decrement.lex") if with_lex else None
+    if kb.classes:  # no text parses to a class without sections
+        with pytest.raises(BundleError, match="^bundle <memory> contains an unparseable source"):
+            _bundle(kb, lex_text)
+        return
     _assert_streams_the_reference(_bundle(kb, lex_text), strip_gloss)
 
 
@@ -331,7 +333,7 @@ def _assert_scoped_answers_as_the_whole(path, words) -> None:
     """Each ``kb_of`` of a load of a canonical source answers the index
     lookup and both ``resolve`` calls of every word, and every paragraph
     address of every head, present or not, as the whole KB does; none of it
-    builds the whole KB, and once ``kb`` is read ``kb_of`` is ``kb``."""
+    builds the whole KB, and once ``kb`` is read ``kb_of`` builds the same."""
     whole = load_bundle(path).kb
     index = build_index(whole)
     bundle = load_bundle(path)
@@ -356,8 +358,9 @@ def _assert_scoped_answers_as_the_whole(path, words) -> None:
                 target = Address(*place[:3], pos, index_)
                 assert _resolved(kb, target) == _resolved(whole, target)
     assert "kb" not in vars(bundle)
+    scoped = bundle.kb_of(words=words[:1]), bundle.kb_of(heads=numbers[:1])
     assert bundle.kb == whole
-    assert bundle.kb_of(words=words[:1]) is bundle.kb is bundle.kb_of(heads=numbers[:1])
+    assert (bundle.kb_of(words=words[:1]), bundle.kb_of(heads=numbers[:1])) == scoped
 
 
 def _queries(kb: ThesaurusKB) -> list[str]:
@@ -467,12 +470,39 @@ def test_a_proven_generated_corpus_gives_the_postings_of_the_whole_kb(perfbench_
     _assert_postings_read_as_the_whole_kb(tmp_path / "corpus.kb", text, words)
 
 
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(text=st.one_of(line_soups(), canonical_sources(edited=True)))
+@example(text="")
+def test_every_load_holds_a_proven_canonical_text(signed_path, text):
+    """A bundle storing any text that parses, under its own checksum, loads
+    holding ``serialize_kb`` of the reference parser's KB, which
+    ``canonical_heads`` proves; one storing a text that does not parse
+    raises the load's parse error."""
+    _signed(signed_path, text)
+    kb = reference_parse_source(text).kb
+    if kb is None:
+        message = f"bundle {signed_path} contains an unparseable source document"
+        with pytest.raises(BundleError, match="^" + re.escape(message) + "$"):
+            load_bundle(signed_path)
+        return
+    bundle = load_bundle(signed_path)
+    assert bundle.canonical_text == serialize_kb(kb)
+    assert canonical_heads(bundle.canonical_text) is not None
+    assert bundle.kb == kb
+
+
 def test_a_scoped_load_parses_a_non_canonical_source_as_the_eager_load(tmp_path, kb2):
+    """A source that is not canonical is parsed at load and kept as its
+    canonical text, which answers as a load of that text does."""
+    write_bundle(tmp_path / "canonical.kb", kb2)
+    canonical = load_bundle(tmp_path / "canonical.kb")
     for source in (fixture_text("two_class.roget"), serialize_kb(kb2).replace(", ", ",  ", 1)):
         _signed(tmp_path / "two.kb", source)
         bundle = load_bundle(tmp_path / "two.kb")
-        assert "kb" in vars(bundle) and bundle.kb == kb2
-        assert bundle.kb_of(words=["void"]) is bundle.kb_of(heads=[1]) is bundle.kb
+        assert "kb" not in vars(bundle) and bundle.canonical_text == serialize_kb(kb2)
+        assert bundle.kb_of(words=["void"]) == canonical.kb_of(words=["void"])
+        assert bundle.kb_of(heads=[1]) == canonical.kb_of(heads=[1])
+        assert bundle.kb == kb2
 
 
 def test_a_load_of_a_canonical_source_builds_no_layer(tmp_path, kb2):
@@ -481,22 +511,15 @@ def test_a_load_of_a_canonical_source_builds_no_layer(tmp_path, kb2):
     assert type(bundle) is KBBundle
     assert not {"kb", "index", "resource", "lemmas"} & set(vars(bundle))
     assert bundle.canonical_text == serialize_kb(kb2)
-    assert bundle.kb_of(words=["void"]) != kb2
-    assert bundle.kb == kb2 and bundle.kb_of(words=["void"]) is bundle.kb
-
-
-def test_an_assigned_kb_answers_for_a_proven_source(tmp_path, kb2, kb42):
-    write_bundle(tmp_path / "two.kb", kb2)
-    bundle = load_bundle(tmp_path / "two.kb")
-    bundle.kb = kb42
-    assert bundle.canonical_text is None
-    assert bundle.kb_of(words=["void"]) is bundle.kb_of(heads=[1]) is kb42
+    scoped = bundle.kb_of(words=["void"])
+    assert scoped != kb2
+    assert bundle.kb == kb2 and bundle.kb_of(words=["void"]) == scoped
+    assert bundle.canonical_text == serialize_kb(kb2)  # kept once ``kb`` is built
 
 
 def test_a_kb_built_during_kb_of_leaves_its_answer_whole(tmp_path, monkeypatch, kb2):
     """A ``kb`` that another thread finishes while ``kb_of`` builds its
-    heads' pieces lets go of the stored text, but not of the text that
-    ``kb_of`` has read."""
+    heads' pieces changes nothing of the answer."""
     write_bundle(tmp_path / "two.kb", kb2)
     expected = load_bundle(tmp_path / "two.kb").kb_of(words=["void"])
     bundle = load_bundle(tmp_path / "two.kb")

@@ -4,8 +4,9 @@
 ``ThesaurusKB.tally_heads`` gives the text's KB, and the oracles' own
 recount (``stats_rows``) agrees with the tables built from it. ``stats`` and
 ``export structured`` of a bundle storing the text print, byte for byte,
-what they print for a re-signed copy that is not canonical (which is
-parsed into a tree), and what the reference renderers print.
+what they print for a re-signed copy that is not canonical (which the
+load parses and keeps as its canonical text), and what the reference
+renderers print.
 """
 
 from __future__ import annotations
@@ -203,8 +204,8 @@ def test_a_proven_fixture_prints_as_its_tree(root, name):
 
 
 def test_the_library_writer_streams_the_text_as_the_tree(perfbench_corpus, tmp_path):
-    """``structured_document`` of a proven load, called in process, writes
-    what it writes once ``kb`` is built, and builds no tree."""
+    """``structured_document`` of a proven load, called in process, builds
+    no tree, and writes the same once ``kb`` is built: the text stays."""
     corpus = perfbench_corpus.generate(5, scale=0.02)
     _signed(tmp_path / "corpus.kb", corpus.canonical, corpus.lexicon)
     bundle = load_bundle(tmp_path / "corpus.kb", lemmas=True)
@@ -213,8 +214,8 @@ def test_the_library_writer_streams_the_text_as_the_tree(perfbench_corpus, tmp_p
     with mock.patch.object(bundle_module, "_canonical_kb", _never):
         structured_document(bundle, streamed)
     assert "kb" not in vars(bundle)
-    bundle.kb  # the tree path from here on
-    assert bundle.canonical_text is None
+    bundle.kb
+    assert bundle.canonical_text == corpus.canonical
     built = io.StringIO()
     structured_document(bundle, built)
     assert streamed.getvalue() == built.getvalue()
