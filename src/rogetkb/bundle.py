@@ -66,20 +66,6 @@ class BuildMeta:
     warnings: int
 
 
-def _kb_of_heads(text: str, heads: list[HeadSlice], words: tuple[str, ...],
-                 numbers: tuple[int, ...]) -> ThesaurusKB:
-    """The knowledge base of the pieces of the proven ``text`` (``heads`` is
-    its proof) that belong to the heads numbered in ``numbers`` or holding
-    one of ``words``, in file order, built as ``KBBundle.kb`` is."""
-    kept = {i for i, head in enumerate(heads) if head.number in numbers}
-    kept.update(i for word in words for i, _ in _entry_sites(text, heads, word))
-    if not kept:  # nothing to build
-        return ThesaurusKB(())
-    # heads of one section share its lines, which are built once
-    pieces = dict.fromkeys(piece for i in sorted(kept) for piece in heads[i].pieces)
-    return _canonical_kb("".join(text[start:end] for start, end in pieces))
-
-
 class KBBundle:
     """A loaded bundle: its knowledge base and checked metadata. The stored
     source is held as a canonical text that ``canonical_heads`` proves:
@@ -122,8 +108,15 @@ class KBBundle:
         normalizes to one of ``words`` and every head numbered in ``heads``,
         so that it answers their index lookups, ``resolve`` and
         ``head_address`` calls as ``kb`` does. It is built anew on each call
-        from those heads' pieces of the text, and not kept."""
-        return _kb_of_heads(self.canonical_text, self._heads, tuple(words), tuple(heads))
+        from those heads' pieces of the text, in file order, and not kept."""
+        text, proof, numbers = self.canonical_text, self._heads, tuple(heads)
+        kept = {i for i, head in enumerate(proof) if head.number in numbers}
+        kept.update(i for word in words for i, _ in _entry_sites(text, proof, word))
+        if not kept:  # nothing to build
+            return ThesaurusKB(())
+        # heads of one section share its lines, which are built once
+        pieces = dict.fromkeys(piece for i in sorted(kept) for piece in proof[i].pieces)
+        return _canonical_kb("".join(text[start:end] for start, end in pieces))
 
     def _rows(self, word: str) -> list[tuple[Address, str, str]]:
         """``parser._postings`` of ``word``: its postings, each with its

@@ -13,7 +13,11 @@ share and coverage figure from it and from the entry walk. The reference
 index collects validated addresses in walk order and sorts each posting
 list, where ``build_index`` relies on the walk's order. The address rule
 is the check the original dataclass ``Address`` ran in ``__post_init__``,
-kept verbatim. The reference lexicon loader is the interchange reader
+kept verbatim; the reference constructor is the loop that the tuple
+``Address`` ran on every construction before its straight-line path, kept
+verbatim. The reference navigation is ``ThesaurusKB.resolve`` and
+``head_address`` as they walked the tree before they read tables, kept
+verbatim. The reference lexicon loader is the interchange reader
 that built the synset graph record by record, before one reader served
 both the graph and the lemma set, kept verbatim except that it reads each
 tag and relation name through the enum's own constructor, as the enums'
@@ -48,8 +52,8 @@ from rogetkb.lexnet import (
     SynsetResource,
 )
 from rogetkb.model import (
-    MAX_DIGITS, SG_LEVEL, Address, CrossReference, Entry, Head, Paragraph, PartOfSpeech,
-    RogetClass, Section, SemicolonGroup, ThesaurusKB,
+    MAX_DIGITS, SG_LEVEL, Address, AddressError, CrossReference, Entry, Head, Node, Paragraph,
+    PartOfSpeech, RogetClass, Section, SemicolonGroup, ThesaurusKB,
 )
 from rogetkb.parser import ParseDiagnostic, ParseResult
 from rogetkb.text import normalize
@@ -304,6 +308,85 @@ def address_rule(
         if not isinstance(value, int) or value < minimum:
             return f"bad {name} component {value!r}"
     return None
+
+
+_NUMBER_END = 10**MAX_DIGITS
+
+
+def reference_address_new(
+    cls, class_num, section_num=None, head_num=None, pos=None, para_idx=None,
+    sg_idx=None, entry_idx=None,
+) -> Address:
+    """``Address.__new__`` as it was, one loop over the components for
+    every input, kept verbatim."""
+    if (pos is None) != (para_idx is None):
+        raise AddressError("paragraph address needs both a part of speech and an index")
+    if pos is not None and type(pos) is not PartOfSpeech:
+        raise AddressError(f"bad part of speech component {pos!r}")
+    seen_gap = False
+    for name, value, minimum in (
+        ("class", class_num, 1), ("section", section_num, 1), ("head", head_num, 1),
+        ("paragraph", para_idx, 0), ("group", sg_idx, 0), ("entry", entry_idx, 0),
+    ):
+        if value is None and name != "class":
+            seen_gap = True
+        elif seen_gap:
+            raise AddressError(f"{name} component set without its parent levels")
+        elif type(value) is not int or not minimum <= value < _NUMBER_END:
+            # repr of an int past the limit raises ValueError, so it is not shown
+            shown = (f"of more than {MAX_DIGITS} digits"
+                     if isinstance(value, int) and abs(value) >= _NUMBER_END else repr(value))
+            raise AddressError(f"bad {name} component {shown}")
+    return tuple.__new__(
+        cls, (class_num, section_num, head_num, pos, para_idx, sg_idx, entry_idx)
+    )
+
+
+def reference_head_address(self: ThesaurusKB, number: int) -> Optional[Address]:
+    """``ThesaurusKB.head_address`` as it was, a walk of every head, kept
+    verbatim."""
+    for cls, sec, head in self.walk_heads():
+        if head.number == number:
+            return Address(cls.number, sec.number, head.number)
+    return None
+
+
+def reference_resolve(self: ThesaurusKB, address: Address) -> Node:
+    """``ThesaurusKB.resolve`` as it was, a linear search per level, kept
+    verbatim."""
+    cls = next((c for c in self.classes if c.number == address.class_num), None)
+    if cls is None:
+        raise AddressError(f"class {address.class_num} not found")
+    if address.section_num is None:
+        return cls
+    sec = next((s for s in cls.sections if s.number == address.section_num), None)
+    if sec is None:
+        raise AddressError(f"section {address.section_num} not found in class {cls.number}")
+    if address.head_num is None:
+        return sec
+    head = next((h for h in sec.heads if h.number == address.head_num), None)
+    if head is None:
+        raise AddressError(
+            f"head {address.head_num} not found in section {cls.number}.{sec.number}"
+        )
+    if address.pos is None:
+        return head
+    bucket = head.pos_paragraphs(address.pos)
+    if address.para_idx >= len(bucket):
+        raise AddressError(
+            f"paragraph {address.pos.value}:{address.para_idx} not found in head {head.number}"
+        )
+    para = bucket[address.para_idx]
+    if address.sg_idx is None:
+        return para
+    if address.sg_idx >= len(para.groups):
+        raise AddressError(f"group {address.sg_idx} not found in {head.number}:{address.pos.value}:{address.para_idx}")
+    group = para.groups[address.sg_idx]
+    if address.entry_idx is None:
+        return group
+    if address.entry_idx >= len(group.entries):
+        raise AddressError(f"entry {address.entry_idx} not found in group {address.group_prefix()}")
+    return group.entries[address.entry_idx]
 
 
 def reference_structured_document(bundle: KBBundle, *, strip_gloss: bool = False) -> str:

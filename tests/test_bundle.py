@@ -517,20 +517,12 @@ def test_a_load_of_a_canonical_source_builds_no_layer(tmp_path, kb2):
     assert bundle.canonical_text == serialize_kb(kb2)  # kept once ``kb`` is built
 
 
-def test_a_kb_built_during_kb_of_leaves_its_answer_whole(tmp_path, monkeypatch, kb2):
-    """A ``kb`` that another thread finishes while ``kb_of`` builds its
-    heads' pieces changes nothing of the answer."""
+def test_kb_of_answers_alike_before_and_after_kb_is_built(tmp_path, kb2):
     write_bundle(tmp_path / "two.kb", kb2)
-    expected = load_bundle(tmp_path / "two.kb").kb_of(words=["void"])
     bundle = load_bundle(tmp_path / "two.kb")
-    scoped = bundle_module._kb_of_heads
-
-    def raced(*args):
-        assert bundle.kb == kb2
-        return scoped(*args)
-
-    monkeypatch.setattr(bundle_module, "_kb_of_heads", raced)
-    assert bundle.kb_of(words=["void"]) == expected != kb2
+    before = bundle.kb_of(words=["void"])
+    assert bundle.kb == kb2
+    assert bundle.kb_of(words=["void"]) == before != kb2
 
 
 def test_one_query_makes_one_scoped_parse(tmp_path, monkeypatch, kb2):
@@ -561,6 +553,7 @@ _BUILDERS = {
     inspect.unwrap(build).__code__ for build in (
         parse_source, _canonical_kb, build_index, load_resource, load_neighbourhood,
         lexicon_lemmas, SynsetResource.lemma_index.func, SynsetResource._neighbour_ids.func,
+        ThesaurusKB._nodes.func, ThesaurusKB._head_places.func,
     )
 }
 
@@ -578,6 +571,8 @@ _LIBRARY_CALLS = {
     "load_bundle": lambda path: load_bundle(path),
     "load_bundle-kb": lambda path: load_bundle(path).kb,
     "load_bundle-kb_of": lambda path: load_bundle(path).kb_of(words=["toll"]),
+    "kb-resolve": lambda path: load_bundle(path).kb.resolve(Address.parse("1.3.42:N:0")),
+    "kb-head_address": lambda path: load_bundle(path).kb.head_address(42),
     "load_bundle-lemmas": lambda path: load_bundle(path, lemmas=True),
     "index": lambda path: load_bundle(path).index,
     "resource-label": _label_once,

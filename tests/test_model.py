@@ -2,12 +2,14 @@ from __future__ import annotations
 
 import copy
 import pickle
+from functools import lru_cache
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from corpusgen import fixture_text
+from check_navigation import check_addresses, check_navigation, sample_kbs
+from corpusgen import fixture_text, generate
 from oracles import (
     address_rule, paragraph_positions, reference_address_str, reference_sort_key, walk_entries,
     walk_groups, walk_paragraphs,
@@ -16,6 +18,7 @@ from rogetkb.aligner import class_coverage
 from rogetkb.model import (
     Address,
     AddressError,
+    Entry,
     Head,
     Paragraph,
     PartOfSpeech,
@@ -24,6 +27,7 @@ from rogetkb.model import (
     SemicolonGroup,
     ThesaurusKB,
 )
+from rogetkb.parser import parse_source
 from rogetkb.text import normalize, strip_gloss
 
 
@@ -220,6 +224,15 @@ class TestAddress:
         with pytest.raises(AddressError, match="bad class component None"):
             Address._make([None] * 7)
 
+    def test_every_edge_gets_the_verdict_of_the_loop(self):
+        """One or two components at a time, at every depth, set to a value
+        at an edge of the straight-line path: the constructor, ``_replace``
+        and unpickling accept what the loop accepts and raise the loop's
+        message otherwise."""
+        problems: list[str] = []
+        check_addresses(problems)
+        assert problems == []
+
     def test_pickle_and_deepcopy_round_trip(self):
         for text in ("7", "1.3.42", "1.3.42:N:0:4:2"):
             address = Address.parse(text)
@@ -292,6 +305,58 @@ class TestHeadByNumber:
 
     def test_empty_kb(self):
         assert ThesaurusKB(()).head_address(1) is None
+
+
+# Hand-built KBs: node numbers from a small range, 0 included, so classes,
+# sections and heads repeat numbers and some numbers no address can name.
+_NODE_NUMBERS = st.integers(0, 3)
+_GROUPS = st.lists(
+    st.builds(SemicolonGroup, st.lists(st.builds(Entry, st.sampled_from("abc")), max_size=3)
+              .map(tuple)),
+    max_size=3,
+).map(tuple)
+_HEADS = st.builds(Head, _NODE_NUMBERS, st.just("h"), st.lists(
+    st.builds(Paragraph, st.sampled_from(PartOfSpeech), _GROUPS), max_size=4).map(tuple))
+_SECTIONS = st.builds(Section, _NODE_NUMBERS, st.just("s"),
+                      st.lists(_HEADS, max_size=3).map(tuple))
+_HAND_BUILT = st.builds(ThesaurusKB, st.lists(
+    st.builds(RogetClass, _NODE_NUMBERS, st.just("c"), st.lists(_SECTIONS, max_size=3)
+              .map(tuple)),
+    max_size=3,
+).map(tuple))
+
+
+@lru_cache(maxsize=None)
+def _generated_kb(seed: int) -> ThesaurusKB:
+    return parse_source(generate(seed, n_classes=2).text).kb
+
+
+class TestNavigationMatchesTheWalk:
+    """``resolve`` and ``head_address`` read tables; they answer as the
+    linear walks did: the same node (``is``) or the same ``AddressError``
+    message, and the same head address or None."""
+
+    @given(st.integers(0, 5).map(_generated_kb) | _HAND_BUILT)
+    def test_resolve_and_head_address_answer_as_the_walk(self, kb):
+        problems: list[str] = []
+        check_navigation("drawn", kb, problems)
+        assert problems == []
+
+    @pytest.mark.parametrize("name", sample_kbs())
+    def test_every_address_around_the_samples(self, name):
+        problems: list[str] = []
+        check_navigation(name, sample_kbs()[name], problems)
+        assert problems == []
+
+    def test_the_tables_are_built_once(self, kb2):
+        kb = ThesaurusKB(kb2.classes)
+        assert vars(kb) == {"classes": kb2.classes}
+        kb.resolve(Address(1, 1, 1))
+        tables = dict(vars(kb))
+        kb.resolve(Address(2, 1, 183, PartOfSpeech.NOUN, 0))
+        kb.head_address(183)
+        assert tables["_nodes"] is kb._nodes
+        assert set(vars(kb)) == {"classes", "_nodes", "_head_places"}
 
 
 class TestCounts:
